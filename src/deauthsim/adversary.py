@@ -29,6 +29,7 @@ from enum import Enum
 from random import Random
 
 from .frames import (
+    TEARDOWN_SUBTYPES,
     FrameSubtype,
     MacAddress,
     ManagementFrame,
@@ -60,6 +61,10 @@ class AttackKind(Enum):
     TOKEN_GUESS = "token_guess"
     ASSOC_REPLAY = "assoc_replay"
     DEAUTH_REPLAY = "deauth_replay"
+
+
+# The only kinds that build their frames from sniffed traffic.
+REPLAY_KINDS = frozenset({AttackKind.ASSOC_REPLAY, AttackKind.DEAUTH_REPLAY})
 
 
 @dataclass(frozen=True)
@@ -131,8 +136,7 @@ def deauth_replay_frames(
     """Verbatim copies of the first sniffed token-revealing teardown."""
     for raw, frame in _sniffed_frames(sniffed_log):
         if (
-            frame.subtype
-            in (FrameSubtype.DEAUTHENTICATION, FrameSubtype.DISASSOCIATION)
+            frame.subtype in TEARDOWN_SUBTYPES
             and frame.ie is not None
             and frame.ie.payload_kind == PAYLOAD_TOKEN
         ):
@@ -141,15 +145,20 @@ def deauth_replay_frames(
 
 
 class Adversary:
-    """Runtime shell around a config: sniffs via its tap, emits frames."""
+    """Runtime shell around a config: sniffs via its tap, emits frames.
+
+    Only replay kinds keep what they sniff; the others never read it.
+    """
 
     def __init__(self, cfg: AttackerConfig, endpoint_id: str):
         self.cfg = cfg
         self.endpoint_id = endpoint_id
         self.captures: list[MediumEvent] = []
+        self._replays = cfg.kind in REPLAY_KINDS
 
     def on_sniffed(self, event: MediumEvent) -> None:
-        self.captures.append(event)
+        if self._replays:
+            self.captures.append(event)
 
     def frames(self) -> list[bytes]:
         """Build this attacker's frame sequence, ready to inject."""

@@ -34,6 +34,7 @@ from enum import Enum
 
 HEADER_SIZE = 15
 HEADER_FORMAT = "<B6s6sH"
+_HEADER = struct.Struct(HEADER_FORMAT)
 
 IE_ELEMENT_ID = 0xDD
 PAYLOAD_HASH = 0x01
@@ -90,11 +91,18 @@ class FrameSubtype(Enum):
     AUTH_REQUEST = 0x10
     AUTH_RESPONSE = 0x11
 
+    # Members are singletons compared by identity, so identity hashing
+    # agrees with equality and keeps subtype-set tests on the frame path
+    # in C; Enum's default __hash__ is a Python call hashing the name.
+    __hash__ = object.__hash__
+
 
 TEARDOWN_SUBTYPES = frozenset({FrameSubtype.DEAUTHENTICATION, FrameSubtype.DISASSOCIATION})
 
+_SUBTYPE_BY_CODE = {subtype.value: subtype for subtype in FrameSubtype}
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class MacAddress:
     """A 6-octet hardware address; renders as lowercase colon-separated hex."""
 
@@ -122,7 +130,7 @@ class MacAddress:
 BROADCAST = MacAddress(b"\xff" * 6)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InformationElement:
     """Vendor-specific element carrying either a hash commitment or a token."""
 
@@ -152,7 +160,7 @@ def token_element(raw: bytes) -> InformationElement:
     return InformationElement(PAYLOAD_TOKEN, raw)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ManagementFrame:
     """One simulated management frame.
 
@@ -174,8 +182,7 @@ class ManagementFrame:
 def encode_frame(frame: ManagementFrame) -> bytes:
     """Serialize a frame to its canonical byte string."""
     buf = bytearray(
-        struct.pack(
-            HEADER_FORMAT,
+        _HEADER.pack(
             frame.subtype.value,
             frame.src.octets,
             frame.dst.octets,
@@ -201,11 +208,10 @@ def decode_frame(data: bytes) -> ManagementFrame:
     if len(data) < HEADER_SIZE:
         raise TooShort(f"{len(data)} bytes is shorter than the {HEADER_SIZE}-byte header")
 
-    code, src_raw, dst_raw, status = struct.unpack_from(HEADER_FORMAT, data)
-    try:
-        subtype = FrameSubtype(code)
-    except ValueError:
-        raise UnknownSubtype(f"unknown subtype code 0x{code:02x}") from None
+    code, src_raw, dst_raw, status = _HEADER.unpack_from(data)
+    subtype = _SUBTYPE_BY_CODE.get(code)
+    if subtype is None:
+        raise UnknownSubtype(f"unknown subtype code 0x{code:02x}")
 
     if len(data) == HEADER_SIZE:
         ie = None

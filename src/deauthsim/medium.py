@@ -13,10 +13,14 @@ Loss is a per-frame Bernoulli draw from ``random.Random(seed)``: one
 below ``loss_probability``.  The generator is touched for nothing else,
 so the delivered/dropped pattern can be replayed independently.
 
-Routing uses only the destination MAC at bytes 7-13 of the raw frame;
-the medium never inspects the source, which is what makes spoofing
-possible by construction.  The broadcast MAC ff:ff:ff:ff:ff:ff reaches
-every MAC-owning endpoint except the sender.
+Routing uses only the destination MAC at bytes 7-13 of the raw frame,
+looked up as raw bytes; the medium never inspects the source, which is
+what makes spoofing possible by construction.  The broadcast MAC
+ff:ff:ff:ff:ff:ff reaches every MAC-owning endpoint except the sender.
+
+``Medium.events`` keeps the whole log; each ``run_until_idle`` call
+returns only the events that call produced, so draining after every
+script step costs time linear in the events, not in the log so far.
 
 Event ``src`` is the sending endpoint's identifier, not the frame's
 source field: the log is the omniscient observer and always knows who
@@ -37,6 +41,11 @@ DEFAULT_MAX_TICKS = 10_000
 
 _DST_OFFSET = 7
 _DST_END = 13
+_BROADCAST_OCTETS = BROADCAST.octets
+
+# One encoder for every log line: the same bytes as json.dumps with these
+# separators, without building an encoder per event.
+_JSON = json.JSONEncoder(separators=(",", ":"))
 
 
 class MediumError(Exception):
@@ -76,7 +85,7 @@ class MediumConfig:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MediumEvent:
     """One log line: who sent what, and what the medium did with it."""
 
@@ -87,15 +96,14 @@ class MediumEvent:
     frame: bytes
 
     def to_json(self) -> str:
-        return json.dumps(
+        return _JSON.encode(
             {
                 "tick": self.tick,
                 "kind": self.kind.value,
                 "from": self.src,
                 "to": self.dst,
                 "frame": self.frame.hex(),
-            },
-            separators=(",", ":"),
+            }
         )
 
 
@@ -130,7 +138,9 @@ class Medium:
         self.config = config if config is not None else MediumConfig()
         self.events: list[MediumEvent] = []
         self._endpoints: dict[str, _Endpoint] = {}
-        self._mac_owner: dict[MacAddress, str] = {}
+        # MAC owners keyed by raw octets, so routing a frame builds no
+        # MacAddress.
+        self._mac_owner: dict[bytes, _Endpoint] = {}
         self._taps: list[_Endpoint] = []
         self._pending: list[tuple[str, bytes]] = []
         self._tick = 0
@@ -151,12 +161,13 @@ class Medium:
         """Register an endpoint; identifiers and MACs must be unused."""
         if endpoint_id in self._endpoints:
             raise DuplicateEndpoint(f"endpoint id {endpoint_id!r} already attached")
-        if mac is not None and mac in self._mac_owner:
-            raise DuplicateEndpoint(f"MAC {mac} already owned by {self._mac_owner[mac]!r}")
+        if mac is not None and mac.octets in self._mac_owner:
+            owner = self._mac_owner[mac.octets].endpoint_id
+            raise DuplicateEndpoint(f"MAC {mac} already owned by {owner!r}")
         endpoint = _Endpoint(endpoint_id, mac, receive, injector)
         self._endpoints[endpoint_id] = endpoint
         if mac is not None:
-            self._mac_owner[mac] = endpoint_id
+            self._mac_owner[mac.octets] = endpoint
         if endpoint_id in self.config.promiscuous_taps:
             self._taps.append(endpoint)
         return Handle(self, endpoint_id)
@@ -172,8 +183,10 @@ class Medium:
 
         ``max_ticks`` bounds this call; an endpoint loop that keeps the
         queue busy past the budget raises ``TickLimitExceeded``.
-        Returns the complete event log accumulated so far.
+        Returns the events this call produced, in log order; the whole
+        log stays in ``events``.
         """
+        start = len(self.events)
         budget = max_ticks
         while self._pending:
             if budget <= 0:
@@ -186,50 +199,47 @@ class Medium:
             self._pending = []
             for sender_id, data in batch:
                 self._process(sender_id, data)
-        return list(self.events)
+        return self.events[start:]
 
     # -- internals -----------------------------------------------------
 
-    def _resolve_dst(self, data: bytes) -> tuple[MacAddress | None, str]:
-        if len(data) < _DST_END:
-            return None, "?"
-        mac = MacAddress(data[_DST_OFFSET:_DST_END])
-        owner = self._mac_owner.get(mac)
-        return mac, owner if owner is not None else str(mac)
-
-    def _log(self, kind: EventKind, src: str, dst: str, data: bytes) -> MediumEvent:
-        event = MediumEvent(self._tick, kind, src, dst, data)
-        self.events.append(event)
-        return event
-
     def _process(self, sender_id: str, data: bytes) -> None:
         sender = self._endpoints[sender_id]
-        dst_mac, dst_label = self._resolve_dst(data)
+        tick = self._tick
+        log = self.events.append
+
+        if len(data) < _DST_END:
+            dst = None
+            owner = None
+            dst_label = "?"
+        else:
+            dst = data[_DST_OFFSET:_DST_END]
+            owner = self._mac_owner.get(dst)
+            dst_label = owner.endpoint_id if owner is not None else str(MacAddress(dst))
 
         if sender.injector:
-            self._log(EventKind.INJECTED, sender_id, dst_label, data)
+            log(MediumEvent(tick, EventKind.INJECTED, sender_id, dst_label, data))
 
         for tap in self._taps:
-            event = self._log(EventKind.SNIFFED, sender_id, tap.endpoint_id, data)
+            event = MediumEvent(tick, EventKind.SNIFFED, sender_id, tap.endpoint_id, data)
+            log(event)
             if tap.receive is not None:
                 tap.receive(event)
 
         if self._loss_rng.random() < self.config.loss_probability:
-            self._log(EventKind.DROPPED, sender_id, dst_label, data)
+            log(MediumEvent(tick, EventKind.DROPPED, sender_id, dst_label, data))
             return
 
-        event = self._log(EventKind.DELIVERED, sender_id, dst_label, data)
-        if dst_mac is None:
+        event = MediumEvent(tick, EventKind.DELIVERED, sender_id, dst_label, data)
+        log(event)
+        if dst is None:
             return
-        if dst_mac == BROADCAST:
+        if dst == _BROADCAST_OCTETS:
             for endpoint in self._endpoints.values():
                 if endpoint.endpoint_id == sender_id or endpoint.mac is None:
                     continue
                 if endpoint.receive is not None:
                     endpoint.receive(event)
             return
-        owner = self._mac_owner.get(dst_mac)
-        if owner is not None:
-            endpoint = self._endpoints[owner]
-            if endpoint.receive is not None:
-                endpoint.receive(event)
+        if owner is not None and owner.receive is not None:
+            owner.receive(event)

@@ -23,6 +23,10 @@ A scenario file is YAML with a versioned schema:
       - deauth: {initiator: "02:00:00:00:00:02", reason: 3}
       - attack: {index: 0}
 
+Fields are checked strictly: an unknown key anywhere is a ``ConfigError``
+(a misspelt ``loss_probability`` must not silently run loss-free), and
+integer fields must be YAML integers, never strings, floats or booleans.
+
 Script actions run in order; the medium drains to idle after each one.
 Every attacker is attached as a promiscuous tap and an injector, so
 replay attacks see all earlier traffic.
@@ -48,29 +52,36 @@ from random import Random
 
 import yaml
 
-from .adversary import Adversary, AttackerConfig, AttackKind
-from .frames import FrameSubtype, MacAddress, ManagementFrame
-from .medium import EventKind, Medium, MediumConfig, MediumEvent
+from .adversary import DEFAULT_REASON, Adversary, AttackerConfig, AttackKind
+from .frames import TEARDOWN_SUBTYPES, FrameSubtype, MacAddress
+from .medium import DEFAULT_MAX_TICKS, EventKind, Medium, MediumConfig, MediumEvent
 from .stations import (
     AccessPoint,
     ClientStation,
     LifecycleState,
     Station,
-    Verdict,
     Action,
     TEARDOWN_REASONS,
 )
 
 SCHEMA_VERSION = 1
 
-# Subtypes whose verdicts the outcome tallies.
-COUNTED_SUBTYPES = frozenset(
-    {
-        FrameSubtype.DEAUTHENTICATION,
-        FrameSubtype.DISASSOCIATION,
-        FrameSubtype.ASSOC_REQUEST,
-    }
+# Every field a scenario document, and each of its attackers, may carry.
+SCENARIO_KEYS = (
+    "schema",
+    "name",
+    "mode",
+    "seed",
+    "loss_probability",
+    "max_ticks",
+    "stations",
+    "attackers",
+    "script",
 )
+ATTACKER_KEYS = ("kind", "spoof_src", "target", "frame_count", "reason", "seed")
+
+# Subtypes whose verdicts the outcome tallies.
+COUNTED_SUBTYPES = TEARDOWN_SUBTYPES | {FrameSubtype.ASSOC_REQUEST}
 
 
 class ConfigError(Exception):
@@ -122,7 +133,7 @@ class ScenarioConfig:
     attackers: tuple[AttackerConfig, ...] = ()
     script: tuple[ScriptAction, ...] = ()
     loss_probability: float = 0.0
-    max_ticks: int = 10_000
+    max_ticks: int = DEFAULT_MAX_TICKS
 
     def __post_init__(self) -> None:
         if not self.stations:
@@ -203,6 +214,22 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _reject_unknown_keys(mapping: dict, known: tuple[str, ...], where: str) -> None:
+    unknown = [key for key in mapping if key not in known]
+    if unknown:
+        raise ConfigError(
+            f"{where}: unknown field {unknown[0]!r}; expected one of {', '.join(known)}"
+        )
+
+
+def _int_field(mapping: dict, key: str, where: str, default: int | None = None) -> int:
+    """An integer field, never coerced; ``bool`` is not an integer here."""
+    value = _require(mapping, key, where) if default is None else mapping.get(key, default)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{where}: {key} must be an integer, got {value!r}")
+    return value
+
+
 def _parse_action(entry, index: int) -> ScriptAction:
     where = f"script[{index}]"
     if not isinstance(entry, dict) or len(entry) != 1:
@@ -211,23 +238,20 @@ def _parse_action(entry, index: int) -> ScriptAction:
     if not isinstance(body, dict):
         raise ConfigError(f"{where}: {verb} body must be a mapping")
     if verb == "associate":
+        _reject_unknown_keys(body, ("client", "ap"), where)
         return AssociateAction(
             client=_parse_mac(_require(body, "client", where), where),
             ap=_parse_mac(_require(body, "ap", where), where),
         )
     if verb == "deauth":
-        reason = _require(body, "reason", where)
-        if not isinstance(reason, int):
-            raise ConfigError(f"{where}: reason must be an integer")
+        _reject_unknown_keys(body, ("initiator", "reason"), where)
         return DeauthAction(
             initiator=_parse_mac(_require(body, "initiator", where), where),
-            reason=reason,
+            reason=_int_field(body, "reason", where),
         )
     if verb == "attack":
-        idx = _require(body, "index", where)
-        if not isinstance(idx, int):
-            raise ConfigError(f"{where}: index must be an integer")
-        return AttackAction(index=idx)
+        _reject_unknown_keys(body, ("index",), where)
+        return AttackAction(index=_int_field(body, "index", where))
     raise ConfigError(f"{where}: unknown action {verb!r}")
 
 
@@ -235,6 +259,7 @@ def _parse_attacker(entry, index: int) -> AttackerConfig:
     where = f"attackers[{index}]"
     if not isinstance(entry, dict):
         raise ConfigError(f"{where}: must be a mapping")
+    _reject_unknown_keys(entry, ATTACKER_KEYS, where)
     kind_name = str(_require(entry, "kind", where))
     try:
         kind = AttackKind(kind_name)
@@ -245,9 +270,9 @@ def _parse_attacker(entry, index: int) -> AttackerConfig:
             kind=kind,
             spoof_src=_parse_mac(_require(entry, "spoof_src", where), where),
             target=_parse_mac(_require(entry, "target", where), where),
-            frame_count=int(entry.get("frame_count", 1)),
-            reason=int(entry.get("reason", 3)),
-            seed=int(entry.get("seed", 0)),
+            frame_count=_int_field(entry, "frame_count", where, 1),
+            reason=_int_field(entry, "reason", where, DEFAULT_REASON),
+            seed=_int_field(entry, "seed", where, 0),
         )
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
@@ -257,6 +282,7 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
     """Validate a parsed scenario document into a ScenarioConfig."""
     if not isinstance(doc, dict):
         raise ConfigError("scenario document must be a mapping")
+    _reject_unknown_keys(doc, SCENARIO_KEYS, "scenario")
     schema = doc.get("schema", SCHEMA_VERSION)
     if schema != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema version {schema!r}")
@@ -275,6 +301,7 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
         where = f"stations[{i}]"
         if not isinstance(entry, dict):
             raise ConfigError(f"{where}: must be a mapping")
+        _reject_unknown_keys(entry, ("role", "mac"), where)
         role_name = str(_require(entry, "role", where))
         try:
             role = Role(role_name)
@@ -289,15 +316,11 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
     ]
     script = [_parse_action(entry, i) for i, entry in enumerate(doc.get("script", []))]
 
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError("seed must be an integer")
+    seed = _int_field(doc, "seed", "scenario", 0)
     loss = doc.get("loss_probability", 0.0)
     if not isinstance(loss, (int, float)) or isinstance(loss, bool):
         raise ConfigError("loss_probability must be a number")
-    max_ticks = doc.get("max_ticks", 10_000)
-    if not isinstance(max_ticks, int):
-        raise ConfigError("max_ticks must be an integer")
+    max_ticks = _int_field(doc, "max_ticks", "scenario", DEFAULT_MAX_TICKS)
 
     return ScenarioConfig(
         name=str(doc.get("name", "unnamed")),
@@ -355,22 +378,19 @@ def load_scenario(ref: str | Path) -> ScenarioConfig:
 # -- execution ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VerdictRecord:
-    """One verdict joined with the true sender from the medium log."""
-
-    sender_id: str
-    receiver_id: str
-    frame: ManagementFrame
-    verdict: Verdict
-
-
 class ScenarioRun:
-    """Wires stations, adversaries and medium for one config."""
+    """Wires stations, adversaries and medium for one config.
+
+    Verdicts are tallied as they happen and not kept: per-cause counts
+    for the subtypes in ``COUNTED_SUBTYPES``, accepted frames injected by
+    an adversary, and accepted teardowns sent by stations.
+    """
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
-        self.records: list[VerdictRecord] = []
+        self.verdict_counts: Counter[str] = Counter()
+        self.attack_success_count = 0
+        self.teardown_accepts = 0
         self.expected_teardowns = 0
 
         master = Random(cfg.seed)
@@ -410,11 +430,16 @@ class ScenarioRun:
 
     def _deliver(self, station: Station, event: MediumEvent) -> None:
         result = station.receive_frame(event.frame)
-        if result is not None:
-            frame, verdict = result
-            self.records.append(
-                VerdictRecord(event.src, station.name, frame, verdict)
-            )
+        if result is None:
+            return
+        frame, verdict = result
+        if frame.subtype in COUNTED_SUBTYPES:
+            self.verdict_counts[verdict.cause] += 1
+        if verdict.action is Action.ACCEPT:
+            if event.src in self.adversary_ids:
+                self.attack_success_count += 1
+            elif frame.subtype in TEARDOWN_SUBTYPES:
+                self.teardown_accepts += 1
 
     def _perform(self, action: ScriptAction) -> None:
         if isinstance(action, AssociateAction):
@@ -437,10 +462,11 @@ class ScenarioRun:
                 handle.send(raw)
 
     def execute(self) -> tuple[ScenarioOutcome, list[MediumEvent]]:
+        """Run the script; return the outcome and the medium's whole event log."""
         for action in self.cfg.script:
             self._perform(action)
             self.medium.run_until_idle(self.cfg.max_ticks)
-        return self._outcome(), list(self.medium.events)
+        return self._outcome(), self.medium.events
 
     def _outcome(self) -> ScenarioOutcome:
         outcome = ScenarioOutcome(self.cfg.name, self.cfg.mode, self.cfg.seed)
@@ -451,21 +477,9 @@ class ScenarioRun:
                 outcome.frames_dropped += 1
         outcome.frames_sent = outcome.frames_delivered + outcome.frames_dropped
 
-        counted = Counter()
-        teardown_accepts = 0
-        for record in self.records:
-            if record.frame.subtype in COUNTED_SUBTYPES:
-                counted[record.verdict.cause] += 1
-            if record.verdict.action is Action.ACCEPT:
-                if record.sender_id in self.adversary_ids:
-                    outcome.attack_success_count += 1
-                elif record.frame.subtype in (
-                    FrameSubtype.DEAUTHENTICATION,
-                    FrameSubtype.DISASSOCIATION,
-                ):
-                    teardown_accepts += 1
-        outcome.verdicts = dict(counted)
-        outcome.legit_disconnect_success = teardown_accepts == self.expected_teardowns
+        outcome.verdicts = dict(self.verdict_counts)
+        outcome.attack_success_count = self.attack_success_count
+        outcome.legit_disconnect_success = self.teardown_accepts == self.expected_teardowns
 
         for mac, station in self.stations.items():
             state = max(

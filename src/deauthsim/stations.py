@@ -34,7 +34,6 @@ tokens are single-use.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from random import Random
@@ -44,6 +43,7 @@ from .frames import (
     BROADCAST,
     PAYLOAD_HASH,
     PAYLOAD_TOKEN,
+    TEARDOWN_SUBTYPES,
     DecodeError,
     FrameSubtype,
     MacAddress,
@@ -125,6 +125,28 @@ class Verdict:
 
     action: Action
     cause: str
+
+
+# Every verdict a station can hand out, built once.
+_REJECT_UNSPECIFIED_REASON = Verdict(Action.REJECT, "unspecified_reason")
+_IGNORE_UNAUTHENTICATED_SENDER = Verdict(Action.IGNORE, "unauthenticated_sender")
+_IGNORE_RESERVED_CODE = Verdict(Action.IGNORE, "reserved_code")
+_IGNORE_NO_SESSION = Verdict(Action.IGNORE, "no_session")
+_IGNORE_NO_TOKEN = Verdict(Action.IGNORE, "no_token")
+_IGNORE_TOKEN_MISMATCH = Verdict(Action.IGNORE, "token_mismatch")
+_ACCEPT_TOKEN_VERIFIED = Verdict(Action.ACCEPT, "token_verified")
+_ACCEPT_LEGACY_NO_CHECK = Verdict(Action.ACCEPT, "legacy_no_check")
+_REJECT_ASSOC_REFUSED = Verdict(Action.REJECT, "assoc_refused")
+_REJECT_MISSING_HASH = Verdict(Action.REJECT, "missing_hash")
+_ACCEPT_ASSOC_CONFIRMED = Verdict(Action.ACCEPT, "assoc_confirmed")
+_ACCEPT_LEGACY_ASSOC = Verdict(Action.ACCEPT, "legacy_assoc")
+_REJECT_REPLAYED_HASH = Verdict(Action.REJECT, "replayed_hash")
+_ACCEPT_HASH_RECORDED = Verdict(Action.ACCEPT, "hash_recorded")
+
+
+def _require_teardown(frame: ManagementFrame) -> None:
+    if frame.subtype not in TEARDOWN_SUBTYPES:
+        raise MalformedFrame(f"not a teardown frame: {frame.subtype.name}")
 
 
 @dataclass
@@ -242,41 +264,33 @@ class Station:
         Everything else is ignored, except reason 1 which is rejected
         outright, token or no token.
         """
-        if frame.subtype not in (
-            FrameSubtype.DEAUTHENTICATION,
-            FrameSubtype.DISASSOCIATION,
-        ):
-            raise MalformedFrame(f"not a teardown frame: {frame.subtype.name}")
+        _require_teardown(frame)
         reason = frame.status_or_reason
         if reason in REJECT_REASONS:
-            return Verdict(Action.REJECT, "unspecified_reason")
+            return _REJECT_UNSPECIFIED_REASON
         if reason in UNAUTH_SENDER_REASONS:
-            return Verdict(Action.IGNORE, "unauthenticated_sender")
+            return _IGNORE_UNAUTHENTICATED_SENDER
         if reason not in TEARDOWN_REASONS:
-            return Verdict(Action.IGNORE, "reserved_code")
+            return _IGNORE_RESERVED_CODE
 
         record = self.sessions.get(frame.src)
         if record is None:
-            return Verdict(Action.IGNORE, "no_session")
+            return _IGNORE_NO_SESSION
         if frame.ie is None or frame.ie.payload_kind != PAYLOAD_TOKEN:
-            return Verdict(Action.IGNORE, "no_token")
+            return _IGNORE_NO_TOKEN
         if record.peer_hash is None or hash_token(frame.ie.payload) != record.peer_hash:
-            return Verdict(Action.IGNORE, "token_mismatch")
+            return _IGNORE_TOKEN_MISMATCH
 
         self._delete_session(frame.src, frame.subtype)
-        return Verdict(Action.ACCEPT, "token_verified")
+        return _ACCEPT_TOKEN_VERIFIED
 
     def legacy_verify_deauth(self, frame: ManagementFrame) -> Verdict:
         """Stock behavior: any teardown from a known peer is honored."""
-        if frame.subtype not in (
-            FrameSubtype.DEAUTHENTICATION,
-            FrameSubtype.DISASSOCIATION,
-        ):
-            raise MalformedFrame(f"not a teardown frame: {frame.subtype.name}")
+        _require_teardown(frame)
         if frame.src not in self.sessions:
-            return Verdict(Action.IGNORE, "no_session")
+            return _IGNORE_NO_SESSION
         self._delete_session(frame.src, frame.subtype)
-        return Verdict(Action.ACCEPT, "legacy_no_check")
+        return _ACCEPT_LEGACY_NO_CHECK
 
     def _verify(self, frame: ManagementFrame) -> Verdict:
         if self.protected:
@@ -296,12 +310,13 @@ class Station:
             frame = decode_frame(data)
         except DecodeError:
             return None
-        if frame.dst != self.mac and frame.dst != BROADCAST:
+        dst = frame.dst.octets
+        if dst != self.mac.octets and dst != BROADCAST.octets:
             return None
         return self._dispatch(frame)
 
     def _dispatch(self, frame: ManagementFrame) -> tuple[ManagementFrame, Verdict] | None:
-        if frame.subtype in (FrameSubtype.DEAUTHENTICATION, FrameSubtype.DISASSOCIATION):
+        if frame.subtype in TEARDOWN_SUBTYPES:
             return frame, self._verify(frame)
         return None
 
@@ -372,14 +387,14 @@ class ClientStation(Station):
         if record is None:
             raise NoPendingSession(f"no association in flight with {frame.src}")
         if frame.status_or_reason != STATUS_SUCCESS:
-            return Verdict(Action.REJECT, "assoc_refused")
+            return _REJECT_ASSOC_REFUSED
         if self.protected:
             if frame.ie is None or frame.ie.payload_kind != PAYLOAD_HASH:
-                return Verdict(Action.REJECT, "missing_hash")
+                return _REJECT_MISSING_HASH
             record.peer_hash = frame.ie.payload
         self.sessions[frame.src] = record
         self._apply_event(frame.src, LifecycleEvent.ASSOC_OK)
-        return Verdict(Action.ACCEPT, "assoc_confirmed")
+        return _ACCEPT_ASSOC_CONFIRMED
 
     def _dispatch(self, frame: ManagementFrame) -> tuple[ManagementFrame, Verdict] | None:
         if frame.subtype is FrameSubtype.AUTH_RESPONSE:
@@ -445,19 +460,19 @@ class AccessPoint(Station):
             response = ManagementFrame(
                 FrameSubtype.ASSOC_RESPONSE, self.mac, src, STATUS_SUCCESS
             )
-            return response, Verdict(Action.ACCEPT, "legacy_assoc")
+            return response, _ACCEPT_LEGACY_ASSOC
 
         if frame.ie is None or frame.ie.payload_kind != PAYLOAD_HASH:
             response = ManagementFrame(
                 FrameSubtype.ASSOC_RESPONSE, self.mac, src, STATUS_REFUSED
             )
-            return response, Verdict(Action.REJECT, "missing_hash")
+            return response, _REJECT_MISSING_HASH
         peer_hash = frame.ie.payload
         if peer_hash in self.store.seen_hashes:
             response = ManagementFrame(
                 FrameSubtype.ASSOC_RESPONSE, self.mac, src, STATUS_REFUSED
             )
-            return response, Verdict(Action.REJECT, "replayed_hash")
+            return response, _REJECT_REPLAYED_HASH
 
         self.store.seen_hashes.add(peer_hash)
         token = generate_token(self.rng)
@@ -477,7 +492,7 @@ class AccessPoint(Station):
             STATUS_SUCCESS,
             hash_element(self.sessions[src].own_hash),
         )
-        return response, Verdict(Action.ACCEPT, "hash_recorded")
+        return response, _ACCEPT_HASH_RECORDED
 
     def teardown_all(self, reason: int) -> list[ManagementFrame]:
         """Tear down every live session, one verified frame per peer."""
@@ -500,8 +515,3 @@ class AccessPoint(Station):
             self._send(response)
             return frame, verdict
         return super()._dispatch(frame)
-
-
-def snapshot_sessions(station: Station) -> dict[MacAddress, SessionRecord]:
-    """Deep copy of a station's live sessions, for instrumented checks."""
-    return copy.deepcopy(station.sessions)

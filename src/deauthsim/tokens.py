@@ -23,9 +23,6 @@ from random import Random
 TOKEN_SIZE = 16
 DIGEST_SIZE = 64
 
-# 128 bits minus 4 version bits and 2 variant bits.
-TOKEN_RANDOM_BITS = 122
-
 
 @dataclass(frozen=True)
 class Token:

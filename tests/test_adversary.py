@@ -180,6 +180,22 @@ class TestAdversaryShell:
         adv.on_sniffed(sniffed(encode_frame(request)))
         assert adv.frames() == [encode_frame(request)] * 2
 
+    @pytest.mark.parametrize(
+        "kind, keeps",
+        [
+            (AttackKind.FORGED_DEAUTH, False),
+            (AttackKind.TOKEN_GUESS, False),
+            (AttackKind.ASSOC_REPLAY, True),
+            (AttackKind.DEAUTH_REPLAY, True),
+        ],
+    )
+    def test_only_replay_kinds_retain_captures(self, kind, keeps):
+        adv = Adversary(AttackerConfig(kind, CLIENT_MAC, AP_MAC), "attacker:0")
+        events = [sniffed(b"\x0c" + bytes(14), tick) for tick in range(3)]
+        for event in events:
+            adv.on_sniffed(event)
+        assert adv.captures == (events if keeps else [])
+
     def test_forged_kind_needs_no_captures(self):
         adv = Adversary(
             AttackerConfig(AttackKind.FORGED_DEAUTH, AP_MAC, CLIENT_MAC, frame_count=3),

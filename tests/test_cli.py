@@ -86,6 +86,12 @@ class TestRun:
         assert main(["run", str(path)]) == EXIT_CONFIG
         assert "error" in capsys.readouterr().err
 
+    def test_misspelt_field_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "typo.yaml"
+        path.write_text(TICK_BOMB.replace("max_ticks: 2", "loss_probabilty: 0.9"))
+        assert main(["run", str(path)]) == EXIT_CONFIG
+        assert "loss_probabilty" in capsys.readouterr().err
+
     def test_tick_limit_exits_3(self, tmp_path, capsys):
         path = tmp_path / "bomb.yaml"
         path.write_text(TICK_BOMB)

@@ -100,6 +100,17 @@ class TestDeliverySemantics:
         assert [e.kind for e in events] == [EventKind.DELIVERED]
         assert events[0].dst == "02:99:99:99:99:99"
 
+    @pytest.mark.parametrize("size", [0, 1, 12])
+    def test_frame_too_short_for_a_destination_is_labelled_unknown(self, size):
+        medium = Medium()
+        got_b = Collector()
+        a = medium.attach("a", MAC_A)
+        medium.attach("b", MAC_B, got_b)
+        a.send(bare_frame(dst=MAC_B)[:size])
+        events = medium.run_until_idle()
+        assert [(e.kind, e.dst) for e in events] == [(EventKind.DELIVERED, "?")]
+        assert got_b.events == [], "a frame with no destination reaches nobody"
+
     def test_true_sender_recorded_despite_spoofed_source(self):
         medium = Medium()
         sink = Collector()
@@ -299,6 +310,24 @@ class TestEventLog:
             "to": "b",
             "frame": raw.hex(),
         }
+
+
+class TestDrainResult:
+    def test_each_drain_returns_only_its_own_events(self):
+        medium = Medium()
+        a = medium.attach("a", MAC_A)
+        medium.attach("b", MAC_B)
+        a.send(bare_frame())
+        first = medium.run_until_idle()
+        a.send(bare_frame())
+        a.send(bare_frame())
+        second = medium.run_until_idle()
+        assert [e.tick for e in first] == [1]
+        assert [e.tick for e in second] == [2, 2]
+        assert medium.events == first + second, "the medium still keeps the whole log"
+        assert medium.run_until_idle() == [], "an idle drain produces nothing"
+        second.clear()
+        assert len(medium.events) == 3, "a drain result is a copy, not the log"
 
 
 class TestTickLimit:

@@ -148,6 +148,66 @@ class TestConfigValidation:
             load_scenario("no_such_scenario")
 
 
+def attacker(**fields):
+    return {"kind": "forged_deauth", "spoof_src": AP, "target": CLIENT, **fields}
+
+
+class TestStrictFields:
+    """Bad field values and unknown keys are rejected, never coerced or ignored."""
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"frame_count": "3"},
+            {"frame_count": 3.0},
+            {"reason": 3.9},
+            {"reason": "3"},
+            {"seed": True},
+            {"frame_count": True},
+        ],
+    )
+    def test_attacker_integers_are_not_coerced(self, fields):
+        with pytest.raises(ConfigError):
+            config_from_dict(doc(attackers=[attacker(**fields)]))
+
+    @pytest.mark.parametrize("key", ["seed", "max_ticks"])
+    def test_top_level_booleans_are_not_integers(self, key):
+        with pytest.raises(ConfigError):
+            config_from_dict(doc(**{key: True}))
+
+    def test_action_booleans_are_not_integers(self):
+        with pytest.raises(ConfigError):
+            config_from_dict(doc(script=[{"deauth": {"initiator": CLIENT, "reason": True}}]))
+        with pytest.raises(ConfigError):
+            config_from_dict(doc(attackers=[attacker()], script=[{"attack": {"index": False}}]))
+
+    def test_misspelt_top_level_key_rejected(self):
+        with pytest.raises(ConfigError, match="loss_probabilty"):
+            config_from_dict(doc(loss_probabilty=0.9))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"attackers": [attacker(frame_cuont=5)]},
+            {"stations": [{"role": "ap", "mac": AP, "channel": 6}], "script": []},
+            {"script": [{"associate": {"client": CLIENT, "ap": AP, "ssid": "x"}}]},
+            {"script": [{"deauth": {"initiator": CLIENT, "reason": 3, "token": "x"}}]},
+            {"attackers": [attacker()], "script": [{"attack": {"index": 0, "at": 1}}]},
+        ],
+    )
+    def test_unknown_nested_keys_rejected(self, overrides):
+        with pytest.raises(ConfigError):
+            config_from_dict(doc(**overrides))
+
+    def test_valid_integers_still_accepted(self):
+        cfg = config_from_dict(
+            doc(max_ticks=7, attackers=[attacker(frame_count=3, reason=4, seed=9)])
+        )
+        assert cfg.max_ticks == 7
+        assert (cfg.attackers[0].frame_count, cfg.attackers[0].reason) == (3, 4)
+        assert cfg.attackers[0].seed == 9
+
+
 class TestBundledScenarios:
     EXPECTED = {
         "legacy_forged_deauth",
