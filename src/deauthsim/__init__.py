@@ -56,7 +56,6 @@ from .scenario import (
 from .stations import (
     AccessPoint,
     Action,
-    ApStore,
     ClientStation,
     LifecycleEvent,
     LifecycleState,
@@ -112,7 +111,6 @@ __all__ = [
     "run_scenario",
     "AccessPoint",
     "Action",
-    "ApStore",
     "ClientStation",
     "LifecycleEvent",
     "LifecycleState",

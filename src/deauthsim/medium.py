@@ -21,6 +21,8 @@ ff:ff:ff:ff:ff:ff reaches every MAC-owning endpoint except the sender.
 ``Medium.events`` keeps the whole log; each ``run_until_idle`` call
 returns only the events that call produced, so draining after every
 script step costs time linear in the events, not in the log so far.
+``frames_sent`` and ``frames_dropped`` count processed and lost frames
+as they happen, so totals never need a pass over the log.
 
 Event ``src`` is the sending endpoint's identifier, not the frame's
 source field: the log is the omniscient observer and always knows who
@@ -137,6 +139,8 @@ class Medium:
     def __init__(self, config: MediumConfig | None = None):
         self.config = config if config is not None else MediumConfig()
         self.events: list[MediumEvent] = []
+        self.frames_sent = 0
+        self.frames_dropped = 0
         self._endpoints: dict[str, _Endpoint] = {}
         # MAC owners keyed by raw octets, so routing a frame builds no
         # MacAddress.
@@ -197,6 +201,7 @@ class Medium:
             self._tick += 1
             batch = self._pending
             self._pending = []
+            self.frames_sent += len(batch)
             for sender_id, data in batch:
                 self._process(sender_id, data)
         return self.events[start:]
@@ -227,6 +232,7 @@ class Medium:
                 tap.receive(event)
 
         if self._loss_rng.random() < self.config.loss_probability:
+            self.frames_dropped += 1
             log(MediumEvent(tick, EventKind.DROPPED, sender_id, dst_label, data))
             return
 

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -54,7 +54,7 @@ import yaml
 
 from .adversary import DEFAULT_REASON, Adversary, AttackerConfig, AttackKind
 from .frames import TEARDOWN_SUBTYPES, FrameSubtype, MacAddress
-from .medium import DEFAULT_MAX_TICKS, EventKind, Medium, MediumConfig, MediumEvent
+from .medium import DEFAULT_MAX_TICKS, Medium, MediumConfig, MediumEvent
 from .stations import (
     AccessPoint,
     ClientStation,
@@ -184,18 +184,7 @@ class ScenarioOutcome:
     final_states: dict[str, str] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "mode": self.mode.value,
-            "seed": self.seed,
-            "frames_sent": self.frames_sent,
-            "frames_delivered": self.frames_delivered,
-            "frames_dropped": self.frames_dropped,
-            "verdicts": dict(self.verdicts),
-            "attack_success_count": self.attack_success_count,
-            "legit_disconnect_success": self.legit_disconnect_success,
-            "final_states": dict(self.final_states),
-        }
+        return dict(asdict(self), mode=self.mode.value)
 
 
 # -- config loading ----------------------------------------------------
@@ -448,13 +437,7 @@ class ScenarioRun:
             client.start_join(action.ap)
         elif isinstance(action, DeauthAction):
             initiator = self.stations[action.initiator]
-            if isinstance(initiator, AccessPoint):
-                self.expected_teardowns += len(initiator.teardown_all(action.reason))
-            else:
-                peers = list(initiator.sessions)
-                for peer in peers:
-                    initiator.begin_teardown(peer, action.reason)
-                self.expected_teardowns += len(peers)
+            self.expected_teardowns += len(initiator.teardown_all(action.reason))
         else:
             adversary = self.adversaries[action.index]
             handle = self.attack_handles[adversary.endpoint_id]
@@ -469,17 +452,18 @@ class ScenarioRun:
         return self._outcome(), self.medium.events
 
     def _outcome(self) -> ScenarioOutcome:
-        outcome = ScenarioOutcome(self.cfg.name, self.cfg.mode, self.cfg.seed)
-        for event in self.medium.events:
-            if event.kind is EventKind.DELIVERED:
-                outcome.frames_delivered += 1
-            elif event.kind is EventKind.DROPPED:
-                outcome.frames_dropped += 1
-        outcome.frames_sent = outcome.frames_delivered + outcome.frames_dropped
-
-        outcome.verdicts = dict(self.verdict_counts)
-        outcome.attack_success_count = self.attack_success_count
-        outcome.legit_disconnect_success = self.teardown_accepts == self.expected_teardowns
+        medium = self.medium
+        outcome = ScenarioOutcome(
+            self.cfg.name,
+            self.cfg.mode,
+            self.cfg.seed,
+            frames_sent=medium.frames_sent,
+            frames_delivered=medium.frames_sent - medium.frames_dropped,
+            frames_dropped=medium.frames_dropped,
+            verdicts=dict(self.verdict_counts),
+            attack_success_count=self.attack_success_count,
+            legit_disconnect_success=self.teardown_accepts == self.expected_teardowns,
+        )
 
         for mac, station in self.stations.items():
             state = max(

@@ -4,10 +4,11 @@ Stations track the classic four-state lifecycle per peer:
 
     UNAUTH_UNASSOC -> AUTH_UNASSOC -> AUTH_ASSOC -> DOT1X_AUTHED
 
-A verified deauthentication drops the peer back to UNAUTH_UNASSOC from
-any state; a verified disassociation drops an associated peer back to
-AUTH_UNASSOC.  The fourth state exists as a label only; no 802.1x
-exchange is simulated.
+The state lives in ``Station.peer_state`` alone.  A verified
+deauthentication drops the peer back to UNAUTH_UNASSOC from any state; a
+verified disassociation drops an associated peer back to AUTH_UNASSOC.
+The fourth state exists as a label only; no 802.1x exchange is
+simulated.
 
 Protected mode implements the token handshake: the client commits to a
 secret token by sending its SHA-512 digest inside the association
@@ -34,7 +35,7 @@ tokens are single-use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 from random import Random
 from typing import Callable
@@ -149,23 +150,27 @@ def _require_teardown(frame: ManagementFrame) -> None:
         raise MalformedFrame(f"not a teardown frame: {frame.subtype.name}")
 
 
+def _teardown_subtype(reason: int) -> FrameSubtype:
+    """Reason 8 is a disassociation; 3, 4 and 5 are deauthentications."""
+    if reason == 8:
+        return FrameSubtype.DISASSOCIATION
+    return FrameSubtype.DEAUTHENTICATION
+
+
 @dataclass
 class SessionRecord:
-    """One side's view of an established (or in-flight) association."""
+    """One side's secrets for an established (or in-flight) association.
+
+    Holds this side's token and its digest, and the peer's commitment
+    once known (``None`` in legacy mode and while a request is in
+    flight).  The lifecycle state toward the peer is not kept here; it
+    lives in ``Station.peer_state``.
+    """
 
     peer: MacAddress
     own_token: Token
     own_hash: bytes
     peer_hash: bytes | None
-    state: LifecycleState
-
-
-@dataclass
-class ApStore:
-    """Access point bookkeeping: live sessions plus every hash ever seen."""
-
-    sessions: dict[MacAddress, SessionRecord] = field(default_factory=dict)
-    seen_hashes: set[bytes] = field(default_factory=set)
 
 
 class Station:
@@ -177,12 +182,11 @@ class Station:
         *,
         protected: bool = True,
         rng: Random | None = None,
-        name: str | None = None,
     ):
         self.mac = mac
         self.protected = protected
         self.rng = rng if rng is not None else Random()
-        self.name = name if name is not None else str(mac)
+        self.name = str(mac)
         self.sessions: dict[MacAddress, SessionRecord] = {}
         self.peer_state: dict[MacAddress, LifecycleState] = {}
         self._transmit: Callable[[bytes], None] | None = None
@@ -203,11 +207,12 @@ class Station:
         return self.peer_state.get(peer, LifecycleState.UNAUTH_UNASSOC)
 
     def _apply_event(self, peer: MacAddress, event: LifecycleEvent) -> None:
-        new_state = transition(self.state_toward(peer), event)
-        self.peer_state[peer] = new_state
-        record = self.sessions.get(peer)
-        if record is not None:
-            record.state = new_state
+        self.peer_state[peer] = transition(self.state_toward(peer), event)
+
+    def _new_session(self, peer: MacAddress, peer_hash: bytes | None) -> SessionRecord:
+        """Draw this side's token for ``peer`` and commit to it."""
+        token = generate_token(self.rng)
+        return SessionRecord(peer, token, hash_token(token), peer_hash)
 
     def _delete_session(self, peer: MacAddress, subtype: FrameSubtype) -> None:
         del self.sessions[peer]
@@ -222,18 +227,21 @@ class Station:
         """Build a teardown frame revealing this side's token.
 
         Reason 8 is a disassociation; 3, 4 and 5 are deauthentications.
-        Requires an established session, else ``WrongState``.
+        Requires a session with ``peer``, else ``WrongState``.  A record
+        sits in ``sessions`` only from the association's ASSOC_OK until
+        its teardown, so having one means the peer is AUTH_ASSOC.
         """
         if reason not in TEARDOWN_REASONS:
             raise ValueError(f"reason {reason} is not a normal-disconnect code")
         record = self.sessions.get(peer)
-        if record is None or record.state < LifecycleState.AUTH_ASSOC:
+        if record is None:
             raise WrongState(f"no established session with {peer}")
-        subtype = (
-            FrameSubtype.DISASSOCIATION if reason == 8 else FrameSubtype.DEAUTHENTICATION
-        )
         return ManagementFrame(
-            subtype, self.mac, peer, reason, token_element(record.own_token.data)
+            _teardown_subtype(reason),
+            self.mac,
+            peer,
+            reason,
+            token_element(record.own_token.data),
         )
 
     def begin_teardown(self, peer: MacAddress, reason: int) -> ManagementFrame:
@@ -243,15 +251,14 @@ class Station:
         else:
             if peer not in self.sessions:
                 raise WrongState(f"no session with {peer}")
-            subtype = (
-                FrameSubtype.DISASSOCIATION
-                if reason == 8
-                else FrameSubtype.DEAUTHENTICATION
-            )
-            frame = ManagementFrame(subtype, self.mac, peer, reason)
+            frame = ManagementFrame(_teardown_subtype(reason), self.mac, peer, reason)
         self._send(frame)
         self._delete_session(peer, frame.subtype)
         return frame
+
+    def teardown_all(self, reason: int) -> list[ManagementFrame]:
+        """Tear down every live session, one frame per peer."""
+        return [self.begin_teardown(peer, reason) for peer in list(self.sessions)]
 
     # -- verification ------------------------------------------------
 
@@ -330,9 +337,8 @@ class ClientStation(Station):
         *,
         protected: bool = True,
         rng: Random | None = None,
-        name: str | None = None,
     ):
-        super().__init__(mac, protected=protected, rng=rng, name=name)
+        super().__init__(mac, protected=protected, rng=rng)
         self.pending: dict[MacAddress, SessionRecord] = {}
         self._join_targets: set[MacAddress] = set()
 
@@ -364,14 +370,7 @@ class ClientStation(Station):
             raise WrongState(
                 f"cannot associate from {self.state_toward(ap).name}, need AUTH_UNASSOC"
             )
-        token = generate_token(self.rng)
-        record = SessionRecord(
-            peer=ap,
-            own_token=token,
-            own_hash=hash_token(token),
-            peer_hash=None,
-            state=LifecycleState.AUTH_UNASSOC,
-        )
+        record = self._new_session(ap, None)
         self.pending[ap] = record
         ie = hash_element(record.own_hash) if self.protected else None
         frame = ManagementFrame(
@@ -422,14 +421,9 @@ class AccessPoint(Station):
         *,
         protected: bool = True,
         rng: Random | None = None,
-        name: str | None = None,
     ):
-        super().__init__(mac, protected=protected, rng=rng, name=name)
-        self.store = ApStore(sessions=self.sessions)
-
-    @property
-    def seen_hashes(self) -> set[bytes]:
-        return self.store.seen_hashes
+        super().__init__(mac, protected=protected, rng=rng)
+        self.seen_hashes: set[bytes] = set()
 
     def handle_assoc_request(
         self, frame: ManagementFrame
@@ -438,68 +432,40 @@ class AccessPoint(Station):
 
         Protected mode refuses requests with no hash commitment and
         requests replaying a commitment seen before, whether or not the
-        original session still exists.  A fresh commitment is recorded
-        for the life of the store, the AP's own token is drawn, and the
-        response carries its digest.
+        original session still exists, and records a fresh commitment
+        for the life of the AP.  An accepted request in either mode then
+        draws the AP's own token; a protected response carries its
+        digest.
         """
         if frame.subtype is not FrameSubtype.ASSOC_REQUEST:
             raise MalformedFrame(f"not an association request: {frame.subtype.name}")
         src = frame.src
 
-        if not self.protected:
-            token = generate_token(self.rng)
-            self.sessions[src] = SessionRecord(
-                peer=src,
-                own_token=token,
-                own_hash=hash_token(token),
-                peer_hash=None,
-                state=self.state_toward(src),
-            )
-            self._apply_event(src, LifecycleEvent.AUTH_OK)
-            self._apply_event(src, LifecycleEvent.ASSOC_OK)
-            response = ManagementFrame(
-                FrameSubtype.ASSOC_RESPONSE, self.mac, src, STATUS_SUCCESS
-            )
-            return response, _ACCEPT_LEGACY_ASSOC
+        peer_hash = None
+        if self.protected:
+            if frame.ie is None or frame.ie.payload_kind != PAYLOAD_HASH:
+                return self._refuse(src, _REJECT_MISSING_HASH)
+            peer_hash = frame.ie.payload
+            if peer_hash in self.seen_hashes:
+                return self._refuse(src, _REJECT_REPLAYED_HASH)
+            self.seen_hashes.add(peer_hash)
 
-        if frame.ie is None or frame.ie.payload_kind != PAYLOAD_HASH:
-            response = ManagementFrame(
-                FrameSubtype.ASSOC_RESPONSE, self.mac, src, STATUS_REFUSED
-            )
-            return response, _REJECT_MISSING_HASH
-        peer_hash = frame.ie.payload
-        if peer_hash in self.store.seen_hashes:
-            response = ManagementFrame(
-                FrameSubtype.ASSOC_RESPONSE, self.mac, src, STATUS_REFUSED
-            )
-            return response, _REJECT_REPLAYED_HASH
-
-        self.store.seen_hashes.add(peer_hash)
-        token = generate_token(self.rng)
-        self.sessions[src] = SessionRecord(
-            peer=src,
-            own_token=token,
-            own_hash=hash_token(token),
-            peer_hash=peer_hash,
-            state=self.state_toward(src),
-        )
+        record = self.sessions[src] = self._new_session(src, peer_hash)
         self._apply_event(src, LifecycleEvent.AUTH_OK)
         self._apply_event(src, LifecycleEvent.ASSOC_OK)
+        ie = hash_element(record.own_hash) if self.protected else None
         response = ManagementFrame(
-            FrameSubtype.ASSOC_RESPONSE,
-            self.mac,
-            src,
-            STATUS_SUCCESS,
-            hash_element(self.sessions[src].own_hash),
+            FrameSubtype.ASSOC_RESPONSE, self.mac, src, STATUS_SUCCESS, ie
         )
-        return response, _ACCEPT_HASH_RECORDED
+        return response, _ACCEPT_HASH_RECORDED if self.protected else _ACCEPT_LEGACY_ASSOC
 
-    def teardown_all(self, reason: int) -> list[ManagementFrame]:
-        """Tear down every live session, one verified frame per peer."""
-        frames = []
-        for peer in list(self.sessions):
-            frames.append(self.begin_teardown(peer, reason))
-        return frames
+    def _refuse(
+        self, peer: MacAddress, verdict: Verdict
+    ) -> tuple[ManagementFrame, Verdict]:
+        response = ManagementFrame(
+            FrameSubtype.ASSOC_RESPONSE, self.mac, peer, STATUS_REFUSED
+        )
+        return response, verdict
 
     def _dispatch(self, frame: ManagementFrame) -> tuple[ManagementFrame, Verdict] | None:
         if frame.subtype is FrameSubtype.AUTH_REQUEST:

@@ -225,6 +225,9 @@ class TestBundledScenarios:
     def test_all_bundled_scenarios_load_and_run(self):
         for name in bundled_scenario_names():
             outcome, events = run_scenario(load_bundled_scenario(name))
+            kinds = [event.kind for event in events]
+            assert outcome.frames_delivered == kinds.count(EventKind.DELIVERED), name
+            assert outcome.frames_dropped == kinds.count(EventKind.DROPPED), name
             assert outcome.frames_sent == outcome.frames_delivered + outcome.frames_dropped
             assert events, name
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from deauthsim.frames import (
     FrameSubtype,
     ManagementFrame,
+    encode_frame,
     token_element,
 )
 from deauthsim.stations import (
@@ -21,7 +22,7 @@ from deauthsim.stations import (
     WrongState,
     transition,
 )
-from deauthsim.tokens import hash_token
+from deauthsim.tokens import generate_token, hash_token
 from helpers import AP_MAC, CLIENT_MAC, OTHER_MAC, auth_success, complete_handshake, make_pair
 from sha512_reference import sha512_reference
 
@@ -94,13 +95,21 @@ class TestHandshake:
             "client must store the digest of the AP token"
         )
         assert ap_record.peer_hash == client_record.own_hash
-        assert client_record.state is S3 and ap_record.state is S3
 
     def test_session_records_satisfy_hash_invariant(self):
-        client, ap = make_pair()
-        complete_handshake(client, ap)
-        for record in (client.sessions[ap.mac], ap.sessions[client.mac]):
-            assert record.own_hash == hash_token(record.own_token)
+        for protected in (True, False):
+            client, ap = make_pair(protected=protected)
+            complete_handshake(client, ap)
+            for record in (client.sessions[ap.mac], ap.sessions[client.mac]):
+                assert record.own_hash == hash_token(record.own_token), protected
+            # Each side's token is the first draw from its rng (make_pair
+            # seeds 7 and 8) in both modes.  A legacy AP's token never
+            # reaches the wire, so no event log would show a moved or
+            # dropped draw.
+            ap_token = ap.sessions[client.mac].own_token
+            assert ap_token == generate_token(Random(8)), protected
+            client_token = client.sessions[ap.mac].own_token
+            assert client_token == generate_token(Random(7)), protected
 
     def test_ap_hash_ends_up_in_seen_set(self):
         client, ap = make_pair()
@@ -450,7 +459,6 @@ class TestSessionRecord:
         client, ap = make_pair()
         complete_handshake(client, ap)
         record = ap.sessions[CLIENT_MAC]
-        assert record.state is S3
         assert record.peer == CLIENT_MAC
 
     def test_deleted_not_blanked_on_accept(self):
@@ -459,8 +467,70 @@ class TestSessionRecord:
         frame = client.make_verified_deauth(ap.mac, 3)
         ap.verify_deauth(frame)
         assert CLIENT_MAC not in ap.sessions
-        assert CLIENT_MAC not in ap.store.sessions
 
-    def test_ap_store_shares_session_dict(self):
-        _, ap = make_pair()
-        assert ap.store.sessions is ap.sessions
+
+# One step of the lifecycle walk below; every station handler it calls is
+# public, and frames cross between the two stations as encoded bytes.
+lifecycle_op = st.one_of(
+    st.tuples(st.just("auth")),
+    st.tuples(st.just("join")),
+    st.tuples(st.just("teardown"), st.booleans(), st.sampled_from([3, 4, 5, 8])),
+    st.tuples(
+        st.just("forged"),
+        st.booleans(),
+        st.sampled_from([FrameSubtype.DEAUTHENTICATION, FrameSubtype.DISASSOCIATION]),
+        st.sampled_from([3, 4, 5, 8]),
+        st.one_of(st.none(), st.binary(min_size=16, max_size=16)),
+    ),
+    st.tuples(st.just("replay_assoc"), st.integers(min_value=0, max_value=7)),
+)
+
+
+class TestSessionImpliesAssociated:
+    """A record sits in ``sessions`` only while the peer is AUTH_ASSOC.
+
+    ``make_verified_deauth`` relies on this to treat any record as an
+    established session, and ``Station.peer_state`` is the only place the
+    state is kept.
+    """
+
+    @given(protected=st.booleans(), ops=st.lists(lifecycle_op, max_size=25))
+    @settings(max_examples=200, deadline=None)
+    def test_every_session_peer_is_auth_assoc(self, protected, ops):
+        client, ap = make_pair(protected=protected)
+        requests = []
+        for op in ops:
+            if op[0] == "auth":
+                auth_success(client, ap)
+            elif op[0] == "join":
+                if client.state_toward(ap.mac) is S1:
+                    auth_success(client, ap)
+                if client.state_toward(ap.mac) is not S2:
+                    with pytest.raises(WrongState):
+                        client.begin_association(ap.mac)
+                    continue
+                request, _ = client.begin_association(ap.mac)
+                requests.append(request)
+                response, _ = ap.handle_assoc_request(request)
+                client.handle_assoc_response(response)
+            elif op[0] == "teardown":
+                _, from_client, reason = op
+                sender, receiver = (client, ap) if from_client else (ap, client)
+                if receiver.mac not in sender.sessions:
+                    with pytest.raises(WrongState):
+                        sender.begin_teardown(receiver.mac, reason)
+                    continue
+                frame = sender.begin_teardown(receiver.mac, reason)
+                receiver.receive_frame(encode_frame(frame))
+            elif op[0] == "forged":
+                _, at_client, subtype, reason, token = op
+                victim, spoofed = (client, ap) if at_client else (ap, client)
+                ie = token_element(token) if token is not None else None
+                forged = ManagementFrame(subtype, spoofed.mac, victim.mac, reason, ie)
+                victim.receive_frame(encode_frame(forged))
+            elif requests:
+                ap.handle_assoc_request(requests[op[1] % len(requests)])
+            for station, peer in ((client, ap.mac), (ap, client.mac)):
+                assert set(station.sessions) <= {peer}
+                for key in station.sessions:
+                    assert station.state_toward(key) is S3, (op, station.peer_state)
