@@ -43,6 +43,10 @@ from .medium import MediumEvent
 
 DEFAULT_REASON = 3
 
+# Every attack builds its whole frame list up front, so the count is
+# capped: a one-line config must not exhaust memory.
+MAX_FRAME_COUNT = 1_000_000
+
 
 class AdversaryError(Exception):
     """Base for attack generation failures."""
@@ -79,8 +83,10 @@ class AttackerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.frame_count < 1:
-            raise ValueError(f"frame_count must be at least 1, got {self.frame_count}")
+        if not 1 <= self.frame_count <= MAX_FRAME_COUNT:
+            raise ValueError(
+                f"frame_count must be in [1, {MAX_FRAME_COUNT}], got {self.frame_count}"
+            )
         if not 0 <= self.reason <= 0xFFFF:
             raise ValueError(f"reason {self.reason} outside u16 range")
 

@@ -5,7 +5,8 @@
     deauthsim bench [--iterations N] [--format human|json]
     deauthsim list-scenarios
 
-Exit codes: 0 success, 2 bad configuration, 3 tick limit exceeded.
+Exit codes: 0 success; 2 bad configuration, including a replay attack
+with no station frame to replay; 3 tick limit exceeded.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import json
 import sys
 
+from .adversary import AdversaryError
 from .bench import DEFAULT_ITERATIONS, MIN_ITERATIONS, BenchReport, run_bench
 from .medium import TickLimitExceeded, write_event_log
 from .scenario import (
@@ -80,7 +82,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         cfg = load_scenario(args.scenario)
         outcome, events = run_scenario(cfg, seed=args.seed)
-    except ConfigError as exc:
+    except (ConfigError, AdversaryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except TickLimitExceeded as exc:

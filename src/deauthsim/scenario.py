@@ -23,13 +23,20 @@ A scenario file is YAML with a versioned schema:
       - deauth: {initiator: "02:00:00:00:00:02", reason: 3}
       - attack: {index: 0}
 
-Fields are checked strictly: an unknown key anywhere is a ``ConfigError``
-(a misspelt ``loss_probability`` must not silently run loss-free), and
-integer fields must be YAML integers, never strings, floats or booleans.
+Each record's dataclass is its schema: one strict builder reads
+``StationSpec``, ``AttackerConfig`` and the script actions from their
+fields, and the top level allows ``schema`` plus the fields of
+``ScenarioConfig``.  Unknown keys and missing required fields are a
+``ConfigError`` (a misspelt ``loss_probability`` must not silently run
+loss-free).  Values are never coerced: a MAC comes only from a string,
+an integer never from a string, float or boolean, and ``name`` must be
+a string.  ``stations``, ``attackers`` and ``script`` must be lists, and
+``frame_count`` is capped at ``adversary.MAX_FRAME_COUNT``.
 
 Script actions run in order; the medium drains to idle after each one.
-Every attacker is attached as a promiscuous tap and an injector, so
-replay attacks see all earlier traffic.
+Every attacker is a promiscuous tap and an injector.  Replay attackers
+keep only frames that stations sent, and replaying with nothing captured
+raises ``AdversaryError``.
 
 Randomness derivation is fixed: one master ``random.Random(seed)``
 yields a 64-bit sub-seed for the medium's loss stream and then one per
@@ -44,15 +51,16 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from enum import Enum
 from importlib import resources
 from pathlib import Path
 from random import Random
+from typing import get_type_hints
 
 import yaml
 
-from .adversary import DEFAULT_REASON, Adversary, AttackerConfig, AttackKind
+from .adversary import REPLAY_KINDS, Adversary, AttackerConfig
 from .frames import TEARDOWN_SUBTYPES, FrameSubtype, MacAddress
 from .medium import DEFAULT_MAX_TICKS, Medium, MediumConfig, MediumEvent
 from .stations import (
@@ -65,20 +73,6 @@ from .stations import (
 )
 
 SCHEMA_VERSION = 1
-
-# Every field a scenario document, and each of its attackers, may carry.
-SCENARIO_KEYS = (
-    "schema",
-    "name",
-    "mode",
-    "seed",
-    "loss_probability",
-    "max_ticks",
-    "stations",
-    "attackers",
-    "script",
-)
-ATTACKER_KEYS = ("kind", "spoof_src", "target", "frame_count", "reason", "seed")
 
 # Subtypes whose verdicts the outcome tallies.
 COUNTED_SUBTYPES = TEARDOWN_SUBTYPES | {FrameSubtype.ASSOC_REQUEST}
@@ -190,20 +184,7 @@ class ScenarioOutcome:
 # -- config loading ----------------------------------------------------
 
 
-def _parse_mac(value, where: str) -> MacAddress:
-    try:
-        return MacAddress.parse(str(value))
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-
-
-def _require(mapping: dict, key: str, where: str):
-    if key not in mapping:
-        raise ConfigError(f"{where}: missing required field {key!r}")
-    return mapping[key]
-
-
-def _reject_unknown_keys(mapping: dict, known: tuple[str, ...], where: str) -> None:
+def _reject_unknown_keys(mapping: dict, known, where: str) -> None:
     unknown = [key for key in mapping if key not in known]
     if unknown:
         raise ConfigError(
@@ -211,12 +192,68 @@ def _reject_unknown_keys(mapping: dict, known: tuple[str, ...], where: str) -> N
         )
 
 
-def _int_field(mapping: dict, key: str, where: str, default: int | None = None) -> int:
-    """An integer field, never coerced; ``bool`` is not an integer here."""
-    value = _require(mapping, key, where) if default is None else mapping.get(key, default)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{where}: {key} must be an integer, got {value!r}")
-    return value
+# The YAML values each plain field type accepts.
+_PLAIN_TYPES = {int: int, float: (int, float), str: str}
+
+
+def _convert(value, kind: type, key: str, where: str):
+    """One field's YAML value as its declared type, never coerced."""
+    if kind is MacAddress:
+        if not isinstance(value, str):
+            raise ConfigError(f"{where}: {key} must be a MAC address string, got {value!r}")
+        try:
+            return MacAddress.parse(value)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+    if kind in _PLAIN_TYPES:
+        # bool is an int subclass, so it needs its own refusal.
+        if not isinstance(value, _PLAIN_TYPES[kind]) or isinstance(value, bool):
+            raise ConfigError(f"{where}: {key} must be {kind.__name__}, got {value!r}")
+        return kind(value)
+    if issubclass(kind, Enum):
+        try:
+            return kind(value)
+        except (ValueError, TypeError):
+            expected = ", ".join(member.value for member in kind)
+            raise ConfigError(
+                f"{where}: unknown {key} {value!r}; expected one of {expected}"
+            ) from None
+    raise TypeError(f"no scenario converter for {kind!r}")
+
+
+@functools.cache
+def _schema(cls) -> tuple[dict[str, type], tuple[str, ...]]:
+    """A record dataclass's field types, and the fields with no default."""
+    hints = get_type_hints(cls)
+    kinds = {f.name: hints[f.name] for f in fields(cls)}
+    required = tuple(
+        f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
+    )
+    return kinds, required
+
+
+def _record(cls, entry, where: str):
+    """Build dataclass ``cls`` from a YAML mapping; the dataclass is the schema.
+
+    Its fields are the only keys allowed, those without a default are
+    required, each value is converted by its declared type, and the
+    dataclass's own ``ValueError`` checks become ``ConfigError``.
+    """
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{where}: must be a mapping")
+    kinds, required = _schema(cls)
+    _reject_unknown_keys(entry, kinds, where)
+    for key in required:
+        if key not in entry:
+            raise ConfigError(f"{where}: missing required field {key!r}")
+    values = {key: _convert(value, kinds[key], key, where) for key, value in entry.items()}
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+ACTIONS = {"associate": AssociateAction, "deauth": DeauthAction, "attack": AttackAction}
 
 
 def _parse_action(entry, index: int) -> ScriptAction:
@@ -224,102 +261,47 @@ def _parse_action(entry, index: int) -> ScriptAction:
     if not isinstance(entry, dict) or len(entry) != 1:
         raise ConfigError(f"{where}: each action is a one-key mapping")
     (verb, body), = entry.items()
-    if not isinstance(body, dict):
-        raise ConfigError(f"{where}: {verb} body must be a mapping")
-    if verb == "associate":
-        _reject_unknown_keys(body, ("client", "ap"), where)
-        return AssociateAction(
-            client=_parse_mac(_require(body, "client", where), where),
-            ap=_parse_mac(_require(body, "ap", where), where),
-        )
-    if verb == "deauth":
-        _reject_unknown_keys(body, ("initiator", "reason"), where)
-        return DeauthAction(
-            initiator=_parse_mac(_require(body, "initiator", where), where),
-            reason=_int_field(body, "reason", where),
-        )
-    if verb == "attack":
-        _reject_unknown_keys(body, ("index",), where)
-        return AttackAction(index=_int_field(body, "index", where))
-    raise ConfigError(f"{where}: unknown action {verb!r}")
+    if verb not in ACTIONS:
+        raise ConfigError(f"{where}: unknown action {verb!r}")
+    return _record(ACTIONS[verb], body, where)
 
 
-def _parse_attacker(entry, index: int) -> AttackerConfig:
-    where = f"attackers[{index}]"
-    if not isinstance(entry, dict):
-        raise ConfigError(f"{where}: must be a mapping")
-    _reject_unknown_keys(entry, ATTACKER_KEYS, where)
-    kind_name = str(_require(entry, "kind", where))
-    try:
-        kind = AttackKind(kind_name)
-    except ValueError:
-        raise ConfigError(f"{where}: unknown attack kind {kind_name!r}") from None
-    try:
-        return AttackerConfig(
-            kind=kind,
-            spoof_src=_parse_mac(_require(entry, "spoof_src", where), where),
-            target=_parse_mac(_require(entry, "target", where), where),
-            frame_count=_int_field(entry, "frame_count", where, 1),
-            reason=_int_field(entry, "reason", where, DEFAULT_REASON),
-            seed=_int_field(entry, "seed", where, 0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+def _list(doc: dict, key: str) -> list:
+    value = doc.get(key, [])
+    if not isinstance(value, list):
+        raise ConfigError(f"scenario: {key} must be a list, got {value!r}")
+    return value
 
 
 def config_from_dict(doc: dict) -> ScenarioConfig:
     """Validate a parsed scenario document into a ScenarioConfig."""
     if not isinstance(doc, dict):
         raise ConfigError("scenario document must be a mapping")
-    _reject_unknown_keys(doc, SCENARIO_KEYS, "scenario")
+    kinds, _ = _schema(ScenarioConfig)
+    _reject_unknown_keys(doc, ("schema", *kinds), "scenario")
     schema = doc.get("schema", SCHEMA_VERSION)
     if schema != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema version {schema!r}")
-
-    mode_name = str(_require(doc, "mode", "scenario"))
-    try:
-        mode = Mode(mode_name)
-    except ValueError:
-        raise ConfigError(f"unknown mode {mode_name!r}") from None
-
-    stations_doc = _require(doc, "stations", "scenario")
-    if not isinstance(stations_doc, list):
-        raise ConfigError("stations must be a list")
-    stations = []
-    for i, entry in enumerate(stations_doc):
-        where = f"stations[{i}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{where}: must be a mapping")
-        _reject_unknown_keys(entry, ("role", "mac"), where)
-        role_name = str(_require(entry, "role", where))
-        try:
-            role = Role(role_name)
-        except ValueError:
-            raise ConfigError(f"{where}: unknown role {role_name!r}") from None
-        stations.append(
-            StationSpec(role=role, mac=_parse_mac(_require(entry, "mac", where), where))
-        )
-
-    attackers = [
-        _parse_attacker(entry, i) for i, entry in enumerate(doc.get("attackers", []))
-    ]
-    script = [_parse_action(entry, i) for i, entry in enumerate(doc.get("script", []))]
-
-    seed = _int_field(doc, "seed", "scenario", 0)
-    loss = doc.get("loss_probability", 0.0)
-    if not isinstance(loss, (int, float)) or isinstance(loss, bool):
-        raise ConfigError("loss_probability must be a number")
-    max_ticks = _int_field(doc, "max_ticks", "scenario", DEFAULT_MAX_TICKS)
-
+    if "mode" not in doc:
+        raise ConfigError("scenario: missing required field 'mode'")
+    # A file may leave out name and seed; a ScenarioConfig may not.
+    values = {"name": "unnamed", "seed": 0, **doc}
+    scalars = {
+        key: _convert(values[key], kinds[key], key, "scenario")
+        for key in ("name", "mode", "seed", "loss_probability", "max_ticks")
+        if key in values
+    }
     return ScenarioConfig(
-        name=str(doc.get("name", "unnamed")),
-        mode=mode,
-        seed=seed,
-        stations=tuple(stations),
-        attackers=tuple(attackers),
-        script=tuple(script),
-        loss_probability=float(loss),
-        max_ticks=max_ticks,
+        **scalars,
+        stations=tuple(
+            _record(StationSpec, entry, f"stations[{i}]")
+            for i, entry in enumerate(_list(doc, "stations"))
+        ),
+        attackers=tuple(
+            _record(AttackerConfig, entry, f"attackers[{i}]")
+            for i, entry in enumerate(_list(doc, "attackers"))
+        ),
+        script=tuple(_parse_action(entry, i) for i, entry in enumerate(_list(doc, "script"))),
     )
 
 
@@ -329,13 +311,6 @@ def load_scenario_text(text: str) -> ScenarioConfig:
     except yaml.YAMLError as exc:
         raise ConfigError(f"scenario file is not valid YAML: {exc}") from None
     return config_from_dict(doc)
-
-
-def load_scenario_file(path: str | Path) -> ScenarioConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"scenario file {path} does not exist")
-    return load_scenario_text(path.read_text())
 
 
 def bundled_scenario_names() -> list[str]:
@@ -358,7 +333,7 @@ def load_scenario(ref: str | Path) -> ScenarioConfig:
     """Load a scenario from a file path or a bundled scenario name."""
     path = Path(ref)
     if path.exists():
-        return load_scenario_file(path)
+        return load_scenario_text(path.read_text())
     if isinstance(ref, str) and "/" not in ref and "\\" not in ref:
         return load_bundled_scenario(ref)
     raise ConfigError(f"scenario file {ref} does not exist")
@@ -412,10 +387,19 @@ class ScenarioRun:
 
         self.attack_handles = {
             adv.endpoint_id: self.medium.attach(
-                adv.endpoint_id, None, adv.on_sniffed, injector=True
+                adv.endpoint_id,
+                None,
+                # Only replays read what they sniff; the medium logs every
+                # tap's sniffed events whether it has a callback or not.
+                functools.partial(self._sniff, adv) if adv.cfg.kind in REPLAY_KINDS else None,
+                injector=True,
             )
             for adv in self.adversaries
         }
+
+    def _sniff(self, adversary: Adversary, event: MediumEvent) -> None:
+        if event.src not in self.adversary_ids:
+            adversary.on_sniffed(event)
 
     def _deliver(self, station: Station, event: MediumEvent) -> None:
         result = station.receive_frame(event.frame)

@@ -469,7 +469,8 @@ class AccessPoint(Station):
 
     def _dispatch(self, frame: ManagementFrame) -> tuple[ManagementFrame, Verdict] | None:
         if frame.subtype is FrameSubtype.AUTH_REQUEST:
-            self._apply_event(frame.src, LifecycleEvent.AUTH_OK)
+            # Keeps no state for a spoofable source: handle_assoc_request
+            # applies AUTH_OK itself.
             self._send(
                 ManagementFrame(
                     FrameSubtype.AUTH_RESPONSE, self.mac, frame.src, STATUS_SUCCESS

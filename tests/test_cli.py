@@ -92,6 +92,31 @@ class TestRun:
         assert main(["run", str(path)]) == EXIT_CONFIG
         assert "loss_probabilty" in capsys.readouterr().err
 
+    def test_non_list_attackers_exits_2_without_traceback(self, tmp_path):
+        path = tmp_path / "null.yaml"
+        path.write_text(TICK_BOMB + "attackers: null\n")
+        result = subprocess.run(
+            [sys.executable, "-m", "deauthsim", "run", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == EXIT_CONFIG
+        assert result.stderr.startswith("error:")
+        assert len(result.stderr.splitlines()) == 1 and "Traceback" not in result.stderr
+
+    def test_replay_with_nothing_captured_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "replay.yaml"
+        path.write_text(
+            TICK_BOMB.replace("max_ticks: 2", "max_ticks: 10")
+            + "  - attack: {index: 0}\n"
+            + "attackers:\n"
+            + '  - {kind: deauth_replay, spoof_src: "02:00:00:00:00:02",'
+            + ' target: "02:00:00:00:00:01"}\n'
+        )
+        assert main(["run", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
     def test_tick_limit_exits_3(self, tmp_path, capsys):
         path = tmp_path / "bomb.yaml"
         path.write_text(TICK_BOMB)

@@ -22,7 +22,7 @@ from deauthsim.scenario import (
     load_scenario_text,
     run_scenario,
 )
-from deauthsim.adversary import AttackerConfig, AttackKind
+from deauthsim.adversary import MAX_FRAME_COUNT, AttackerConfig, AttackKind, NoCapturedDeauth
 from deauthsim.frames import MacAddress
 
 AP = "02:00:00:00:00:01"
@@ -206,6 +206,74 @@ class TestStrictFields:
         assert cfg.max_ticks == 7
         assert (cfg.attackers[0].frame_count, cfg.attackers[0].reason) == (3, 4)
         assert cfg.attackers[0].seed == 9
+
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"attackers": None},
+            {"attackers": 3},
+            {"script": 5},
+            {"name": {"a": 1}},
+            {"mode": ["protected"]},
+            {"stations": [{"role": "ap", "mac": 5}], "script": []},
+            {"attackers": [attacker(kind={"x": 1})]},
+        ],
+    )
+    def test_hostile_values_are_config_errors(self, overrides):
+        with pytest.raises(ConfigError):
+            config_from_dict(doc(**overrides))
+
+    def test_frame_count_is_capped(self):
+        cfg = config_from_dict(doc(attackers=[attacker(frame_count=MAX_FRAME_COUNT)]))
+        assert cfg.attackers[0].frame_count == MAX_FRAME_COUNT
+        with pytest.raises(ConfigError, match="frame_count"):
+            config_from_dict(doc(attackers=[attacker(frame_count=MAX_FRAME_COUNT + 1)]))
+
+
+CLIENT2 = "02:00:00:00:00:03"
+
+
+def guess_then_replay(*script):
+    """Attacker 0 guesses tokens as CLIENT2; attacker 1 replays a teardown to the AP."""
+    return doc(
+        stations=[*BASE_DOC["stations"], {"role": "client", "mac": CLIENT2}],
+        attackers=[
+            {"kind": "token_guess", "spoof_src": CLIENT2, "target": AP, "frame_count": 3},
+            {"kind": "deauth_replay", "spoof_src": CLIENT, "target": AP, "frame_count": 2},
+        ],
+        script=[
+            {"associate": {"client": CLIENT, "ap": AP}},
+            {"associate": {"client": CLIENT2, "ap": AP}},
+            {"attack": {"index": 0}},
+            *script,
+            {"attack": {"index": 1}},
+        ],
+    )
+
+
+class TestReplayCaptures:
+    """Replay attackers replay what stations sent, never other attackers' frames."""
+
+    def test_other_attackers_frames_are_not_replayed(self):
+        with pytest.raises(NoCapturedDeauth):
+            run_scenario(config_from_dict(guess_then_replay()))
+
+    def test_station_teardown_replayed_past_earlier_guesses(self):
+        # Replaying a guess would hit CLIENT2's live session (token_mismatch);
+        # the station's own teardown finds its session gone (no_session).
+        cfg = config_from_dict(
+            guess_then_replay({"deauth": {"initiator": CLIENT, "reason": 3}})
+        )
+        outcome, _ = run_scenario(cfg)
+        assert outcome.verdicts == {
+            "hash_recorded": 2,
+            "token_mismatch": 3,
+            "token_verified": 1,
+            "no_session": 2,
+        }
+        assert outcome.attack_success_count == 0
+        assert outcome.final_states[CLIENT2] == "auth_assoc"
 
 
 class TestBundledScenarios:

@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from deauthsim.frames import (
     FrameSubtype,
+    MacAddress,
     ManagementFrame,
+    decode_frame,
     encode_frame,
     token_element,
 )
@@ -83,6 +85,21 @@ class TestHandshake:
         )
         assert pending.own_hash == request.ie.payload
         assert pending.peer_hash is None
+
+    def test_auth_request_leaves_no_ap_state(self):
+        # Authentication requests carry a spoofable source, so answering
+        # them must not grow the AP's per-peer state.
+        _, ap = make_pair()
+        sent = []
+        ap.bind_transmit(sent.append)
+        for i in range(1000):
+            spoofed = MacAddress(bytes([2, 0, 0, 0, i >> 8, i & 0xFF]))
+            ap.receive_frame(
+                encode_frame(ManagementFrame(FrameSubtype.AUTH_REQUEST, spoofed, AP_MAC, 0))
+            )
+        assert ap.peer_state == {}
+        assert len(sent) == 1000
+        assert all(decode_frame(raw).subtype is FrameSubtype.AUTH_RESPONSE for raw in sent)
 
     def test_full_join_reaches_auth_assoc_on_both_sides(self):
         client, ap = make_pair()
