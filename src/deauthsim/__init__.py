@@ -7,44 +7,16 @@ tokens at association time and honoring only teardown frames that
 reveal a matching token, alongside the unprotected baseline, a
 deterministic lossy medium, and the attacks the scheme does and does
 not stop.
+
+The package root exports the scenario entry points and the few names
+callers outside it read from here; everything else is imported from its
+submodule (``deauthsim.frames``, ``deauthsim.stations``, ...).
 """
 
-from .adversary import (
-    Adversary,
-    AttackerConfig,
-    AttackKind,
-    NoCapturedAssoc,
-    NoCapturedDeauth,
-    assoc_replay_frames,
-    deauth_replay_frames,
-    forged_deauth_frames,
-    token_guess_frames,
-)
-from .bench import BenchReport, run_bench
-from .frames import (
-    BROADCAST,
-    BadIeLength,
-    DecodeError,
-    FrameSubtype,
-    InformationElement,
-    MacAddress,
-    ManagementFrame,
-    TooShort,
-    TrailingBytes,
-    UnknownSubtype,
-    decode_frame,
-    encode_frame,
-)
-from .medium import (
-    Detached,
-    DuplicateEndpoint,
-    EventKind,
-    Medium,
-    MediumConfig,
-    MediumEvent,
-    TickLimitExceeded,
-    write_event_log,
-)
+from .adversary import AttackerConfig, AttackKind
+from .bench import run_bench
+from .frames import MacAddress, decode_frame
+from .medium import write_event_log
 from .scenario import (
     ConfigError,
     Mode,
@@ -53,76 +25,23 @@ from .scenario import (
     load_scenario,
     run_scenario,
 )
-from .stations import (
-    AccessPoint,
-    Action,
-    ClientStation,
-    LifecycleEvent,
-    LifecycleState,
-    MalformedFrame,
-    NoPendingSession,
-    SessionRecord,
-    Station,
-    Verdict,
-    WrongState,
-    transition,
-)
-from .tokens import Token, generate_token, hash_token
+from .stations import Action
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Adversary",
+    "Action",
     "AttackerConfig",
     "AttackKind",
-    "NoCapturedAssoc",
-    "NoCapturedDeauth",
-    "assoc_replay_frames",
-    "deauth_replay_frames",
-    "forged_deauth_frames",
-    "token_guess_frames",
-    "BenchReport",
-    "run_bench",
-    "BROADCAST",
-    "BadIeLength",
-    "DecodeError",
-    "FrameSubtype",
-    "InformationElement",
-    "MacAddress",
-    "ManagementFrame",
-    "TooShort",
-    "TrailingBytes",
-    "UnknownSubtype",
-    "decode_frame",
-    "encode_frame",
-    "Detached",
-    "DuplicateEndpoint",
-    "EventKind",
-    "Medium",
-    "MediumConfig",
-    "MediumEvent",
-    "TickLimitExceeded",
-    "write_event_log",
     "ConfigError",
+    "MacAddress",
     "Mode",
     "ScenarioConfig",
     "ScenarioOutcome",
+    "decode_frame",
     "load_scenario",
+    "run_bench",
     "run_scenario",
-    "AccessPoint",
-    "Action",
-    "ClientStation",
-    "LifecycleEvent",
-    "LifecycleState",
-    "MalformedFrame",
-    "NoPendingSession",
-    "SessionRecord",
-    "Station",
-    "Verdict",
-    "WrongState",
-    "transition",
-    "Token",
-    "generate_token",
-    "hash_token",
+    "write_event_log",
     "__version__",
 ]

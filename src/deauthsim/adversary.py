@@ -1,4 +1,4 @@
-"""Attack traffic generators.
+"""Attack traffic: ``Adversary`` is the one place attack frames are built.
 
 Attackers are remote-network adversaries: they spoof source MACs,
 inject raw bytes through the medium, and sniff promiscuously, but never
@@ -13,6 +13,10 @@ touch station internals.  Four attacks are modeled:
   trying to ride an old hash commitment past the AP.
 * ``DEAUTH_REPLAY``: re-emits a sniffed token-revealing teardown
   verbatim.
+
+A replay attacker keeps at most one capture: the first sniffed frame of
+the kind it replays, as raw bytes.  Every other sniffed frame is dropped
+as soon as it is seen.
 
 Known limitation, by design: a revealed token is a bearer credential
 until the frame carrying it is accepted.  A replayed copy that races
@@ -91,87 +95,68 @@ class AttackerConfig:
             raise ValueError(f"reason {self.reason} outside u16 range")
 
 
-def forged_deauth_frames(cfg: AttackerConfig) -> list[bytes]:
-    """Token-less deauthentications from the spoofed source."""
-    frame = ManagementFrame(
-        FrameSubtype.DEAUTHENTICATION, cfg.spoof_src, cfg.target, cfg.reason
-    )
-    return [encode_frame(frame)] * cfg.frame_count
-
-
-def token_guess_frames(cfg: AttackerConfig, rng: Random) -> list[bytes]:
-    """Deauthentications each revealing a fresh uniformly random token."""
-    frames = []
-    for _ in range(cfg.frame_count):
-        guess = rng.randbytes(16)
-        frames.append(
-            encode_frame(
-                ManagementFrame(
-                    FrameSubtype.DEAUTHENTICATION,
-                    cfg.spoof_src,
-                    cfg.target,
-                    cfg.reason,
-                    token_element(guess),
-                )
-            )
-        )
-    return frames
-
-
-def _sniffed_frames(sniffed_log: list[MediumEvent]):
-    for event in sniffed_log:
-        try:
-            yield event.frame, decode_frame(event.frame)
-        except DecodeError:
-            continue
-
-
-def assoc_replay_frames(
-    sniffed_log: list[MediumEvent], cfg: AttackerConfig
-) -> list[bytes]:
-    """Verbatim copies of the first sniffed association request."""
-    for raw, frame in _sniffed_frames(sniffed_log):
-        if frame.subtype is FrameSubtype.ASSOC_REQUEST:
-            return [raw] * cfg.frame_count
-    raise NoCapturedAssoc("no association request in the sniffed log")
-
-
-def deauth_replay_frames(
-    sniffed_log: list[MediumEvent], cfg: AttackerConfig
-) -> list[bytes]:
-    """Verbatim copies of the first sniffed token-revealing teardown."""
-    for raw, frame in _sniffed_frames(sniffed_log):
-        if (
-            frame.subtype in TEARDOWN_SUBTYPES
-            and frame.ie is not None
-            and frame.ie.payload_kind == PAYLOAD_TOKEN
-        ):
-            return [raw] * cfg.frame_count
-    raise NoCapturedDeauth("no token-bearing teardown in the sniffed log")
-
-
 class Adversary:
-    """Runtime shell around a config: sniffs via its tap, emits frames.
+    """One attacker: sniffs through its tap and builds the frames it injects.
 
-    Only replay kinds keep what they sniff; the others never read it.
+    This is the only attack-frame builder.  A replay kind keeps at most
+    one capture, the first station frame it would replay; the other kinds
+    keep nothing.
     """
 
     def __init__(self, cfg: AttackerConfig, endpoint_id: str):
         self.cfg = cfg
         self.endpoint_id = endpoint_id
-        self.captures: list[MediumEvent] = []
-        self._replays = cfg.kind in REPLAY_KINDS
+        self.captures: list[bytes] = []
 
     def on_sniffed(self, event: MediumEvent) -> None:
-        if self._replays:
-            self.captures.append(event)
+        """Keep the frame's bytes if it is the first one this kind replays."""
+        kind = self.cfg.kind
+        if self.captures or kind not in REPLAY_KINDS:
+            return
+        try:
+            frame = decode_frame(event.frame)
+        except DecodeError:
+            return
+        if kind is AttackKind.ASSOC_REPLAY:
+            replayed = frame.subtype is FrameSubtype.ASSOC_REQUEST
+        else:
+            replayed = (
+                frame.subtype in TEARDOWN_SUBTYPES
+                and frame.ie is not None
+                and frame.ie.payload_kind == PAYLOAD_TOKEN
+            )
+        if replayed:
+            self.captures.append(event.frame)
 
     def frames(self) -> list[bytes]:
-        """Build this attacker's frame sequence, ready to inject."""
-        if self.cfg.kind is AttackKind.FORGED_DEAUTH:
-            return forged_deauth_frames(self.cfg)
-        if self.cfg.kind is AttackKind.TOKEN_GUESS:
-            return token_guess_frames(self.cfg, Random(self.cfg.seed))
-        if self.cfg.kind is AttackKind.ASSOC_REPLAY:
-            return assoc_replay_frames(self.captures, self.cfg)
-        return deauth_replay_frames(self.captures, self.cfg)
+        """Build this attacker's frame sequence, ready to inject.
+
+        Forged deauths are token-less, token guesses each reveal one
+        ``randbytes(16)`` from ``Random(cfg.seed)``, and replays re-send the
+        capture verbatim.
+        """
+        cfg = self.cfg
+        if cfg.kind is AttackKind.FORGED_DEAUTH:
+            frame = ManagementFrame(
+                FrameSubtype.DEAUTHENTICATION, cfg.spoof_src, cfg.target, cfg.reason
+            )
+            return [encode_frame(frame)] * cfg.frame_count
+        if cfg.kind is AttackKind.TOKEN_GUESS:
+            rng = Random(cfg.seed)
+            return [
+                encode_frame(
+                    ManagementFrame(
+                        FrameSubtype.DEAUTHENTICATION,
+                        cfg.spoof_src,
+                        cfg.target,
+                        cfg.reason,
+                        token_element(rng.randbytes(16)),
+                    )
+                )
+                for _ in range(cfg.frame_count)
+            ]
+        if not self.captures:
+            if cfg.kind is AttackKind.ASSOC_REPLAY:
+                raise NoCapturedAssoc("no association request was sniffed")
+            raise NoCapturedDeauth("no token-bearing teardown was sniffed")
+        return self.captures * cfg.frame_count

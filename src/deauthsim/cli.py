@@ -5,8 +5,8 @@
     deauthsim bench [--iterations N] [--format human|json]
     deauthsim list-scenarios
 
-Exit codes: 0 success; 2 bad configuration, including a replay attack
-with no station frame to replay; 3 tick limit exceeded.
+Exit codes: 0 success; 2 bad configuration, including an unreadable
+scenario file and a replay attack with no station frame to replay; 3 tick limit exceeded.
 """
 
 from __future__ import annotations

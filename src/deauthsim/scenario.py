@@ -34,9 +34,9 @@ a string.  ``stations``, ``attackers`` and ``script`` must be lists, and
 ``frame_count`` is capped at ``adversary.MAX_FRAME_COUNT``.
 
 Script actions run in order; the medium drains to idle after each one.
-Every attacker is a promiscuous tap and an injector.  Replay attackers
-keep only frames that stations sent, and replaying with nothing captured
-raises ``AdversaryError``.
+Every attacker is a promiscuous tap and an injector.  A replay attacker
+is shown only frames that stations sent and keeps the first one it
+replays; replaying with nothing captured raises ``AdversaryError``.
 
 Randomness derivation is fixed: one master ``random.Random(seed)``
 yields a 64-bit sub-seed for the medium's loss stream and then one per
@@ -279,7 +279,7 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
         raise ConfigError("scenario document must be a mapping")
     kinds, _ = _schema(ScenarioConfig)
     _reject_unknown_keys(doc, ("schema", *kinds), "scenario")
-    schema = doc.get("schema", SCHEMA_VERSION)
+    schema = _convert(doc.get("schema", SCHEMA_VERSION), int, "schema", "scenario")
     if schema != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema version {schema!r}")
     if "mode" not in doc:
@@ -330,10 +330,17 @@ def load_bundled_scenario(name: str) -> ScenarioConfig:
 
 
 def load_scenario(ref: str | Path) -> ScenarioConfig:
-    """Load a scenario from a file path or a bundled scenario name."""
+    """Load a scenario from a file path or a bundled scenario name.
+
+    A path that cannot be read as UTF-8 text is a ``ConfigError``.
+    """
     path = Path(ref)
     if path.exists():
-        return load_scenario_text(path.read_text())
+        try:
+            text = path.read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read scenario file {ref}: {exc}") from None
+        return load_scenario_text(text)
     if isinstance(ref, str) and "/" not in ref and "\\" not in ref:
         return load_bundled_scenario(ref)
     raise ConfigError(f"scenario file {ref} does not exist")
@@ -385,8 +392,9 @@ class ScenarioRun:
             )
             station.bind_transmit(handle.send)
 
-        self.attack_handles = {
-            adv.endpoint_id: self.medium.attach(
+        # Indexed like ``adversaries``.
+        self.attack_handles = [
+            self.medium.attach(
                 adv.endpoint_id,
                 None,
                 # Only replays read what they sniff; the medium logs every
@@ -395,7 +403,7 @@ class ScenarioRun:
                 injector=True,
             )
             for adv in self.adversaries
-        }
+        ]
 
     def _sniff(self, adversary: Adversary, event: MediumEvent) -> None:
         if event.src not in self.adversary_ids:
@@ -423,9 +431,8 @@ class ScenarioRun:
             initiator = self.stations[action.initiator]
             self.expected_teardowns += len(initiator.teardown_all(action.reason))
         else:
-            adversary = self.adversaries[action.index]
-            handle = self.attack_handles[adversary.endpoint_id]
-            for raw in adversary.frames():
+            handle = self.attack_handles[action.index]
+            for raw in self.adversaries[action.index].frames():
                 handle.send(raw)
 
     def execute(self) -> tuple[ScenarioOutcome, list[MediumEvent]]:

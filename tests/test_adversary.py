@@ -1,6 +1,6 @@
-"""Attack generators: frame shapes, determinism, replay sourcing."""
+"""Attack frames built by ``Adversary``: shapes, determinism, replay captures."""
 
-from random import Random
+from dataclasses import replace
 
 import pytest
 
@@ -10,10 +10,6 @@ from deauthsim.adversary import (
     AttackKind,
     NoCapturedAssoc,
     NoCapturedDeauth,
-    assoc_replay_frames,
-    deauth_replay_frames,
-    forged_deauth_frames,
-    token_guess_frames,
 )
 from deauthsim.frames import (
     FrameSubtype,
@@ -32,6 +28,14 @@ def sniffed(raw: bytes, tick: int = 1) -> MediumEvent:
     return MediumEvent(tick, EventKind.SNIFFED, "victim", "attacker", raw)
 
 
+def adversary(cfg: AttackerConfig, *frames: bytes) -> Adversary:
+    """An attacker for ``cfg`` that has sniffed ``frames`` in order."""
+    adv = Adversary(cfg, "attacker:0")
+    for tick, raw in enumerate(frames, 1):
+        adv.on_sniffed(sniffed(raw, tick))
+    return adv
+
+
 class TestAttackerConfig:
     def test_zero_frames_rejected(self):
         with pytest.raises(ValueError):
@@ -47,7 +51,7 @@ class TestForgedDeauth:
         cfg = AttackerConfig(
             AttackKind.FORGED_DEAUTH, AP_MAC, CLIENT_MAC, frame_count=5, reason=3
         )
-        frames = forged_deauth_frames(cfg)
+        frames = adversary(cfg).frames()
         assert len(frames) == 5
         for raw in frames:
             frame = decode_frame(raw)
@@ -59,7 +63,7 @@ class TestForgedDeauth:
 
     def test_forged_frame_defeats_legacy_but_not_protected(self):
         cfg = AttackerConfig(AttackKind.FORGED_DEAUTH, AP_MAC, CLIENT_MAC)
-        raw = forged_deauth_frames(cfg)[0]
+        raw = adversary(cfg).frames()[0]
 
         client, ap = make_pair(protected=False)
         complete_handshake(client, ap)
@@ -76,7 +80,7 @@ class TestTokenGuess:
         cfg = AttackerConfig(
             AttackKind.TOKEN_GUESS, CLIENT_MAC, AP_MAC, frame_count=50, reason=3
         )
-        frames = token_guess_frames(cfg, Random(7))
+        frames = adversary(replace(cfg, seed=7)).frames()
         assert len(frames) == 50
         payloads = set()
         for raw in frames:
@@ -87,8 +91,11 @@ class TestTokenGuess:
 
     def test_guess_stream_is_seed_deterministic(self):
         cfg = AttackerConfig(AttackKind.TOKEN_GUESS, CLIENT_MAC, AP_MAC, frame_count=20)
-        assert token_guess_frames(cfg, Random(3)) == token_guess_frames(cfg, Random(3))
-        assert token_guess_frames(cfg, Random(3)) != token_guess_frames(cfg, Random(4))
+        def guesses(seed):
+            return adversary(replace(cfg, seed=seed)).frames()
+
+        assert guesses(3) == guesses(3)
+        assert guesses(3) != guesses(4)
 
     def test_random_guesses_never_verify(self):
         client, ap = make_pair()
@@ -96,7 +103,7 @@ class TestTokenGuess:
         cfg = AttackerConfig(
             AttackKind.TOKEN_GUESS, CLIENT_MAC, AP_MAC, frame_count=2000, reason=3
         )
-        for raw in token_guess_frames(cfg, Random(11)):
+        for raw in adversary(replace(cfg, seed=11)).frames():
             assert ap.verify_deauth(decode_frame(raw)).action is Action.IGNORE
         assert CLIENT_MAC in ap.sessions
 
@@ -122,7 +129,7 @@ class TestAssocReplay:
         cfg = AttackerConfig(
             AttackKind.ASSOC_REPLAY, CLIENT_MAC, AP_MAC, frame_count=4
         )
-        frames = assoc_replay_frames([sniffed(noise), sniffed(raw)], cfg)
+        frames = adversary(cfg, noise, raw).frames()
         assert frames == [raw] * 4, "bytes are re-emitted untouched"
 
     def test_garbage_captures_are_skipped(self):
@@ -130,15 +137,15 @@ class TestAssocReplay:
         raw = encode_frame(
             ManagementFrame(FrameSubtype.ASSOC_REQUEST, CLIENT_MAC, AP_MAC, 0)
         )
-        frames = assoc_replay_frames([sniffed(b"\xff\x00"), sniffed(raw)], cfg)
+        frames = adversary(cfg, b"\xff\x00", raw).frames()
         assert frames == [raw]
 
     def test_nothing_captured_raises(self):
         cfg = AttackerConfig(AttackKind.ASSOC_REPLAY, CLIENT_MAC, AP_MAC)
         with pytest.raises(NoCapturedAssoc):
-            assoc_replay_frames([], cfg)
+            adversary(cfg).frames()
         with pytest.raises(NoCapturedAssoc):
-            assoc_replay_frames([sniffed(b"junk")], cfg)
+            adversary(cfg, b"junk").frames()
 
 
 class TestDeauthReplay:
@@ -152,13 +159,13 @@ class TestDeauthReplay:
         cfg = AttackerConfig(
             AttackKind.DEAUTH_REPLAY, CLIENT_MAC, AP_MAC, frame_count=2
         )
-        frames = deauth_replay_frames([sniffed(bare), sniffed(legit)], cfg)
+        frames = adversary(cfg, bare, legit).frames()
         assert frames == [legit] * 2, "token-less frames are not worth replaying"
 
     def test_nothing_captured_raises(self):
         cfg = AttackerConfig(AttackKind.DEAUTH_REPLAY, CLIENT_MAC, AP_MAC)
         with pytest.raises(NoCapturedDeauth):
-            deauth_replay_frames([], cfg)
+            adversary(cfg).frames()
 
     def test_replay_after_acceptance_is_ignored(self):
         client, ap = make_pair()
@@ -190,11 +197,20 @@ class TestAdversaryShell:
         ],
     )
     def test_only_replay_kinds_retain_captures(self, kind, keeps):
-        adv = Adversary(AttackerConfig(kind, CLIENT_MAC, AP_MAC), "attacker:0")
-        events = [sniffed(b"\x0c" + bytes(14), tick) for tick in range(3)]
-        for event in events:
-            adv.on_sniffed(event)
-        assert adv.captures == (events if keeps else [])
+        bare = encode_frame(
+            ManagementFrame(FrameSubtype.DEAUTHENTICATION, CLIENT_MAC, AP_MAC, 3)
+        )
+        teardown = encode_frame(
+            ManagementFrame(
+                FrameSubtype.DEAUTHENTICATION, CLIENT_MAC, AP_MAC, 3, token_element(bytes(16))
+            )
+        )
+        assoc = encode_frame(
+            ManagementFrame(FrameSubtype.ASSOC_REQUEST, CLIENT_MAC, AP_MAC, 0)
+        )
+        adv = adversary(AttackerConfig(kind, CLIENT_MAC, AP_MAC), *(bare, teardown, assoc) * 2)
+        replayed = assoc if kind is AttackKind.ASSOC_REPLAY else teardown
+        assert adv.captures == ([replayed] if keeps else []), "one capture, the first match"
 
     def test_forged_kind_needs_no_captures(self):
         adv = Adversary(

@@ -117,6 +117,18 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
+    def test_directory_path_exits_2(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.yaml"
+        path.write_bytes(TICK_BOMB.replace("tick_bomb", "caf\xe9").encode("latin-1"))
+        assert main(["run", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
     def test_tick_limit_exits_3(self, tmp_path, capsys):
         path = tmp_path / "bomb.yaml"
         path.write_text(TICK_BOMB)

@@ -14,6 +14,7 @@ from deauthsim.scenario import (
     Mode,
     Role,
     ScenarioConfig,
+    ScenarioRun,
     StationSpec,
     bundled_scenario_names,
     config_from_dict,
@@ -218,6 +219,8 @@ class TestStrictFields:
             {"mode": ["protected"]},
             {"stations": [{"role": "ap", "mac": 5}], "script": []},
             {"attackers": [attacker(kind={"x": 1})]},
+            {"schema": True},
+            {"schema": 1.0},
         ],
     )
     def test_hostile_values_are_config_errors(self, overrides):
@@ -274,6 +277,27 @@ class TestReplayCaptures:
         }
         assert outcome.attack_success_count == 0
         assert outcome.final_states[CLIENT2] == "auth_assoc"
+
+    def test_replay_keeps_one_capture(self):
+        clients = [f"02:00:00:00:01:{i:02x}" for i in range(3)]
+        cfg = config_from_dict(
+            doc(
+                stations=[{"role": "ap", "mac": AP}]
+                + [{"role": "client", "mac": mac} for mac in clients],
+                attackers=[
+                    {"kind": "deauth_replay", "spoof_src": clients[0], "target": AP}
+                ],
+                script=[{"associate": {"client": mac, "ap": AP}} for mac in clients]
+                + [{"deauth": {"initiator": clients[0], "reason": 3}}, {"attack": {"index": 0}}],
+            )
+        )
+        run = ScenarioRun(cfg)
+        outcome, _ = run.execute()
+        (capture,) = run.adversaries[0].captures
+        frame = decode_frame(capture)
+        assert frame.subtype is FrameSubtype.DEAUTHENTICATION
+        assert str(frame.src) == clients[0]
+        assert outcome.attack_success_count == 0
 
 
 class TestBundledScenarios:
