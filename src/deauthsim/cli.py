@@ -6,7 +6,9 @@
     deauthsim list-scenarios
 
 Exit codes: 0 success; 2 bad configuration, including an unreadable
-scenario file and a replay attack with no station frame to replay; 3 tick limit exceeded.
+scenario file, a replay attack with no station frame to replay and an
+``associate`` step for a client already associated with that AP; 3 tick
+limit exceeded.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .scenario import (
     load_scenario,
     run_scenario,
 )
+from .stations import WrongState
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -82,7 +85,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         cfg = load_scenario(args.scenario)
         outcome, events = run_scenario(cfg, seed=args.seed)
-    except (ConfigError, AdversaryError) as exc:
+    except (ConfigError, AdversaryError, WrongState) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except TickLimitExceeded as exc:

@@ -46,20 +46,6 @@ TOKEN_PAYLOAD_SIZE = 16
 # The only sizes encode_frame can emit: bare, with hash, with token.
 CANONICAL_FRAME_SIZES = frozenset({15, 82, 34})
 
-# Reason codes 0-9 carry fixed meanings; 10-65535 are reserved.
-REASON_DESCRIPTIONS = {
-    0: "Reserved",
-    1: "Unspecific reason",
-    2: "Previous authentication invalid",
-    3: "Station is leaving (deauthentication)",
-    4: "Inactivity timeout",
-    5: "AP cannot handle all associated stations",
-    6: "Class 2 frame from nonauthenticated station",
-    7: "Class 3 frame from nonassociated station",
-    8: "Station is leaving (disassociation)",
-    9: "Association requested before authentication",
-}
-
 
 class DecodeError(ValueError):
     """Raised when a byte string is not a well-formed frame."""

@@ -3,10 +3,11 @@
 Single-threaded, tick-based: a frame sent during tick N is processed at
 tick N+1, in submission order.  Processing a frame emits, in order, an
 ``injected`` event when the sender was attached as an injector, one
-``sniffed`` event per promiscuous tap (taps observe every send, lost or
-not), and then exactly one ``delivered`` or ``dropped`` event.  That
-conservation rule and the fixed ordering make the event log a total
-order, identical byte-for-byte across runs with the same seed.
+``sniffed`` event per injector (an injector is also a promiscuous tap:
+it observes every send, lost or not, its own included), and then exactly
+one ``delivered`` or ``dropped`` event.  That conservation rule and the
+fixed ordering make the event log a total order, identical byte-for-byte
+across runs with the same seed.
 
 Loss is a per-frame Bernoulli draw from ``random.Random(seed)``: one
 ``random()`` call per processed frame, dropped when the draw falls
@@ -77,10 +78,8 @@ class EventKind(Enum):
 class MediumConfig:
     loss_probability: float = 0.0
     seed: int = 0
-    promiscuous_taps: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "promiscuous_taps", tuple(self.promiscuous_taps))
         if not 0.0 <= self.loss_probability <= 1.0:
             raise ValueError(
                 f"loss probability {self.loss_probability} outside [0, 1]"
@@ -150,10 +149,6 @@ class Medium:
         self._tick = 0
         self._loss_rng = Random(self.config.seed)
 
-    @property
-    def tick(self) -> int:
-        return self._tick
-
     def attach(
         self,
         endpoint_id: str,
@@ -162,7 +157,11 @@ class Medium:
         *,
         injector: bool = False,
     ) -> Handle:
-        """Register an endpoint; identifiers and MACs must be unused."""
+        """Register an endpoint; identifiers and MACs must be unused.
+
+        An injector is also a promiscuous tap: ``receive`` gets a
+        ``sniffed`` event for every frame sent, whatever its destination.
+        """
         if endpoint_id in self._endpoints:
             raise DuplicateEndpoint(f"endpoint id {endpoint_id!r} already attached")
         if mac is not None and mac.octets in self._mac_owner:
@@ -172,7 +171,7 @@ class Medium:
         self._endpoints[endpoint_id] = endpoint
         if mac is not None:
             self._mac_owner[mac.octets] = endpoint
-        if endpoint_id in self.config.promiscuous_taps:
+        if injector:
             self._taps.append(endpoint)
         return Handle(self, endpoint_id)
 

@@ -26,17 +26,20 @@ A scenario file is YAML with a versioned schema:
 Each record's dataclass is its schema: one strict builder reads
 ``StationSpec``, ``AttackerConfig`` and the script actions from their
 fields, and the top level allows ``schema`` plus the fields of
-``ScenarioConfig``.  Unknown keys and missing required fields are a
-``ConfigError`` (a misspelt ``loss_probability`` must not silently run
-loss-free).  Values are never coerced: a MAC comes only from a string,
-an integer never from a string, float or boolean, and ``name`` must be
-a string.  ``stations``, ``attackers`` and ``script`` must be lists, and
-``frame_count`` is capped at ``adversary.MAX_FRAME_COUNT``.
+``ScenarioConfig``.  Unknown keys, keys repeated within one mapping and
+missing required fields are a ``ConfigError`` (a misspelt or repeated
+``loss_probability`` must not silently run loss-free).  Values are never
+coerced: a MAC comes only from a string, an integer never from a string,
+float or boolean, and ``name`` must be a string.  ``stations``,
+``attackers`` and ``script`` must be lists, and ``frame_count`` is
+capped at ``adversary.MAX_FRAME_COUNT``.
 
 Script actions run in order; the medium drains to idle after each one.
-Every attacker is a promiscuous tap and an injector.  A replay attacker
-is shown only frames that stations sent and keeps the first one it
-replays; replaying with nothing captured raises ``AdversaryError``.
+An ``associate`` step for a client already associated with that AP
+raises ``WrongState``.  Every attacker is attached as an injector, which
+makes it a promiscuous tap too.  A replay attacker is shown only frames
+that stations sent and keeps the first one it replays; replaying with
+nothing captured raises ``AdversaryError``.
 
 Randomness derivation is fixed: one master ``random.Random(seed)``
 yields a 64-bit sub-seed for the medium's loss stream and then one per
@@ -51,6 +54,7 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
+from collections.abc import Hashable
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from enum import Enum
 from importlib import resources
@@ -305,9 +309,33 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
     )
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """``SafeLoader`` that refuses a mapping naming the same key twice.
+
+    Plain YAML keeps the last value, so a repeated ``loss_probability``
+    would silently override the first.  Merge keys (``<<``) keep their
+    override meaning.
+    """
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node, deep=deep)
+            if not isinstance(key, Hashable):
+                continue  # the base class reports unhashable keys
+            if key in seen:
+                raise ConfigError(
+                    f"scenario: duplicate key {key!r} on line {key_node.start_mark.line + 1}"
+                )
+            seen.add(key)
+        return super().construct_mapping(node, deep=deep)
+
+
 def load_scenario_text(text: str) -> ScenarioConfig:
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"scenario file is not valid YAML: {exc}") from None
     return config_from_dict(doc)
@@ -374,11 +402,7 @@ class ScenarioRun:
         self.adversary_ids = {adv.endpoint_id for adv in self.adversaries}
 
         self.medium = Medium(
-            MediumConfig(
-                loss_probability=cfg.loss_probability,
-                seed=medium_seed,
-                promiscuous_taps=tuple(adv.endpoint_id for adv in self.adversaries),
-            )
+            MediumConfig(loss_probability=cfg.loss_probability, seed=medium_seed)
         )
 
         protected = cfg.mode is Mode.PROTECTED

@@ -1,14 +1,12 @@
 """Client and access point protocol logic.
 
-Stations track the classic four-state lifecycle per peer:
+Stations track a three-state lifecycle per peer:
 
-    UNAUTH_UNASSOC -> AUTH_UNASSOC -> AUTH_ASSOC -> DOT1X_AUTHED
+    UNAUTH_UNASSOC -> AUTH_UNASSOC -> AUTH_ASSOC
 
 The state lives in ``Station.peer_state`` alone.  A verified
 deauthentication drops the peer back to UNAUTH_UNASSOC from any state; a
 verified disassociation drops an associated peer back to AUTH_UNASSOC.
-The fourth state exists as a label only; no 802.1x exchange is
-simulated.
 
 Protected mode implements the token handshake: the client commits to a
 secret token by sending its SHA-512 digest inside the association
@@ -86,13 +84,11 @@ class LifecycleState(IntEnum):
     UNAUTH_UNASSOC = 1
     AUTH_UNASSOC = 2
     AUTH_ASSOC = 3
-    DOT1X_AUTHED = 4
 
 
 class LifecycleEvent(Enum):
     AUTH_OK = "auth_ok"
     ASSOC_OK = "assoc_ok"
-    DOT1X_OK = "dot1x_ok"
     VERIFIED_DISASSOC = "verified_disassoc"
     VERIFIED_DEAUTH = "verified_deauth"
 
@@ -102,15 +98,13 @@ def transition(state: LifecycleState, event: LifecycleEvent) -> LifecycleState:
     if event is LifecycleEvent.VERIFIED_DEAUTH:
         return LifecycleState.UNAUTH_UNASSOC
     if event is LifecycleEvent.VERIFIED_DISASSOC:
-        if state >= LifecycleState.AUTH_ASSOC:
+        if state is LifecycleState.AUTH_ASSOC:
             return LifecycleState.AUTH_UNASSOC
         return state
     if event is LifecycleEvent.AUTH_OK and state == LifecycleState.UNAUTH_UNASSOC:
         return LifecycleState.AUTH_UNASSOC
     if event is LifecycleEvent.ASSOC_OK and state == LifecycleState.AUTH_UNASSOC:
         return LifecycleState.AUTH_ASSOC
-    if event is LifecycleEvent.DOT1X_OK and state == LifecycleState.AUTH_ASSOC:
-        return LifecycleState.DOT1X_AUTHED
     return state
 
 
@@ -145,29 +139,17 @@ _REJECT_REPLAYED_HASH = Verdict(Action.REJECT, "replayed_hash")
 _ACCEPT_HASH_RECORDED = Verdict(Action.ACCEPT, "hash_recorded")
 
 
-def _require_teardown(frame: ManagementFrame) -> None:
-    if frame.subtype not in TEARDOWN_SUBTYPES:
-        raise MalformedFrame(f"not a teardown frame: {frame.subtype.name}")
-
-
-def _teardown_subtype(reason: int) -> FrameSubtype:
-    """Reason 8 is a disassociation; 3, 4 and 5 are deauthentications."""
-    if reason == 8:
-        return FrameSubtype.DISASSOCIATION
-    return FrameSubtype.DEAUTHENTICATION
-
-
 @dataclass
 class SessionRecord:
     """One side's secrets for an established (or in-flight) association.
 
     Holds this side's token and its digest, and the peer's commitment
     once known (``None`` in legacy mode and while a request is in
-    flight).  The lifecycle state toward the peer is not kept here; it
-    lives in ``Station.peer_state``.
+    flight).  The peer is the record's key in ``sessions`` or
+    ``pending``, and the lifecycle state toward it lives in
+    ``Station.peer_state``.
     """
 
-    peer: MacAddress
     own_token: Token
     own_hash: bytes
     peer_hash: bytes | None
@@ -176,16 +158,10 @@ class SessionRecord:
 class Station:
     """Shared machinery: lifecycle tracking and teardown verification."""
 
-    def __init__(
-        self,
-        mac: MacAddress,
-        *,
-        protected: bool = True,
-        rng: Random | None = None,
-    ):
+    def __init__(self, mac: MacAddress, *, rng: Random, protected: bool = True):
         self.mac = mac
         self.protected = protected
-        self.rng = rng if rng is not None else Random()
+        self.rng = rng
         self.name = str(mac)
         self.sessions: dict[MacAddress, SessionRecord] = {}
         self.peer_state: dict[MacAddress, LifecycleState] = {}
@@ -209,10 +185,10 @@ class Station:
     def _apply_event(self, peer: MacAddress, event: LifecycleEvent) -> None:
         self.peer_state[peer] = transition(self.state_toward(peer), event)
 
-    def _new_session(self, peer: MacAddress, peer_hash: bytes | None) -> SessionRecord:
-        """Draw this side's token for ``peer`` and commit to it."""
+    def _new_session(self, peer_hash: bytes | None) -> SessionRecord:
+        """Draw this side's token and commit to it."""
         token = generate_token(self.rng)
-        return SessionRecord(peer, token, hash_token(token), peer_hash)
+        return SessionRecord(token, hash_token(token), peer_hash)
 
     def _delete_session(self, peer: MacAddress, subtype: FrameSubtype) -> None:
         del self.sessions[peer]
@@ -224,34 +200,26 @@ class Station:
     # -- teardown ----------------------------------------------------
 
     def make_verified_deauth(self, peer: MacAddress, reason: int) -> ManagementFrame:
-        """Build a teardown frame revealing this side's token.
+        """Build a teardown frame, revealing this side's token when protected.
 
-        Reason 8 is a disassociation; 3, 4 and 5 are deauthentications.
-        Requires a session with ``peer``, else ``WrongState``.  A record
-        sits in ``sessions`` only from the association's ASSOC_OK until
-        its teardown, so having one means the peer is AUTH_ASSOC.
+        Reason 8 is a disassociation; 3, 4 and 5 are deauthentications;
+        any other reason is a ``ValueError`` in both modes.  Requires a
+        session with ``peer``, else ``WrongState``.  A record sits in
+        ``sessions`` only from the association's ASSOC_OK until its
+        teardown, so having one means the peer is AUTH_ASSOC.
         """
         if reason not in TEARDOWN_REASONS:
             raise ValueError(f"reason {reason} is not a normal-disconnect code")
         record = self.sessions.get(peer)
         if record is None:
             raise WrongState(f"no established session with {peer}")
-        return ManagementFrame(
-            _teardown_subtype(reason),
-            self.mac,
-            peer,
-            reason,
-            token_element(record.own_token.data),
-        )
+        subtype = FrameSubtype.DISASSOCIATION if reason == 8 else FrameSubtype.DEAUTHENTICATION
+        ie = token_element(record.own_token.data) if self.protected else None
+        return ManagementFrame(subtype, self.mac, peer, reason, ie)
 
     def begin_teardown(self, peer: MacAddress, reason: int) -> ManagementFrame:
         """Send a teardown to ``peer`` and drop the local session."""
-        if self.protected:
-            frame = self.make_verified_deauth(peer, reason)
-        else:
-            if peer not in self.sessions:
-                raise WrongState(f"no session with {peer}")
-            frame = ManagementFrame(_teardown_subtype(reason), self.mac, peer, reason)
+        frame = self.make_verified_deauth(peer, reason)
         self._send(frame)
         self._delete_session(peer, frame.subtype)
         return frame
@@ -263,15 +231,22 @@ class Station:
     # -- verification ------------------------------------------------
 
     def verify_deauth(self, frame: ManagementFrame) -> Verdict:
-        """Judge an inbound teardown frame under token protection.
+        """Judge an inbound teardown frame; ``MalformedFrame`` for other subtypes.
 
-        Accepting requires a normal-disconnect reason code, a live
-        session with the claimed sender, and a revealed token hashing
-        to the stored peer commitment; the session is then deleted.
-        Everything else is ignored, except reason 1 which is rejected
-        outright, token or no token.
+        Legacy mode honors any teardown from a peer with a session.
+        Protected mode accepts only a normal-disconnect reason code
+        from a peer with a live session, revealing a token that hashes
+        to the stored peer commitment.  Either way an accepted teardown
+        deletes the session.  Protected mode ignores everything else,
+        except reason 1, which it rejects outright, token or no token.
         """
-        _require_teardown(frame)
+        if frame.subtype not in TEARDOWN_SUBTYPES:
+            raise MalformedFrame(f"not a teardown frame: {frame.subtype.name}")
+        if not self.protected:
+            if frame.src not in self.sessions:
+                return _IGNORE_NO_SESSION
+            self._delete_session(frame.src, frame.subtype)
+            return _ACCEPT_LEGACY_NO_CHECK
         reason = frame.status_or_reason
         if reason in REJECT_REASONS:
             return _REJECT_UNSPECIFIED_REASON
@@ -285,24 +260,11 @@ class Station:
             return _IGNORE_NO_SESSION
         if frame.ie is None or frame.ie.payload_kind != PAYLOAD_TOKEN:
             return _IGNORE_NO_TOKEN
-        if record.peer_hash is None or hash_token(frame.ie.payload) != record.peer_hash:
+        if hash_token(frame.ie.payload) != record.peer_hash:
             return _IGNORE_TOKEN_MISMATCH
 
         self._delete_session(frame.src, frame.subtype)
         return _ACCEPT_TOKEN_VERIFIED
-
-    def legacy_verify_deauth(self, frame: ManagementFrame) -> Verdict:
-        """Stock behavior: any teardown from a known peer is honored."""
-        _require_teardown(frame)
-        if frame.src not in self.sessions:
-            return _IGNORE_NO_SESSION
-        self._delete_session(frame.src, frame.subtype)
-        return _ACCEPT_LEGACY_NO_CHECK
-
-    def _verify(self, frame: ManagementFrame) -> Verdict:
-        if self.protected:
-            return self.verify_deauth(frame)
-        return self.legacy_verify_deauth(frame)
 
     # -- medium interface --------------------------------------------
 
@@ -324,21 +286,15 @@ class Station:
 
     def _dispatch(self, frame: ManagementFrame) -> tuple[ManagementFrame, Verdict] | None:
         if frame.subtype in TEARDOWN_SUBTYPES:
-            return frame, self._verify(frame)
+            return frame, self.verify_deauth(frame)
         return None
 
 
 class ClientStation(Station):
     """Joins an AP, then defends the session against forged teardowns."""
 
-    def __init__(
-        self,
-        mac: MacAddress,
-        *,
-        protected: bool = True,
-        rng: Random | None = None,
-    ):
-        super().__init__(mac, protected=protected, rng=rng)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self.pending: dict[MacAddress, SessionRecord] = {}
         self._join_targets: set[MacAddress] = set()
 
@@ -346,7 +302,9 @@ class ClientStation(Station):
         """Kick off the full join handshake toward ``ap``.
 
         Sends the authentication request; the association request
-        follows automatically once the AP's answer arrives.
+        follows automatically once the AP's answer arrives.  A client
+        still authenticated (AUTH_UNASSOC) sends the association request
+        at once; one already associated raises ``WrongState``.
         """
         if self.state_toward(ap) >= LifecycleState.AUTH_UNASSOC:
             frame, _ = self.begin_association(ap)
@@ -366,11 +324,12 @@ class ClientStation(Station):
         digest; legacy requests are bare.  Requires the peer to be in
         AUTH_UNASSOC, else ``WrongState``.
         """
-        if self.state_toward(ap) != LifecycleState.AUTH_UNASSOC:
+        state = self.state_toward(ap)
+        if state is not LifecycleState.AUTH_UNASSOC:
             raise WrongState(
-                f"cannot associate from {self.state_toward(ap).name}, need AUTH_UNASSOC"
+                f"{self.mac} cannot associate with {ap} from {state.name}, need AUTH_UNASSOC"
             )
-        record = self._new_session(ap, None)
+        record = self._new_session(None)
         self.pending[ap] = record
         ie = hash_element(record.own_hash) if self.protected else None
         frame = ManagementFrame(
@@ -415,14 +374,8 @@ class ClientStation(Station):
 class AccessPoint(Station):
     """Answers joins and keeps the replay ledger of seen hash commitments."""
 
-    def __init__(
-        self,
-        mac: MacAddress,
-        *,
-        protected: bool = True,
-        rng: Random | None = None,
-    ):
-        super().__init__(mac, protected=protected, rng=rng)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self.seen_hashes: set[bytes] = set()
 
     def handle_assoc_request(
@@ -450,7 +403,7 @@ class AccessPoint(Station):
                 return self._refuse(src, _REJECT_REPLAYED_HASH)
             self.seen_hashes.add(peer_hash)
 
-        record = self.sessions[src] = self._new_session(src, peer_hash)
+        record = self.sessions[src] = self._new_session(peer_hash)
         self._apply_event(src, LifecycleEvent.AUTH_OK)
         self._apply_event(src, LifecycleEvent.ASSOC_OK)
         ie = hash_element(record.own_hash) if self.protected else None

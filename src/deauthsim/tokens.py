@@ -68,8 +68,3 @@ def hash_token(token: Token | bytes) -> bytes:
     """
     raw = token.data if isinstance(token, Token) else bytes(token)
     return hashlib.sha512(raw).digest()
-
-
-def digest_hex(digest: bytes) -> str:
-    """128 lowercase hex characters for logs."""
-    return digest.hex()

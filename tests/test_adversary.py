@@ -67,7 +67,7 @@ class TestForgedDeauth:
 
         client, ap = make_pair(protected=False)
         complete_handshake(client, ap)
-        assert client.legacy_verify_deauth(decode_frame(raw)).action is Action.ACCEPT
+        assert client.verify_deauth(decode_frame(raw)).action is Action.ACCEPT
 
         client, ap = make_pair(protected=True)
         complete_handshake(client, ap)

@@ -117,6 +117,17 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
+    def test_associating_an_associated_client_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "twice.yaml"
+        path.write_text(
+            TICK_BOMB.replace("max_ticks: 2", "max_ticks: 10")
+            + '  - associate: {client: "02:00:00:00:00:02", ap: "02:00:00:00:00:01"}\n'
+        )
+        assert main(["run", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "AUTH_ASSOC" in err
+
     def test_directory_path_exits_2(self, tmp_path, capsys):
         assert main(["run", str(tmp_path)]) == EXIT_CONFIG
         err = capsys.readouterr().err

@@ -124,7 +124,11 @@ class TestDeliverySemantics:
         assert all(e.src == "attacker" for e in events), (
             "the log records who really transmitted, not the claimed MAC"
         )
-        assert [e.kind for e in events] == [EventKind.INJECTED, EventKind.DELIVERED]
+        assert [e.kind for e in events] == [
+            EventKind.INJECTED,
+            EventKind.SNIFFED,
+            EventKind.DELIVERED,
+        ], "an injector is also a tap, so it sniffs its own frame"
 
     def test_responses_are_processed_next_tick(self):
         medium = Medium()
@@ -162,14 +166,14 @@ class TestDeliverySemantics:
 class TestPromiscuousSniffing:
     def test_tap_observes_traffic_not_addressed_to_it(self):
         tap = Collector()
-        medium = Medium(MediumConfig(promiscuous_taps=("spy",)))
+        medium = Medium()
         client = ClientStation(CLIENT_MAC, rng=Random(1))
         ap = AccessPoint(AP_MAC, rng=Random(2))
         ch = medium.attach("client", CLIENT_MAC, lambda e: client.receive_frame(e.frame))
         ah = medium.attach("ap", AP_MAC, lambda e: ap.receive_frame(e.frame))
         client.bind_transmit(ch.send)
         ap.bind_transmit(ah.send)
-        medium.attach("spy", None, tap)
+        medium.attach("spy", None, tap, injector=True)
         client.start_join(AP_MAC)
         medium.run_until_idle()
         assert len(tap.events) == 4, "the sniffer sees the whole handshake"
@@ -178,10 +182,10 @@ class TestPromiscuousSniffing:
 
     def test_taps_observe_dropped_frames_too(self):
         tap = Collector()
-        medium = Medium(MediumConfig(loss_probability=1.0, promiscuous_taps=("spy",)))
+        medium = Medium(MediumConfig(loss_probability=1.0))
         a = medium.attach("a", MAC_A)
         medium.attach("b", MAC_B)
-        medium.attach("spy", None, tap)
+        medium.attach("spy", None, tap, injector=True)
         a.send(bare_frame())
         events = medium.run_until_idle()
         assert [e.kind for e in events] == [EventKind.SNIFFED, EventKind.DROPPED]
@@ -191,12 +195,10 @@ class TestPromiscuousSniffing:
 class TestConservation:
     def test_every_send_yields_one_delivery_outcome_plus_sniffs(self):
         tap = Collector()
-        medium = Medium(
-            MediumConfig(loss_probability=0.5, seed=77, promiscuous_taps=("spy",))
-        )
+        medium = Medium(MediumConfig(loss_probability=0.5, seed=77))
         a = medium.attach("a", MAC_A)
         medium.attach("b", MAC_B)
-        medium.attach("spy", None, tap)
+        medium.attach("spy", None, tap, injector=True)
         sends = 500
         for _ in range(sends):
             a.send(bare_frame())

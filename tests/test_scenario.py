@@ -149,6 +149,17 @@ class TestConfigValidation:
             load_scenario("no_such_scenario")
 
 
+SCENARIO_TEXT = f"""\
+mode: protected
+seed: 1
+stations:
+  - {{role: ap, mac: "{AP}"}}
+  - {{role: client, mac: "{CLIENT}"}}
+script:
+  - associate: {{client: "{CLIENT}", ap: "{AP}"}}
+"""
+
+
 def attacker(**fields):
     return {"kind": "forged_deauth", "spoof_src": AP, "target": CLIENT, **fields}
 
@@ -226,6 +237,28 @@ class TestStrictFields:
     def test_hostile_values_are_config_errors(self, overrides):
         with pytest.raises(ConfigError):
             config_from_dict(doc(**overrides))
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("seed: 1\n", "seed: 1\nloss_probability: 1.0\nloss_probability: 0.0\n"),
+            ("{role: ap,", "{role: client, role: ap,"),
+            (f'ap: "{AP}"}}', f'ap: "{AP}", ap: "{AP}"}}'),
+        ],
+        ids=["top_level", "station", "action_body"],
+    )
+    def test_duplicate_yaml_keys_rejected(self, old, new):
+        # YAML alone keeps the last value, under which each text would run.
+        assert load_scenario_text(SCENARIO_TEXT).seed == 1
+        with pytest.raises(ConfigError, match="duplicate key"):
+            load_scenario_text(SCENARIO_TEXT.replace(old, new))
+
+    def test_merge_keys_and_unhashable_keys_keep_their_yaml_meaning(self):
+        # A merged key is overridden by the mapping's own, which is no duplicate.
+        cfg = load_scenario_text(SCENARIO_TEXT + "<<: {seed: 5, max_ticks: 7}\n")
+        assert (cfg.seed, cfg.max_ticks) == (1, 7)
+        with pytest.raises(ConfigError, match="unhashable"):
+            load_scenario_text(SCENARIO_TEXT + "? [1]\n: 2\n")
 
     def test_frame_count_is_capped(self):
         cfg = config_from_dict(doc(attackers=[attacker(frame_count=MAX_FRAME_COUNT)]))
@@ -365,6 +398,29 @@ class TestBundledScenarios:
         assert outcome.frames_dropped > 0, "the lossy channel must actually drop"
         assert outcome.attack_success_count == 0
         assert outcome.final_states[CLIENT] == "auth_assoc"
+
+
+class TestRejoin:
+    def test_rejoin_after_disassociation_skips_authentication(self):
+        # Disassociation keeps both sides AUTH_UNASSOC, so the second join
+        # is only the association request and response.
+        cfg = config_from_dict(
+            doc(
+                script=[
+                    {"associate": {"client": CLIENT, "ap": AP}},
+                    {"deauth": {"initiator": CLIENT, "reason": 8}},
+                    {"associate": {"client": CLIENT, "ap": AP}},
+                ]
+            )
+        )
+        outcome, events = run_scenario(cfg)
+        assert outcome.frames_sent == 7
+        assert [decode_frame(e.frame).subtype for e in events[-2:]] == [
+            FrameSubtype.ASSOC_REQUEST,
+            FrameSubtype.ASSOC_RESPONSE,
+        ]
+        assert outcome.verdicts == {"hash_recorded": 2, "token_verified": 1}
+        assert outcome.final_states == {AP: "auth_assoc", CLIENT: "auth_assoc"}
 
 
 class TestOutcomeAccounting:

@@ -31,33 +31,24 @@ from sha512_reference import sha512_reference
 S1 = LifecycleState.UNAUTH_UNASSOC
 S2 = LifecycleState.AUTH_UNASSOC
 S3 = LifecycleState.AUTH_ASSOC
-S4 = LifecycleState.DOT1X_AUTHED
 
 
 class TestTransition:
-    """The step function is total; this is the full 4x5 table."""
+    """The step function is total; this is the full 3x4 table."""
 
     TABLE = {
         (S1, LifecycleEvent.AUTH_OK): S2,
         (S2, LifecycleEvent.AUTH_OK): S2,
         (S3, LifecycleEvent.AUTH_OK): S3,
-        (S4, LifecycleEvent.AUTH_OK): S4,
         (S1, LifecycleEvent.ASSOC_OK): S1,
         (S2, LifecycleEvent.ASSOC_OK): S3,
         (S3, LifecycleEvent.ASSOC_OK): S3,
-        (S4, LifecycleEvent.ASSOC_OK): S4,
-        (S1, LifecycleEvent.DOT1X_OK): S1,
-        (S2, LifecycleEvent.DOT1X_OK): S2,
-        (S3, LifecycleEvent.DOT1X_OK): S4,
-        (S4, LifecycleEvent.DOT1X_OK): S4,
         (S1, LifecycleEvent.VERIFIED_DISASSOC): S1,
         (S2, LifecycleEvent.VERIFIED_DISASSOC): S2,
         (S3, LifecycleEvent.VERIFIED_DISASSOC): S2,
-        (S4, LifecycleEvent.VERIFIED_DISASSOC): S2,
         (S1, LifecycleEvent.VERIFIED_DEAUTH): S1,
         (S2, LifecycleEvent.VERIFIED_DEAUTH): S1,
         (S3, LifecycleEvent.VERIFIED_DEAUTH): S1,
-        (S4, LifecycleEvent.VERIFIED_DEAUTH): S1,
     }
 
     def test_table_is_exhaustive(self):
@@ -185,8 +176,9 @@ class TestHandshake:
         assoc = ManagementFrame(FrameSubtype.ASSOC_REQUEST, CLIENT_MAC, AP_MAC, 0)
         with pytest.raises(MalformedFrame):
             ap.verify_deauth(assoc)
+        _, legacy_ap = make_pair(protected=False)
         with pytest.raises(MalformedFrame):
-            ap.legacy_verify_deauth(assoc)
+            legacy_ap.verify_deauth(assoc)
 
 
 class TestReplayLockout:
@@ -351,11 +343,13 @@ class TestVerifiedTeardown:
             client.make_verified_deauth(ap.mac, 3)
 
     def test_rejects_non_teardown_reasons(self):
-        client, ap = make_pair()
-        complete_handshake(client, ap)
-        for reason in (0, 1, 2, 6, 7, 9, 10):
-            with pytest.raises(ValueError):
-                client.make_verified_deauth(ap.mac, reason)
+        for protected in (True, False):
+            client, ap = make_pair(protected=protected)
+            complete_handshake(client, ap)
+            for reason in (0, 1, 2, 6, 7, 9, 10):
+                with pytest.raises(ValueError):
+                    client.begin_teardown(ap.mac, reason)
+            assert ap.mac in client.sessions, protected
 
     def test_begin_teardown_cleans_initiator_side(self):
         client, ap = make_pair()
@@ -402,7 +396,7 @@ class TestLegacyMode:
         client, ap = make_pair(protected=False)
         complete_handshake(client, ap)
         forged = ManagementFrame(FrameSubtype.DEAUTHENTICATION, AP_MAC, CLIENT_MAC, 3)
-        verdict = client.legacy_verify_deauth(forged)
+        verdict = client.verify_deauth(forged)
         assert (verdict.action, verdict.cause) == (Action.ACCEPT, "legacy_no_check")
         assert client.state_toward(ap.mac) is S1
 
@@ -413,12 +407,12 @@ class TestLegacyMode:
             forged = ManagementFrame(
                 FrameSubtype.DEAUTHENTICATION, AP_MAC, CLIENT_MAC, reason
             )
-            assert client.legacy_verify_deauth(forged).action is Action.ACCEPT
+            assert client.verify_deauth(forged).action is Action.ACCEPT
 
     def test_no_session_ignored(self):
         client, _ = make_pair(protected=False)
         forged = ManagementFrame(FrameSubtype.DEAUTHENTICATION, AP_MAC, CLIENT_MAC, 3)
-        verdict = client.legacy_verify_deauth(forged)
+        verdict = client.verify_deauth(forged)
         assert (verdict.action, verdict.cause) == (Action.IGNORE, "no_session")
 
     def test_legacy_frames_carry_no_elements(self):
@@ -471,13 +465,33 @@ class TestNoStateChangeWithoutAccept:
         )
 
 
-class TestSessionRecord:
-    def test_tracks_state_updates(self):
-        client, ap = make_pair()
-        complete_handshake(client, ap)
-        record = ap.sessions[CLIENT_MAC]
-        assert record.peer == CLIENT_MAC
+# A forged deauth a legacy client would honor; each case below spoils it.
+_DEAUTH = encode_frame(ManagementFrame(FrameSubtype.DEAUTHENTICATION, AP_MAC, CLIENT_MAC, 3))
 
+
+class TestHostileBytes:
+    """``receive_frame`` returns ``None`` for bytes it cannot use and keeps no trace."""
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"",
+            b"\x7f" + _DEAUTH[1:],
+            _DEAUTH + b"\x00garbage",
+            _DEAUTH[:7] + OTHER_MAC.octets + _DEAUTH[13:],
+        ],
+        ids=["empty", "unknown_subtype", "trailing_garbage", "other_mac"],
+    )
+    @pytest.mark.parametrize("protected", [True, False])
+    def test_station_shrugs_off(self, raw, protected):
+        client, ap = make_pair(protected=protected)
+        complete_handshake(client, ap)
+        before = _station_fingerprint(client)
+        assert client.receive_frame(raw) is None
+        assert _station_fingerprint(client) == before
+
+
+class TestSessionRecord:
     def test_deleted_not_blanked_on_accept(self):
         client, ap = make_pair()
         complete_handshake(client, ap)
