@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from random import Random
 
 from .frames import (
@@ -37,11 +38,9 @@ from .frames import (
     FrameSubtype,
     MacAddress,
     ManagementFrame,
-    PAYLOAD_TOKEN,
     DecodeError,
     decode_frame,
     encode_frame,
-    token_element,
 )
 from .medium import MediumEvent
 
@@ -120,11 +119,7 @@ class Adversary:
         if kind is AttackKind.ASSOC_REPLAY:
             replayed = frame.subtype is FrameSubtype.ASSOC_REQUEST
         else:
-            replayed = (
-                frame.subtype in TEARDOWN_SUBTYPES
-                and frame.ie is not None
-                and frame.ie.payload_kind == PAYLOAD_TOKEN
-            )
+            replayed = frame.subtype in TEARDOWN_SUBTYPES and frame.token is not None
         if replayed:
             self.captures.append(event.frame)
 
@@ -136,25 +131,14 @@ class Adversary:
         capture verbatim.
         """
         cfg = self.cfg
+        deauth = partial(
+            ManagementFrame, FrameSubtype.DEAUTHENTICATION, cfg.spoof_src, cfg.target, cfg.reason
+        )
         if cfg.kind is AttackKind.FORGED_DEAUTH:
-            frame = ManagementFrame(
-                FrameSubtype.DEAUTHENTICATION, cfg.spoof_src, cfg.target, cfg.reason
-            )
-            return [encode_frame(frame)] * cfg.frame_count
+            return [encode_frame(deauth())] * cfg.frame_count
         if cfg.kind is AttackKind.TOKEN_GUESS:
             rng = Random(cfg.seed)
-            return [
-                encode_frame(
-                    ManagementFrame(
-                        FrameSubtype.DEAUTHENTICATION,
-                        cfg.spoof_src,
-                        cfg.target,
-                        cfg.reason,
-                        token_element(rng.randbytes(16)),
-                    )
-                )
-                for _ in range(cfg.frame_count)
-            ]
+            return [encode_frame(deauth(token=rng.randbytes(16))) for _ in range(cfg.frame_count)]
         if not self.captures:
             if cfg.kind is AttackKind.ASSOC_REPLAY:
                 raise NoCapturedAssoc("no association request was sniffed")

@@ -6,9 +6,9 @@
     deauthsim list-scenarios
 
 Exit codes: 0 success; 2 bad configuration, including an unreadable
-scenario file, a replay attack with no station frame to replay and an
-``associate`` step for a client already associated with that AP; 3 tick
-limit exceeded.
+scenario file, a replay attack with no station frame to replay, an
+``associate`` step for a client already associated with that AP and a
+``--log`` path that cannot be written; 3 tick limit exceeded.
 """
 
 from __future__ import annotations
@@ -93,8 +93,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return EXIT_TICK_LIMIT
 
     if args.log is not None:
-        with open(args.log, "w") as stream:
-            write_event_log(events, stream)
+        try:
+            with open(args.log, "w") as stream:
+                write_event_log(events, stream)
+        except OSError as exc:
+            print(f"error: cannot write event log: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
 
     if args.format == "json":
         print(json.dumps(outcome.to_dict(), indent=2, sort_keys=True))

@@ -15,7 +15,9 @@ Every frame on the simulated medium uses one fixed layout:
 
 The information element block is present only on frames that carry a
 hash commitment or a revealed token, so the only legal encoded sizes
-are 15 (bare), 82 (hash) and 34 (token) bytes.
+are 15 (bare), 82 (hash) and 34 (token) bytes.  A ``ManagementFrame``
+holds either as plain bytes in its ``commitment`` or ``token`` field;
+this module alone knows the element's id, kind bytes and sizes.
 
 Authentication is modeled as a single opaque request/response pair, so
 the subtype byte uses two synthetic codes (0x10/0x11) that do not clash
@@ -32,6 +34,8 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 
+from .tokens import DIGEST_SIZE, TOKEN_SIZE
+
 HEADER_SIZE = 15
 HEADER_FORMAT = "<B6s6sH"
 _HEADER = struct.Struct(HEADER_FORMAT)
@@ -40,8 +44,12 @@ IE_ELEMENT_ID = 0xDD
 PAYLOAD_HASH = 0x01
 PAYLOAD_TOKEN = 0x02
 
-HASH_PAYLOAD_SIZE = 64
-TOKEN_PAYLOAD_SIZE = 16
+HASH_PAYLOAD_SIZE = DIGEST_SIZE
+TOKEN_PAYLOAD_SIZE = TOKEN_SIZE
+
+# Element id, declared length (payload plus kind byte) and kind.
+_HASH_ELEMENT_HEADER = bytes((IE_ELEMENT_ID, HASH_PAYLOAD_SIZE + 1, PAYLOAD_HASH))
+_TOKEN_ELEMENT_HEADER = bytes((IE_ELEMENT_ID, TOKEN_PAYLOAD_SIZE + 1, PAYLOAD_TOKEN))
 
 # The only sizes encode_frame can emit: bare, with hash, with token.
 CANONICAL_FRAME_SIZES = frozenset({15, 82, 34})
@@ -117,70 +125,45 @@ BROADCAST = MacAddress(b"\xff" * 6)
 
 
 @dataclass(frozen=True, slots=True)
-class InformationElement:
-    """Vendor-specific element carrying either a hash commitment or a token."""
-
-    payload_kind: int
-    payload: bytes
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "payload", bytes(self.payload))
-        if self.payload_kind == PAYLOAD_HASH:
-            expected = HASH_PAYLOAD_SIZE
-        elif self.payload_kind == PAYLOAD_TOKEN:
-            expected = TOKEN_PAYLOAD_SIZE
-        else:
-            raise ValueError(f"unknown payload kind 0x{self.payload_kind:02x}")
-        if len(self.payload) != expected:
-            raise ValueError(
-                f"payload kind 0x{self.payload_kind:02x} needs {expected} bytes,"
-                f" got {len(self.payload)}"
-            )
-
-
-def hash_element(digest: bytes) -> InformationElement:
-    return InformationElement(PAYLOAD_HASH, digest)
-
-
-def token_element(raw: bytes) -> InformationElement:
-    return InformationElement(PAYLOAD_TOKEN, raw)
-
-
-@dataclass(frozen=True, slots=True)
 class ManagementFrame:
     """One simulated management frame.
 
     ``status_or_reason`` is a status code on association responses
-    (0 = success) and a reason code on teardown frames.
+    (0 = success) and a reason code on teardown frames.  The element
+    carries at most one of ``commitment`` (64 bytes) and ``token`` (16).
     """
 
     subtype: FrameSubtype
     src: MacAddress
     dst: MacAddress
     status_or_reason: int = 0
-    ie: InformationElement | None = None
+    commitment: bytes | None = None
+    token: bytes | None = None
 
     def __post_init__(self) -> None:
         if not 0 <= self.status_or_reason <= 0xFFFF:
             raise ValueError(f"status/reason {self.status_or_reason} outside u16 range")
+        if self.commitment is not None:
+            if self.token is not None:
+                raise ValueError("a frame carries a commitment or a token, not both")
+            if len(self.commitment) != HASH_PAYLOAD_SIZE:
+                raise ValueError(
+                    f"commitment needs {HASH_PAYLOAD_SIZE} bytes, got {len(self.commitment)}"
+                )
+        elif self.token is not None and len(self.token) != TOKEN_PAYLOAD_SIZE:
+            raise ValueError(f"token needs {TOKEN_PAYLOAD_SIZE} bytes, got {len(self.token)}")
 
 
 def encode_frame(frame: ManagementFrame) -> bytes:
     """Serialize a frame to its canonical byte string."""
-    buf = bytearray(
-        _HEADER.pack(
-            frame.subtype.value,
-            frame.src.octets,
-            frame.dst.octets,
-            frame.status_or_reason,
-        )
+    header = _HEADER.pack(
+        frame.subtype.value, frame.src.octets, frame.dst.octets, frame.status_or_reason
     )
-    if frame.ie is not None:
-        buf.append(IE_ELEMENT_ID)
-        buf.append(len(frame.ie.payload) + 1)
-        buf.append(frame.ie.payload_kind)
-        buf += frame.ie.payload
-    return bytes(buf)
+    if frame.commitment is not None:
+        return header + _HASH_ELEMENT_HEADER + frame.commitment
+    if frame.token is not None:
+        return header + _TOKEN_ELEMENT_HEADER + frame.token
+    return header
 
 
 def decode_frame(data: bytes) -> ManagementFrame:
@@ -199,9 +182,8 @@ def decode_frame(data: bytes) -> ManagementFrame:
     if subtype is None:
         raise UnknownSubtype(f"unknown subtype code 0x{code:02x}")
 
-    if len(data) == HEADER_SIZE:
-        ie = None
-    else:
+    commitment = token = None
+    if len(data) > HEADER_SIZE:
         if data[HEADER_SIZE] != IE_ELEMENT_ID:
             raise TrailingBytes(
                 f"byte {HEADER_SIZE} is 0x{data[HEADER_SIZE]:02x},"
@@ -220,9 +202,13 @@ def decode_frame(data: bytes) -> ManagementFrame:
             )
         if len(payload) > declared - 1:
             raise TrailingBytes(f"{len(payload) - (declared - 1)} bytes after the element")
-        try:
-            ie = InformationElement(kind, payload)
-        except ValueError as exc:
-            raise BadIeLength(str(exc)) from None
+        if kind == PAYLOAD_HASH and len(payload) == HASH_PAYLOAD_SIZE:
+            commitment = payload
+        elif kind == PAYLOAD_TOKEN and len(payload) == TOKEN_PAYLOAD_SIZE:
+            token = payload
+        else:
+            raise BadIeLength(f"no payload kind 0x{kind:02x} has {len(payload)} bytes")
 
-    return ManagementFrame(subtype, MacAddress(src_raw), MacAddress(dst_raw), status, ie)
+    return ManagementFrame(
+        subtype, MacAddress(src_raw), MacAddress(dst_raw), status, commitment, token
+    )

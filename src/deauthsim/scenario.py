@@ -32,7 +32,9 @@ missing required fields are a ``ConfigError`` (a misspelt or repeated
 coerced: a MAC comes only from a string, an integer never from a string,
 float or boolean, and ``name`` must be a string.  ``stations``,
 ``attackers`` and ``script`` must be lists, and ``frame_count`` is
-capped at ``adversary.MAX_FRAME_COUNT``.
+capped at ``adversary.MAX_FRAME_COUNT``.  Station MACs are unique
+unicast addresses (I/G bit clear); an attacker's ``target`` and
+``spoof_src`` may be group addresses: a broadcast deauth is a real attack.
 
 Script actions run in order; the medium drains to idle after each one.
 An ``associate`` step for a client already associated with that AP
@@ -139,6 +141,9 @@ class ScenarioConfig:
         macs = [spec.mac for spec in self.stations]
         if len(set(macs)) != len(macs):
             raise ConfigError("station MACs must be unique")
+        for mac in macs:
+            if mac.octets[0] & 0x01:
+                raise ConfigError(f"station MAC {mac} is a group address, not a unicast one")
         if not 0.0 <= self.loss_probability <= 1.0:
             raise ConfigError(
                 f"loss probability {self.loss_probability} outside [0, 1]"
@@ -338,6 +343,8 @@ def load_scenario_text(text: str) -> ScenarioConfig:
         doc = yaml.load(text, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"scenario file is not valid YAML: {exc}") from None
+    except RecursionError:
+        raise ConfigError("scenario file is nested too deeply to parse") from None
     return config_from_dict(doc)
 
 

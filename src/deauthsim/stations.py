@@ -9,12 +9,12 @@ deauthentication drops the peer back to UNAUTH_UNASSOC from any state; a
 verified disassociation drops an associated peer back to AUTH_UNASSOC.
 
 Protected mode implements the token handshake: the client commits to a
-secret token by sending its SHA-512 digest inside the association
-request, the AP answers with a digest of its own token, and from then
-on a teardown frame counts only if it reveals a token hashing to the
-stored peer commitment.  Legacy mode models stock behavior, where any
-teardown frame from a peer with a session is honored unchecked; that is
-the spoofing hole the tokens close.
+secret token by sending its SHA-512 digest as the association request's
+``commitment``, the AP answers with a digest of its own token, and from
+then on a teardown frame counts only if its ``token`` hashes to the
+stored peer commitment; both are plain bytes.  Legacy mode models stock
+behavior, where any teardown frame from a peer with a session is
+honored unchecked; that is the spoofing hole the tokens close.
 
 Reason code dispatch for protected-mode teardown frames:
 
@@ -40,8 +40,6 @@ from typing import Callable
 
 from .frames import (
     BROADCAST,
-    PAYLOAD_HASH,
-    PAYLOAD_TOKEN,
     TEARDOWN_SUBTYPES,
     DecodeError,
     FrameSubtype,
@@ -49,10 +47,8 @@ from .frames import (
     ManagementFrame,
     decode_frame,
     encode_frame,
-    hash_element,
-    token_element,
 )
-from .tokens import Token, generate_token, hash_token
+from .tokens import generate_token, hash_token
 
 # Reason codes on which a verified teardown is legitimate.
 TEARDOWN_REASONS = frozenset({3, 4, 5, 8})
@@ -143,14 +139,14 @@ _ACCEPT_HASH_RECORDED = Verdict(Action.ACCEPT, "hash_recorded")
 class SessionRecord:
     """One side's secrets for an established (or in-flight) association.
 
-    Holds this side's token and its digest, and the peer's commitment
-    once known (``None`` in legacy mode and while a request is in
-    flight).  The peer is the record's key in ``sessions`` or
-    ``pending``, and the lifecycle state toward it lives in
-    ``Station.peer_state``.
+    Holds this side's 16 raw token bytes and their digest, and the
+    peer's commitment once known (``None`` in legacy mode and while a
+    request is in flight).  The peer is the record's key in
+    ``sessions`` or ``pending``, and the lifecycle state toward it lives
+    in ``Station.peer_state``.
     """
 
-    own_token: Token
+    own_token: bytes
     own_hash: bytes
     peer_hash: bytes | None
 
@@ -214,8 +210,8 @@ class Station:
         if record is None:
             raise WrongState(f"no established session with {peer}")
         subtype = FrameSubtype.DISASSOCIATION if reason == 8 else FrameSubtype.DEAUTHENTICATION
-        ie = token_element(record.own_token.data) if self.protected else None
-        return ManagementFrame(subtype, self.mac, peer, reason, ie)
+        token = record.own_token if self.protected else None
+        return ManagementFrame(subtype, self.mac, peer, reason, token=token)
 
     def begin_teardown(self, peer: MacAddress, reason: int) -> ManagementFrame:
         """Send a teardown to ``peer`` and drop the local session."""
@@ -258,9 +254,9 @@ class Station:
         record = self.sessions.get(frame.src)
         if record is None:
             return _IGNORE_NO_SESSION
-        if frame.ie is None or frame.ie.payload_kind != PAYLOAD_TOKEN:
+        if frame.token is None:
             return _IGNORE_NO_TOKEN
-        if hash_token(frame.ie.payload) != record.peer_hash:
+        if hash_token(frame.token) != record.peer_hash:
             return _IGNORE_TOKEN_MISMATCH
 
         self._delete_session(frame.src, frame.subtype)
@@ -331,9 +327,9 @@ class ClientStation(Station):
             )
         record = self._new_session(None)
         self.pending[ap] = record
-        ie = hash_element(record.own_hash) if self.protected else None
+        commitment = record.own_hash if self.protected else None
         frame = ManagementFrame(
-            FrameSubtype.ASSOC_REQUEST, self.mac, ap, STATUS_SUCCESS, ie
+            FrameSubtype.ASSOC_REQUEST, self.mac, ap, STATUS_SUCCESS, commitment
         )
         return frame, record
 
@@ -347,9 +343,9 @@ class ClientStation(Station):
         if frame.status_or_reason != STATUS_SUCCESS:
             return _REJECT_ASSOC_REFUSED
         if self.protected:
-            if frame.ie is None or frame.ie.payload_kind != PAYLOAD_HASH:
+            if frame.commitment is None:
                 return _REJECT_MISSING_HASH
-            record.peer_hash = frame.ie.payload
+            record.peer_hash = frame.commitment
         self.sessions[frame.src] = record
         self._apply_event(frame.src, LifecycleEvent.ASSOC_OK)
         return _ACCEPT_ASSOC_CONFIRMED
@@ -396,9 +392,9 @@ class AccessPoint(Station):
 
         peer_hash = None
         if self.protected:
-            if frame.ie is None or frame.ie.payload_kind != PAYLOAD_HASH:
+            peer_hash = frame.commitment
+            if peer_hash is None:
                 return self._refuse(src, _REJECT_MISSING_HASH)
-            peer_hash = frame.ie.payload
             if peer_hash in self.seen_hashes:
                 return self._refuse(src, _REJECT_REPLAYED_HASH)
             self.seen_hashes.add(peer_hash)
@@ -406,9 +402,9 @@ class AccessPoint(Station):
         record = self.sessions[src] = self._new_session(peer_hash)
         self._apply_event(src, LifecycleEvent.AUTH_OK)
         self._apply_event(src, LifecycleEvent.ASSOC_OK)
-        ie = hash_element(record.own_hash) if self.protected else None
+        commitment = record.own_hash if self.protected else None
         response = ManagementFrame(
-            FrameSubtype.ASSOC_RESPONSE, self.mac, src, STATUS_SUCCESS, ie
+            FrameSubtype.ASSOC_RESPONSE, self.mac, src, STATUS_SUCCESS, commitment
         )
         return response, _ACCEPT_HASH_RECORDED if self.protected else _ACCEPT_LEGACY_ASSOC
 

@@ -19,8 +19,6 @@ from deauthsim.frames import (
     ManagementFrame,
     decode_frame,
     encode_frame,
-    hash_element,
-    token_element,
 )
 from deauthsim.bench import run_bench
 from deauthsim.medium import write_event_log
@@ -157,7 +155,7 @@ class TestAcceptance:
         post_session_ok = after.action is Action.REJECT and after.cause == "replayed_hash"
 
         stolen = ManagementFrame(
-            FrameSubtype.ASSOC_REQUEST, OTHER_MAC, AP_MAC, 0, request.ie
+            FrameSubtype.ASSOC_REQUEST, OTHER_MAC, AP_MAC, 0, request.commitment
         )
         _, other_mac = ap.handle_assoc_request(stolen)
         other_mac_ok = other_mac.action is Action.REJECT
@@ -194,9 +192,8 @@ class TestAcceptance:
                     if session:
                         complete_handshake(client, ap)
                     if payload == "real":
-                        payload = client.sessions[AP_MAC].own_token.data
-                    ie = token_element(payload) if payload is not None else None
-                    frame = ManagementFrame(subtype, CLIENT_MAC, AP_MAC, code, ie)
+                        payload = client.sessions[AP_MAC].own_token
+                    frame = ManagementFrame(subtype, CLIENT_MAC, AP_MAC, code, token=payload)
                     verdict = ap.verify_deauth(frame)
                     want = expected(code, session, label == "valid")
                     assert verdict.action is want, (
@@ -215,18 +212,18 @@ class TestAcceptance:
         subtypes = list(FrameSubtype)
 
         def random_frame():
-            ie = None
+            element = {}
             kind = rng.randrange(3)
             if kind == 1:
-                ie = hash_element(rng.randbytes(64))
+                element = {"commitment": rng.randbytes(64)}
             elif kind == 2:
-                ie = token_element(rng.randbytes(16))
+                element = {"token": rng.randbytes(16)}
             return ManagementFrame(
                 subtypes[rng.randrange(len(subtypes))],
                 MacAddress(rng.randbytes(6)),
                 MacAddress(rng.randbytes(6)),
                 rng.randrange(0x10000),
-                ie,
+                **element,
             )
 
         round_trips = 0
@@ -292,9 +289,9 @@ class TestAcceptance:
         rng = Random(0x70CEB)
         tokens = [generate_token(rng) for _ in range(10_000)]
         bits_ok = all(
-            t.data[6] >> 4 == 0x4 and t.data[8] >> 6 == 0b10 for t in tokens
+            t[6] >> 4 == 0x4 and t[8] >> 6 == 0b10 for t in tokens
         )
-        distinct_ok = len({t.data for t in tokens}) == len(tokens)
+        distinct_ok = len(set(tokens)) == len(tokens)
 
         ok = vectors_ok and bits_ok and distinct_ok
         report(
@@ -334,27 +331,27 @@ class TestAcceptance:
                 # hold the token for; re-associate first if so.
                 if client.sessions[AP_MAC].own_hash != ap.sessions[CLIENT_MAC].peer_hash:
                     client = rebuild_session()
-                payload = client.sessions[AP_MAC].own_token.data
+                payload = client.sessions[AP_MAC].own_token
                 frame = ManagementFrame(
                     FrameSubtype.DEAUTHENTICATION,
                     CLIENT_MAC,
                     AP_MAC,
                     rng.choice((3, 4, 5, 8)),
-                    token_element(payload),
+                    token=payload,
                 )
             else:
-                ie = None
+                element = {}
                 kind = rng.randrange(4)
                 if kind == 1:
-                    ie = token_element(rng.randbytes(16))
+                    element = {"token": rng.randbytes(16)}
                 elif kind == 2:
-                    ie = hash_element(rng.randbytes(64))
+                    element = {"commitment": rng.randbytes(64)}
                 frame = ManagementFrame(
                     subtypes[rng.randrange(len(subtypes))],
                     src,
                     AP_MAC,
                     rng.randrange(0x10000) if rng.random() < 0.5 else rng.randrange(12),
-                    ie,
+                    **element,
                 )
 
             before = dict(ap.sessions)
@@ -363,10 +360,10 @@ class TestAcceptance:
             deleted = set(before) - set(ap.sessions)
             for peer in deleted:
                 deletions += 1
-                assert frame.ie is not None and frame.ie.payload_kind == 0x02, (
+                assert frame.token is not None, (
                     f"session {peer} deleted by a frame with no token"
                 )
-                assert hash_token(frame.ie.payload) == before_hashes[peer], (
+                assert hash_token(frame.token) == before_hashes[peer], (
                     f"session {peer} deleted by a non-matching token"
                 )
                 client = rebuild_session()

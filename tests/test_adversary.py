@@ -14,10 +14,8 @@ from deauthsim.adversary import (
 from deauthsim.frames import (
     FrameSubtype,
     ManagementFrame,
-    PAYLOAD_TOKEN,
     decode_frame,
     encode_frame,
-    token_element,
 )
 from deauthsim.medium import EventKind, MediumEvent
 from deauthsim.stations import Action
@@ -59,7 +57,7 @@ class TestForgedDeauth:
             assert frame.src == AP_MAC, "the source field is the spoofed MAC"
             assert frame.dst == CLIENT_MAC
             assert frame.status_or_reason == 3
-            assert frame.ie is None
+            assert frame.token is None and frame.commitment is None
 
     def test_forged_frame_defeats_legacy_but_not_protected(self):
         cfg = AttackerConfig(AttackKind.FORGED_DEAUTH, AP_MAC, CLIENT_MAC)
@@ -85,8 +83,8 @@ class TestTokenGuess:
         payloads = set()
         for raw in frames:
             frame = decode_frame(raw)
-            assert frame.ie is not None and frame.ie.payload_kind == PAYLOAD_TOKEN
-            payloads.add(frame.ie.payload)
+            assert frame.token is not None
+            payloads.add(frame.token)
         assert len(payloads) == 50, "independent uniform guesses"
 
     def test_guess_stream_is_seed_deterministic(self):
@@ -111,9 +109,9 @@ class TestTokenGuess:
         # Positive control: the check is on the token value, nothing else.
         client, ap = make_pair()
         complete_handshake(client, ap)
-        stolen = client.sessions[AP_MAC].own_token.data
+        stolen = client.sessions[AP_MAC].own_token
         frame = ManagementFrame(
-            FrameSubtype.DEAUTHENTICATION, CLIENT_MAC, AP_MAC, 3, token_element(stolen)
+            FrameSubtype.DEAUTHENTICATION, CLIENT_MAC, AP_MAC, 3, token=stolen
         )
         assert ap.verify_deauth(frame).action is Action.ACCEPT
 
@@ -202,7 +200,7 @@ class TestAdversaryShell:
         )
         teardown = encode_frame(
             ManagementFrame(
-                FrameSubtype.DEAUTHENTICATION, CLIENT_MAC, AP_MAC, 3, token_element(bytes(16))
+                FrameSubtype.DEAUTHENTICATION, CLIENT_MAC, AP_MAC, 3, token=bytes(16)
             )
         )
         assoc = encode_frame(

@@ -104,6 +104,24 @@ class TestRun:
         assert result.stderr.startswith("error:")
         assert len(result.stderr.splitlines()) == 1 and "Traceback" not in result.stderr
 
+    def test_deeply_nested_scenario_exits_2_without_traceback(self, tmp_path):
+        path = tmp_path / "deep.yaml"
+        path.write_text("mode: " + "[" * 5000 + "]" * 5000 + "\n")
+        result = subprocess.run(
+            [sys.executable, "-m", "deauthsim", "run", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == EXIT_CONFIG
+        assert result.stderr.startswith("error:")
+        assert len(result.stderr.splitlines()) == 1 and "Traceback" not in result.stderr
+
+    def test_unwritable_log_exits_2(self, tmp_path, capsys):
+        for log in (tmp_path, tmp_path / "missing" / "events.jsonl"):
+            assert main(["run", "protected_legit_teardown", "--log", str(log)]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and len(err.splitlines()) == 1
+
     def test_replay_with_nothing_captured_exits_2(self, tmp_path, capsys):
         path = tmp_path / "replay.yaml"
         path.write_text(

@@ -17,7 +17,6 @@ from deauthsim.frames import (
     BadIeLength,
     DecodeError,
     FrameSubtype,
-    InformationElement,
     MacAddress,
     ManagementFrame,
     TooShort,
@@ -25,8 +24,6 @@ from deauthsim.frames import (
     UnknownSubtype,
     decode_frame,
     encode_frame,
-    hash_element,
-    token_element,
 )
 
 SRC = MacAddress.parse("aa:bb:cc:dd:ee:ff")
@@ -57,20 +54,24 @@ class TestMacAddress:
         assert str(BROADCAST) == "ff:ff:ff:ff:ff:ff"
 
 
+def element_frame(**element):
+    return ManagementFrame(FrameSubtype.DEAUTHENTICATION, SRC, DST, 3, **element)
+
+
 class TestInformationElement:
     def test_hash_payload_must_be_64_bytes(self):
-        assert len(hash_element(b"\x00" * 64).payload) == HASH_PAYLOAD_SIZE
+        assert len(element_frame(commitment=b"\x00" * 64).commitment) == HASH_PAYLOAD_SIZE
         with pytest.raises(ValueError):
-            InformationElement(PAYLOAD_HASH, b"\x00" * 63)
+            element_frame(commitment=b"\x00" * 63)
 
     def test_token_payload_must_be_16_bytes(self):
-        assert len(token_element(b"\x00" * 16).payload) == TOKEN_PAYLOAD_SIZE
+        assert len(element_frame(token=b"\x00" * 16).token) == TOKEN_PAYLOAD_SIZE
         with pytest.raises(ValueError):
-            InformationElement(PAYLOAD_TOKEN, b"\x00" * 17)
+            element_frame(token=b"\x00" * 17)
 
-    def test_unknown_kind_rejected(self):
+    def test_commitment_and_token_are_exclusive(self):
         with pytest.raises(ValueError):
-            InformationElement(0x03, b"\x00" * 16)
+            element_frame(commitment=b"\x00" * 64, token=b"\x00" * 16)
 
 
 class TestEncodeLayout:
@@ -92,7 +93,7 @@ class TestEncodeLayout:
     def test_token_frame_layout(self):
         token = bytes(range(16))
         frame = ManagementFrame(
-            FrameSubtype.DISASSOCIATION, SRC, DST, 8, token_element(token)
+            FrameSubtype.DISASSOCIATION, SRC, DST, 8, token=token
         )
         raw = encode_frame(frame)
         assert len(raw) == 34
@@ -104,7 +105,7 @@ class TestEncodeLayout:
     def test_hash_frame_layout(self):
         digest = bytes(range(64))
         frame = ManagementFrame(
-            FrameSubtype.ASSOC_REQUEST, SRC, DST, 0, hash_element(digest)
+            FrameSubtype.ASSOC_REQUEST, SRC, DST, 0, commitment=digest
         )
         raw = encode_frame(frame)
         assert len(raw) == 82
@@ -120,7 +121,7 @@ class TestEncodeLayout:
 
     def test_frozen_vector_with_token(self):
         frame = ManagementFrame(
-            FrameSubtype.DEAUTHENTICATION, SRC, DST, 3, token_element(b"\xab" * 16)
+            FrameSubtype.DEAUTHENTICATION, SRC, DST, 3, token=b"\xab" * 16
         )
         assert (
             encode_frame(frame).hex()
@@ -145,14 +146,14 @@ class TestEncodeLayout:
             len(
                 encode_frame(
                     ManagementFrame(
-                        FrameSubtype.ASSOC_REQUEST, SRC, DST, 0, hash_element(b"\x01" * 64)
+                        FrameSubtype.ASSOC_REQUEST, SRC, DST, 0, commitment=b"\x01" * 64
                     )
                 )
             ),
             len(
                 encode_frame(
                     ManagementFrame(
-                        FrameSubtype.DEAUTHENTICATION, SRC, DST, 3, token_element(b"\x02" * 16)
+                        FrameSubtype.DEAUTHENTICATION, SRC, DST, 3, token=b"\x02" * 16
                     )
                 )
             ),
@@ -237,11 +238,11 @@ def mac_strategy():
 @st.composite
 def frame_strategy(draw):
     subtype = draw(st.sampled_from(list(FrameSubtype)))
-    ie = draw(
+    element = draw(
         st.one_of(
-            st.none(),
-            st.binary(min_size=64, max_size=64).map(hash_element),
-            st.binary(min_size=16, max_size=16).map(token_element),
+            st.just({}),
+            st.binary(min_size=64, max_size=64).map(lambda digest: {"commitment": digest}),
+            st.binary(min_size=16, max_size=16).map(lambda token: {"token": token}),
         )
     )
     return ManagementFrame(
@@ -249,7 +250,7 @@ def frame_strategy(draw):
         draw(mac_strategy()),
         draw(mac_strategy()),
         draw(st.integers(min_value=0, max_value=0xFFFF)),
-        ie,
+        **element,
     )
 
 
@@ -290,7 +291,7 @@ class TestDecodeRobustness:
         rng = random.Random(0xF0F0)
         base = encode_frame(
             ManagementFrame(
-                FrameSubtype.ASSOC_REQUEST, SRC, DST, 0, hash_element(bytes(64))
+                FrameSubtype.ASSOC_REQUEST, SRC, DST, 0, commitment=bytes(64)
             )
         )
         for _ in range(2000):

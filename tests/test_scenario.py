@@ -232,11 +232,33 @@ class TestStrictFields:
             {"attackers": [attacker(kind={"x": 1})]},
             {"schema": True},
             {"schema": 1.0},
+            {"stations": [{"role": "ap", "mac": "ff:ff:ff:ff:ff:ff"}], "script": []},
+            {"stations": [{"role": "ap", "mac": "03:00:00:00:00:01"}], "script": []},
+            {"stations": [], "script": []},
+            {"max_ticks": 0},
+            {"script": [{"associate": {"client": CLIENT, "ap": CLIENT}}]},
+            {"script": [{"deauth": {"initiator": "02:00:00:00:00:09", "reason": 3}}]},
+            {"stations": ["ap"], "script": []},
+            {"stations": [{"role": "ap"}], "script": []},
+            {
+                "script": [
+                    {
+                        "associate": {"client": CLIENT, "ap": AP},
+                        "deauth": {"initiator": CLIENT, "reason": 3},
+                    }
+                ]
+            },
         ],
     )
     def test_hostile_values_are_config_errors(self, overrides):
         with pytest.raises(ConfigError):
             config_from_dict(doc(**overrides))
+
+    def test_document_must_be_a_mapping_with_a_mode(self):
+        with pytest.raises(ConfigError, match="mapping"):
+            config_from_dict(["mode", "protected"])
+        with pytest.raises(ConfigError, match="mode"):
+            config_from_dict({key: value for key, value in BASE_DOC.items() if key != "mode"})
 
     @pytest.mark.parametrize(
         "old, new",

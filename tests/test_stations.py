@@ -12,7 +12,6 @@ from deauthsim.frames import (
     ManagementFrame,
     decode_frame,
     encode_frame,
-    token_element,
 )
 from deauthsim.stations import (
     Action,
@@ -70,11 +69,11 @@ class TestHandshake:
         auth_success(client, ap)
         request, pending = client.begin_association(ap.mac)
         assert request.subtype is FrameSubtype.ASSOC_REQUEST
-        assert request.ie is not None
-        assert request.ie.payload == sha512_reference(pending.own_token.data), (
+        assert request.commitment is not None
+        assert request.commitment == sha512_reference(pending.own_token), (
             "the request must commit to the client token via its SHA-512 digest"
         )
-        assert pending.own_hash == request.ie.payload
+        assert pending.own_hash == request.commitment
         assert pending.peer_hash is None
 
     def test_auth_request_leaves_no_ap_state(self):
@@ -122,7 +121,7 @@ class TestHandshake:
     def test_ap_hash_ends_up_in_seen_set(self):
         client, ap = make_pair()
         request, _ = complete_handshake(client, ap)
-        assert request.ie.payload in ap.seen_hashes
+        assert request.commitment in ap.seen_hashes
 
     def test_begin_association_requires_auth_unassoc(self):
         client, ap = make_pair()
@@ -163,7 +162,7 @@ class TestHandshake:
         bare = ManagementFrame(FrameSubtype.ASSOC_REQUEST, CLIENT_MAC, AP_MAC, 0)
         response, verdict = ap.handle_assoc_request(bare)
         assert (verdict.action, verdict.cause) == (Action.REJECT, "missing_hash")
-        assert response.status_or_reason == 1 and response.ie is None
+        assert response.status_or_reason == 1 and response.commitment is None
         assert CLIENT_MAC not in ap.sessions
 
     def test_handlers_reject_wrong_subtypes(self):
@@ -202,7 +201,7 @@ class TestReplayLockout:
         client, ap = make_pair()
         request, _ = complete_handshake(client, ap)
         stolen = ManagementFrame(
-            FrameSubtype.ASSOC_REQUEST, OTHER_MAC, AP_MAC, 0, request.ie
+            FrameSubtype.ASSOC_REQUEST, OTHER_MAC, AP_MAC, 0, request.commitment
         )
         _, verdict = ap.handle_assoc_request(stolen)
         assert (verdict.action, verdict.cause) == (Action.REJECT, "replayed_hash")
@@ -237,15 +236,14 @@ class TestReasonDispatch:
         subtype = (
             FrameSubtype.DISASSOCIATION if code == 8 else FrameSubtype.DEAUTHENTICATION
         )
-        ie = token_element(payload) if payload is not None else None
-        return ManagementFrame(subtype, CLIENT_MAC, AP_MAC, code, ie)
+        return ManagementFrame(subtype, CLIENT_MAC, AP_MAC, code, token=payload)
 
     @pytest.mark.parametrize("code", ALL_CODES)
     def test_with_session_and_correct_token(self, code):
         client, ap = make_pair()
         complete_handshake(client, ap)
         token = client.sessions[AP_MAC].own_token
-        verdict = ap.verify_deauth(self._teardown_frame(code, token.data))
+        verdict = ap.verify_deauth(self._teardown_frame(code, token))
         assert verdict.action is expected_verdict(code, True, True), (
             f"reason {code} with a valid token"
         )
@@ -278,7 +276,7 @@ class TestReasonDispatch:
         complete_handshake(client, ap)
         token = client.sessions[AP_MAC].own_token
         frame = ManagementFrame(
-            FrameSubtype.DEAUTHENTICATION, CLIENT_MAC, AP_MAC, 1, token_element(token.data)
+            FrameSubtype.DEAUTHENTICATION, CLIENT_MAC, AP_MAC, 1, token=token
         )
         verdict = ap.verify_deauth(frame)
         assert (verdict.action, verdict.cause) == (Action.REJECT, "unspecified_reason")
@@ -335,7 +333,7 @@ class TestVerifiedTeardown:
         client, ap = make_pair()
         complete_handshake(client, ap)
         frame = client.make_verified_deauth(ap.mac, 3)
-        assert frame.ie.payload == client.sessions[AP_MAC].own_token.data
+        assert frame.token == client.sessions[AP_MAC].own_token
 
     def test_requires_established_session(self):
         client, ap = make_pair()
@@ -380,7 +378,7 @@ class TestBearerCredentialRace:
         complete_handshake(client, ap)
         legit = client.make_verified_deauth(ap.mac, 3)
         replay = ManagementFrame(
-            legit.subtype, legit.src, legit.dst, legit.status_or_reason, legit.ie
+            legit.subtype, legit.src, legit.dst, legit.status_or_reason, token=legit.token
         )
         assert ap.verify_deauth(replay).action is Action.ACCEPT, (
             "the early copy wins: this window is a documented limitation"
@@ -419,12 +417,12 @@ class TestLegacyMode:
         client, ap = make_pair(protected=False)
         auth_success(client, ap)
         request, _ = client.begin_association(ap.mac)
-        assert request.ie is None
+        assert request.commitment is None and request.token is None
         response, _ = ap.handle_assoc_request(request)
-        assert response.ie is None
+        assert response.commitment is None and response.token is None
         client.handle_assoc_response(response)
         frame = client.begin_teardown(ap.mac, 3)
-        assert frame.ie is None
+        assert frame.commitment is None and frame.token is None
 
 
 def _station_fingerprint(station):
@@ -444,8 +442,7 @@ def hostile_teardown(draw):
     src = draw(st.sampled_from([CLIENT_MAC, OTHER_MAC]))
     reason = draw(st.integers(min_value=0, max_value=0xFFFF))
     payload = draw(st.one_of(st.none(), st.binary(min_size=16, max_size=16)))
-    ie = token_element(payload) if payload is not None else None
-    return ManagementFrame(subtype, src, AP_MAC, reason, ie)
+    return ManagementFrame(subtype, src, AP_MAC, reason, token=payload)
 
 
 class TestNoStateChangeWithoutAccept:
@@ -556,8 +553,7 @@ class TestSessionImpliesAssociated:
             elif op[0] == "forged":
                 _, at_client, subtype, reason, token = op
                 victim, spoofed = (client, ap) if at_client else (ap, client)
-                ie = token_element(token) if token is not None else None
-                forged = ManagementFrame(subtype, spoofed.mac, victim.mac, reason, ie)
+                forged = ManagementFrame(subtype, spoofed.mac, victim.mac, reason, token=token)
                 victim.receive_frame(encode_frame(forged))
             elif requests:
                 ap.handle_assoc_request(requests[op[1] % len(requests)])

@@ -1,15 +1,14 @@
 """Token generation and hashing: RFC 4122 shape, determinism, digests."""
 
 import re
+import uuid
 from random import Random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from deauthsim.tokens import (
     DIGEST_SIZE,
     TOKEN_SIZE,
-    Token,
     generate_token,
     hash_token,
 )
@@ -22,31 +21,20 @@ class TestTokenShape:
     def test_os_entropy_tokens_have_version_and_variant_bits(self):
         for _ in range(100):
             token = generate_token()
-            assert token.data[6] >> 4 == 0x4, "version nibble must be 4"
-            assert token.data[8] >> 6 == 0b10, "variant bits must be 10"
+            assert isinstance(token, bytes) and len(token) == TOKEN_SIZE
+            assert token[6] >> 4 == 0x4, "version nibble must be 4"
+            assert token[8] >> 6 == 0b10, "variant bits must be 10"
 
     def test_seeded_tokens_have_version_and_variant_bits(self):
         rng = Random(123)
         for _ in range(100):
             token = generate_token(rng)
-            assert token.data[6] >> 4 == 0x4
-            assert token.data[8] >> 6 == 0b10
+            assert token[6] >> 4 == 0x4
+            assert token[8] >> 6 == 0b10
 
     def test_text_form_is_hyphenated_lowercase_uuid(self):
         for _ in range(20):
-            assert UUID_TEXT.match(str(generate_token()))
-
-    def test_invalid_tokens_rejected(self):
-        with pytest.raises(ValueError):
-            Token(b"\x00" * 15)
-        with pytest.raises(ValueError):
-            Token(b"\x00" * 16)  # version nibble 0
-        almost = bytearray(16)
-        almost[6] = 0x40
-        with pytest.raises(ValueError):
-            Token(bytes(almost))  # variant bits 00
-        almost[8] = 0x80
-        Token(bytes(almost))  # both forced: valid
+            assert UUID_TEXT.match(str(uuid.UUID(bytes=generate_token())))
 
 
 class TestDeterminism:
@@ -62,14 +50,21 @@ class TestDeterminism:
     def test_frozen_seeded_draw(self):
         # Derived independently: Random(42).getrandbits(128) big-endian
         # with version/variant bits forced.
-        assert str(generate_token(Random(42))) == "bdd640fb-0667-4ad1-9c80-317fa3b1799d"
+        token = generate_token(Random(42))
+        assert str(uuid.UUID(bytes=token)) == "bdd640fb-0667-4ad1-9c80-317fa3b1799d"
+
+    def test_bits_forced_as_uuid4_forces_them(self):
+        # The same 128 drawn bits, shaped by the stdlib UUID constructor.
+        for seed in range(500):
+            drawn = Random(seed).getrandbits(128).to_bytes(TOKEN_SIZE, "big")
+            assert generate_token(Random(seed)) == uuid.UUID(bytes=drawn, version=4).bytes
 
     def test_different_seeds_give_distinct_tokens(self):
         assert generate_token(Random(1)) != generate_token(Random(2))
 
     def test_distinctness_over_many_draws(self):
         rng = Random(5)
-        tokens = {generate_token(rng).data for _ in range(2000)}
+        tokens = {generate_token(rng) for _ in range(2000)}
         assert len(tokens) == 2000, "seeded draws must not collide"
 
 
@@ -80,12 +75,12 @@ class TestHashing:
 
     def test_hash_covers_raw_bytes_not_text(self):
         token = generate_token(Random(8))
-        assert hash_token(token) == sha512_reference(token.data)
-        assert hash_token(token) != sha512_reference(str(token).encode())
+        assert hash_token(token) == sha512_reference(token)
+        assert hash_token(token) != sha512_reference(str(uuid.UUID(bytes=token)).encode())
 
     def test_purity(self):
         token = generate_token(Random(9))
-        assert hash_token(token) == hash_token(token) == hash_token(token.data)
+        assert hash_token(token) == hash_token(token)
 
     def test_accepts_raw_bytes(self):
         raw = bytes(range(16))
@@ -96,9 +91,8 @@ class TestHashing:
         # the from-scratch reference implementation.
         data = bytearray(16)
         data[6], data[8] = 0x40, 0x80
-        token = Token(bytes(data))
         expected = sha512_reference(bytes(data))
-        assert hash_token(token) == expected
+        assert hash_token(bytes(data)) == expected
         assert expected.hex() == (
             "776b193331abb57c8e968425c5fd523018a89067765c85754d48cb93e0cfbd33"
             "d2cf721bf3789834a5f747e853f422196800ae2916af13c1c410be57591d05c6"
