@@ -9,11 +9,17 @@ Exit codes: 0 success; 2 bad configuration, including an unreadable
 scenario file, a replay attack with no station frame to replay, an
 ``associate`` step for a client already associated with that AP and a
 ``--log`` path that cannot be written; 3 tick limit exceeded.
+
+The ``--log`` file is opened (created or truncated) after the scenario
+loads and before it runs, so an unwritable path exits 2 without
+simulating anything.  The events are written once the run ends; a run
+that fails after the file is opened (exit 2 or 3) leaves it empty.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -84,21 +90,22 @@ def _bench_human(report: BenchReport) -> str:
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
         cfg = load_scenario(args.scenario)
-        outcome, events = run_scenario(cfg, seed=args.seed)
+        # Opened before the run, so an unwritable path costs no simulation.
+        log = open(args.log, "w") if args.log is not None else contextlib.nullcontext()
+        with log as stream:
+            outcome, events = run_scenario(cfg, seed=args.seed)
+            if stream is not None:
+                write_event_log(events, stream)
     except (ConfigError, AdversaryError, WrongState) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except TickLimitExceeded as exc:
         print(f"error: tick limit exceeded: {exc}", file=sys.stderr)
         return EXIT_TICK_LIMIT
-
-    if args.log is not None:
-        try:
-            with open(args.log, "w") as stream:
-                write_event_log(events, stream)
-        except OSError as exc:
-            print(f"error: cannot write event log: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+    except OSError as exc:
+        # load_scenario reports unreadable files itself, so this is the log.
+        print(f"error: cannot write event log: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
     if args.format == "json":
         print(json.dumps(outcome.to_dict(), indent=2, sort_keys=True))

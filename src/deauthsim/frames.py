@@ -19,6 +19,13 @@ are 15 (bare), 82 (hash) and 34 (token) bytes.  A ``ManagementFrame``
 holds either as plain bytes in its ``commitment`` or ``token`` field;
 this module alone knows the element's id, kind bytes and sizes.
 
+Both values are immutable and cheap to build, since every frame on the
+air is decoded into one: a ``MacAddress`` is a ``bytes`` subclass, so it
+hashes and compares as its six octets, in C, and a ``ManagementFrame``
+is a tuple.  Their constructors validate; ``decode_frame`` builds both
+without re-checking what ``struct`` and the element checks have already
+fixed.
+
 Authentication is modeled as a single opaque request/response pair, so
 the subtype byte uses two synthetic codes (0x10/0x11) that do not clash
 with the association and teardown codes.
@@ -31,8 +38,8 @@ receivers must shrug them off.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .tokens import DIGEST_SIZE, TOKEN_SIZE
 
@@ -96,16 +103,18 @@ TEARDOWN_SUBTYPES = frozenset({FrameSubtype.DEAUTHENTICATION, FrameSubtype.DISAS
 _SUBTYPE_BY_CODE = {subtype.value: subtype for subtype in FrameSubtype}
 
 
-@dataclass(frozen=True, slots=True)
-class MacAddress:
-    """A 6-octet hardware address; renders as lowercase colon-separated hex."""
+class MacAddress(bytes):
+    """A 6-octet hardware address: the octets themselves, shown as colon hex."""
 
-    octets: bytes
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "octets", bytes(self.octets))
-        if len(self.octets) != 6:
-            raise ValueError(f"MAC address needs exactly 6 octets, got {len(self.octets)}")
+    def __new__(cls, octets) -> "MacAddress":
+        if isinstance(octets, int):
+            raise TypeError("MAC address needs 6 octets, not an integer")
+        mac = super().__new__(cls, octets)
+        if len(mac) != 6:
+            raise ValueError(f"MAC address needs exactly 6 octets, got {len(mac)}")
+        return mac
 
     @classmethod
     def parse(cls, text: str) -> "MacAddress":
@@ -118,14 +127,26 @@ class MacAddress:
             raise ValueError(f"malformed MAC address {text!r}") from exc
 
     def __str__(self) -> str:
-        return ":".join(f"{b:02x}" for b in self.octets)
+        return self.hex(":")
+
+    def __repr__(self) -> str:
+        return f"MacAddress.parse({str(self)!r})"
 
 
 BROADCAST = MacAddress(b"\xff" * 6)
 
 
-@dataclass(frozen=True, slots=True)
-class ManagementFrame:
+class _FrameFields(NamedTuple):
+    # The fields and their types; ManagementFrame.__new__ owns the defaults.
+    subtype: FrameSubtype
+    src: MacAddress
+    dst: MacAddress
+    status_or_reason: int
+    commitment: bytes | None
+    token: bytes | None
+
+
+class ManagementFrame(_FrameFields):
     """One simulated management frame.
 
     ``status_or_reason`` is a status code on association responses
@@ -133,32 +154,31 @@ class ManagementFrame:
     carries at most one of ``commitment`` (64 bytes) and ``token`` (16).
     """
 
-    subtype: FrameSubtype
-    src: MacAddress
-    dst: MacAddress
-    status_or_reason: int = 0
-    commitment: bytes | None = None
-    token: bytes | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.status_or_reason <= 0xFFFF:
-            raise ValueError(f"status/reason {self.status_or_reason} outside u16 range")
-        if self.commitment is not None:
-            if self.token is not None:
+    def __new__(cls, subtype, src, dst, status_or_reason=0, commitment=None, token=None):
+        if not 0 <= status_or_reason <= 0xFFFF:
+            raise ValueError(f"status/reason {status_or_reason} outside u16 range")
+        if commitment is not None:
+            if token is not None:
                 raise ValueError("a frame carries a commitment or a token, not both")
-            if len(self.commitment) != HASH_PAYLOAD_SIZE:
+            if len(commitment) != HASH_PAYLOAD_SIZE:
                 raise ValueError(
-                    f"commitment needs {HASH_PAYLOAD_SIZE} bytes, got {len(self.commitment)}"
+                    f"commitment needs {HASH_PAYLOAD_SIZE} bytes, got {len(commitment)}"
                 )
-        elif self.token is not None and len(self.token) != TOKEN_PAYLOAD_SIZE:
-            raise ValueError(f"token needs {TOKEN_PAYLOAD_SIZE} bytes, got {len(self.token)}")
+        elif token is not None and len(token) != TOKEN_PAYLOAD_SIZE:
+            raise ValueError(f"token needs {TOKEN_PAYLOAD_SIZE} bytes, got {len(token)}")
+        return tuple.__new__(cls, (subtype, src, dst, status_or_reason, commitment, token))
+
+    @classmethod
+    def _make(cls, iterable) -> "ManagementFrame":
+        # ``_replace`` builds through ``_make``, so it validates too.
+        return cls(*iterable)
 
 
 def encode_frame(frame: ManagementFrame) -> bytes:
     """Serialize a frame to its canonical byte string."""
-    header = _HEADER.pack(
-        frame.subtype.value, frame.src.octets, frame.dst.octets, frame.status_or_reason
-    )
+    header = _HEADER.pack(frame.subtype.value, frame.src, frame.dst, frame.status_or_reason)
     if frame.commitment is not None:
         return header + _HASH_ELEMENT_HEADER + frame.commitment
     if frame.token is not None:
@@ -173,7 +193,8 @@ def decode_frame(data: bytes) -> ManagementFrame:
     layout rule: ``TooShort``, ``UnknownSubtype``, ``BadIeLength`` or
     ``TrailingBytes``.
     """
-    data = bytes(data)
+    if type(data) is not bytes:
+        data = bytes(data)
     if len(data) < HEADER_SIZE:
         raise TooShort(f"{len(data)} bytes is shorter than the {HEADER_SIZE}-byte header")
 
@@ -209,6 +230,7 @@ def decode_frame(data: bytes) -> ManagementFrame:
         else:
             raise BadIeLength(f"no payload kind 0x{kind:02x} has {len(payload)} bytes")
 
-    return ManagementFrame(
-        subtype, MacAddress(src_raw), MacAddress(dst_raw), status, commitment, token
-    )
+    # struct and the checks above fixed every size and range, so the
+    # values are built without running their constructors' checks again.
+    src, dst = bytes.__new__(MacAddress, src_raw), bytes.__new__(MacAddress, dst_raw)
+    return tuple.__new__(ManagementFrame, (subtype, src, dst, status, commitment, token))

@@ -1,13 +1,18 @@
 """Deterministic broadcast medium.
 
 Single-threaded, tick-based: a frame sent during tick N is processed at
-tick N+1, in submission order.  Processing a frame emits, in order, an
-``injected`` event when the sender was attached as an injector, one
-``sniffed`` event per injector (an injector is also a promiscuous tap:
-it observes every send, lost or not, its own included), and then exactly
-one ``delivered`` or ``dropped`` event.  That conservation rule and the
-fixed ordering make the event log a total order, identical byte-for-byte
-across runs with the same seed.
+tick N+1, in submission order.  One ``send`` call may carry many frames,
+as a whole attack step does: the call is one queue entry holding one
+tuple of frames, processed in order in the same tick, and each frame
+counts in ``frames_sent`` and in the ``TickLimitExceeded`` message.
+
+Processing a frame emits, in order, an ``injected`` event when the
+sender was attached as an injector, one ``sniffed`` event per injector
+(an injector is also a promiscuous tap: it observes every send, lost or
+not, its own included), and then exactly one ``delivered`` or
+``dropped`` event.  That conservation rule and the fixed ordering make
+the event log a total order, identical byte-for-byte across runs with
+the same seed.
 
 Loss is a per-frame Bernoulli draw from ``random.Random(seed)``: one
 ``random()`` call per processed frame, dropped when the draw falls
@@ -19,9 +24,12 @@ looked up as raw bytes; the medium never inspects the source, which is
 what makes spoofing possible by construction.  The broadcast MAC
 ff:ff:ff:ff:ff:ff reaches every MAC-owning endpoint except the sender.
 
-``Medium.events`` keeps the whole log; each ``run_until_idle`` call
-returns only the events that call produced, so draining after every
-script step costs time linear in the events, not in the log so far.
+``Medium.events`` keeps the whole log, each event an immutable
+``NamedTuple``; each ``run_until_idle`` call returns only the events
+that call produced, so draining after every script step costs time
+linear in the events, not in the log so far.  ``write_event_log``
+formats each line directly, the same bytes as ``json.dumps`` with
+compact separators.
 ``frames_sent`` and ``frames_dropped`` count processed and lost frames
 as they happen, so totals never need a pass over the log.
 
@@ -32,11 +40,11 @@ really transmitted.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _quote
 from random import Random
-from typing import Callable, IO
+from typing import IO, Callable, NamedTuple
 
 from .frames import BROADCAST, MacAddress
 
@@ -44,11 +52,6 @@ DEFAULT_MAX_TICKS = 10_000
 
 _DST_OFFSET = 7
 _DST_END = 13
-_BROADCAST_OCTETS = BROADCAST.octets
-
-# One encoder for every log line: the same bytes as json.dumps with these
-# separators, without building an encoder per event.
-_JSON = json.JSONEncoder(separators=(",", ":"))
 
 
 class MediumError(Exception):
@@ -86,8 +89,7 @@ class MediumConfig:
             )
 
 
-@dataclass(frozen=True, slots=True)
-class MediumEvent:
+class MediumEvent(NamedTuple):
     """One log line: who sent what, and what the medium did with it."""
 
     tick: int
@@ -97,14 +99,15 @@ class MediumEvent:
     frame: bytes
 
     def to_json(self) -> str:
-        return _JSON.encode(
-            {
-                "tick": self.tick,
-                "kind": self.kind.value,
-                "from": self.src,
-                "to": self.dst,
-                "frame": self.frame.hex(),
-            }
+        """``json.dumps`` of the line's mapping with ``(",", ":")`` separators.
+
+        The tick is an int, the kind a fixed ASCII word and the frame hex,
+        so only the two endpoint labels need JSON string quoting.
+        """
+        return (
+            f'{{"tick":{self.tick},"kind":"{self.kind.value}",'
+            f'"from":{_quote(self.src)},"to":{_quote(self.dst)},'
+            f'"frame":"{self.frame.hex()}"}}'
         )
 
 
@@ -130,8 +133,8 @@ class Handle:
     medium: "Medium"
     endpoint_id: str
 
-    def send(self, data: bytes) -> None:
-        self.medium.send(self, data)
+    def send(self, *frames: bytes) -> None:
+        self.medium.send(self, *frames)
 
 
 class Medium:
@@ -141,11 +144,12 @@ class Medium:
         self.frames_sent = 0
         self.frames_dropped = 0
         self._endpoints: dict[str, _Endpoint] = {}
-        # MAC owners keyed by raw octets, so routing a frame builds no
-        # MacAddress.
+        # A MacAddress hashes and compares as its octets, so routing looks
+        # a frame's raw destination bytes up here without building one.
         self._mac_owner: dict[bytes, _Endpoint] = {}
         self._taps: list[_Endpoint] = []
-        self._pending: list[tuple[str, bytes]] = []
+        # One entry per send call: the sender and the frames it queued.
+        self._pending: list[tuple[_Endpoint, tuple[bytes, ...]]] = []
         self._tick = 0
         self._loss_rng = Random(self.config.seed)
 
@@ -164,22 +168,24 @@ class Medium:
         """
         if endpoint_id in self._endpoints:
             raise DuplicateEndpoint(f"endpoint id {endpoint_id!r} already attached")
-        if mac is not None and mac.octets in self._mac_owner:
-            owner = self._mac_owner[mac.octets].endpoint_id
+        if mac is not None and mac in self._mac_owner:
+            owner = self._mac_owner[mac].endpoint_id
             raise DuplicateEndpoint(f"MAC {mac} already owned by {owner!r}")
         endpoint = _Endpoint(endpoint_id, mac, receive, injector)
         self._endpoints[endpoint_id] = endpoint
         if mac is not None:
-            self._mac_owner[mac.octets] = endpoint
+            self._mac_owner[mac] = endpoint
         if injector:
             self._taps.append(endpoint)
         return Handle(self, endpoint_id)
 
-    def send(self, handle: Handle, data: bytes) -> None:
-        """Queue raw bytes for processing at the next tick."""
-        if handle.medium is not self or handle.endpoint_id not in self._endpoints:
+    def send(self, handle: Handle, *frames: bytes) -> None:
+        """Queue raw frames, in order, for processing at the next tick."""
+        sender = self._endpoints.get(handle.endpoint_id)
+        if handle.medium is not self or sender is None:
             raise Detached(f"handle {handle.endpoint_id!r} is not attached here")
-        self._pending.append((handle.endpoint_id, bytes(data)))
+        if frames:
+            self._pending.append((sender, tuple(map(bytes, frames))))
 
     def run_until_idle(self, max_ticks: int = DEFAULT_MAX_TICKS) -> list[MediumEvent]:
         """Advance ticks until no frames remain queued.
@@ -193,22 +199,22 @@ class Medium:
         budget = max_ticks
         while self._pending:
             if budget <= 0:
-                raise TickLimitExceeded(
-                    f"{len(self._pending)} frames still queued after {max_ticks} ticks"
-                )
+                queued = sum(len(frames) for _, frames in self._pending)
+                raise TickLimitExceeded(f"{queued} frames still queued after {max_ticks} ticks")
             budget -= 1
             self._tick += 1
             batch = self._pending
             self._pending = []
-            self.frames_sent += len(batch)
-            for sender_id, data in batch:
-                self._process(sender_id, data)
+            for sender, frames in batch:
+                self.frames_sent += len(frames)
+                for data in frames:
+                    self._process(sender, data)
         return self.events[start:]
 
     # -- internals -----------------------------------------------------
 
-    def _process(self, sender_id: str, data: bytes) -> None:
-        sender = self._endpoints[sender_id]
+    def _process(self, sender: _Endpoint, data: bytes) -> None:
+        sender_id = sender.endpoint_id
         tick = self._tick
         log = self.events.append
 
@@ -239,7 +245,7 @@ class Medium:
         log(event)
         if dst is None:
             return
-        if dst == _BROADCAST_OCTETS:
+        if dst == BROADCAST:
             for endpoint in self._endpoints.values():
                 if endpoint.endpoint_id == sender_id or endpoint.mac is None:
                     continue

@@ -142,7 +142,7 @@ class ScenarioConfig:
         if len(set(macs)) != len(macs):
             raise ConfigError("station MACs must be unique")
         for mac in macs:
-            if mac.octets[0] & 0x01:
+            if mac[0] & 0x01:
                 raise ConfigError(f"station MAC {mac} is a group address, not a unicast one")
         if not 0.0 <= self.loss_probability <= 1.0:
             raise ConfigError(
@@ -370,11 +370,12 @@ def load_scenario(ref: str | Path) -> ScenarioConfig:
     A path that cannot be read as UTF-8 text is a ``ConfigError``.
     """
     path = Path(ref)
-    if path.exists():
-        try:
-            text = path.read_text()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read scenario file {ref}: {exc}") from None
+    try:
+        # exists() itself raises for a name too long to be a path.
+        text = path.read_text() if path.exists() else None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read scenario file {ref}: {exc}") from None
+    if text is not None:
         return load_scenario_text(text)
     if isinstance(ref, str) and "/" not in ref and "\\" not in ref:
         return load_bundled_scenario(ref)
@@ -462,9 +463,8 @@ class ScenarioRun:
             initiator = self.stations[action.initiator]
             self.expected_teardowns += len(initiator.teardown_all(action.reason))
         else:
-            handle = self.attack_handles[action.index]
-            for raw in self.adversaries[action.index].frames():
-                handle.send(raw)
+            # The whole step is one send call: one queue entry, one tick.
+            self.attack_handles[action.index].send(*self.adversaries[action.index].frames())
 
     def execute(self) -> tuple[ScenarioOutcome, list[MediumEvent]]:
         """Run the script; return the outcome and the medium's whole event log."""

@@ -275,8 +275,7 @@ class Station:
             frame = decode_frame(data)
         except DecodeError:
             return None
-        dst = frame.dst.octets
-        if dst != self.mac.octets and dst != BROADCAST.octets:
+        if frame.dst != self.mac and frame.dst != BROADCAST:
             return None
         return self._dispatch(frame)
 

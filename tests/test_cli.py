@@ -122,6 +122,26 @@ class TestRun:
             err = capsys.readouterr().err
             assert err.startswith("error:") and len(err.splitlines()) == 1
 
+    def test_unwritable_log_exits_2_before_running(self, tmp_path, capsys, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the scenario ran before the log path was checked")
+
+        monkeypatch.setattr("deauthsim.cli.run_scenario", must_not_run)
+        assert main(["run", "protected_legit_teardown", "--log", str(tmp_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: cannot write event log")
+
+    def test_failed_run_leaves_an_empty_log(self, tmp_path, capsys):
+        path = tmp_path / "bomb.yaml"
+        path.write_text(TICK_BOMB)
+        log = tmp_path / "events.jsonl"
+        assert main(["run", str(path), "--log", str(log)]) == EXIT_TICK_LIMIT
+        assert log.read_text() == ""
+
+    def test_overlong_scenario_name_exits_2(self, capsys):
+        assert main(["run", "x" * 5000]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read scenario file") and len(err.splitlines()) == 1
+
     def test_replay_with_nothing_captured_exits_2(self, tmp_path, capsys):
         path = tmp_path / "replay.yaml"
         path.write_text(

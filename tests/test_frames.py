@@ -53,6 +53,16 @@ class TestMacAddress:
     def test_broadcast_constant(self):
         assert str(BROADCAST) == "ff:ff:ff:ff:ff:ff"
 
+    def test_integer_rejected(self):
+        with pytest.raises(TypeError):
+            MacAddress(6)
+
+    def test_is_its_octets(self):
+        mac = MacAddress(b"\x02\x00\x00\x00\x00\x01")
+        assert isinstance(mac, bytes) and mac == b"\x02\x00\x00\x00\x00\x01"
+        assert hash(mac) == hash(b"\x02\x00\x00\x00\x00\x01")
+        assert repr(mac) == "MacAddress.parse('02:00:00:00:00:01')"
+
 
 def element_frame(**element):
     return ManagementFrame(FrameSubtype.DEAUTHENTICATION, SRC, DST, 3, **element)
@@ -72,6 +82,15 @@ class TestInformationElement:
     def test_commitment_and_token_are_exclusive(self):
         with pytest.raises(ValueError):
             element_frame(commitment=b"\x00" * 64, token=b"\x00" * 16)
+
+    def test_replace_checks_like_the_constructor(self):
+        frame = element_frame(token=b"\x00" * 16)
+        with pytest.raises(ValueError):
+            frame._replace(token=b"\x00" * 15)
+        with pytest.raises(ValueError):
+            frame._replace(commitment=b"\x00" * 64)
+        with pytest.raises(ValueError):
+            frame._replace(status_or_reason=0x10000)
 
 
 class TestEncodeLayout:
@@ -266,6 +285,22 @@ class TestRoundTrip:
     @settings(max_examples=300, deadline=None)
     def test_encoded_size_is_canonical(self, frame):
         assert len(encode_frame(frame)) in CANONICAL_FRAME_SIZES
+
+    def test_fields_cannot_be_assigned(self):
+        frame = decode_frame(encode_frame(element_frame()))
+        with pytest.raises(AttributeError):
+            frame.status_or_reason = 4
+        with pytest.raises(AttributeError):
+            frame.token = b"\x00" * 16
+        with pytest.raises(AttributeError):
+            frame.extra = None
+
+    def test_decoded_addresses_are_mac_addresses(self):
+        frame = decode_frame(encode_frame(element_frame()))
+        assert type(frame.src) is MacAddress and type(frame.dst) is MacAddress
+        assert (str(frame.src), str(frame.dst)) == ("aa:bb:cc:dd:ee:ff", "11:22:33:44:55:66")
+        table = {MacAddress.parse(str(frame.src)): "src", MacAddress.parse(str(frame.dst)): "dst"}
+        assert (table[frame.src], table[frame.dst]) == ("src", "dst")
 
 
 class TestDecodeRobustness:

@@ -20,6 +20,7 @@ from deauthsim.medium import (
     Handle,
     Medium,
     MediumConfig,
+    MediumEvent,
     TickLimitExceeded,
     write_event_log,
 )
@@ -129,6 +130,27 @@ class TestDeliverySemantics:
             EventKind.SNIFFED,
             EventKind.DELIVERED,
         ], "an injector is also a tap, so it sniffs its own frame"
+
+    def test_one_send_of_many_frames_is_one_tick_in_order(self):
+        medium = Medium()
+        ap = AccessPoint(AP_MAC, rng=Random(2))
+        ap.bind_transmit(medium.attach("ap", AP_MAC, lambda e: ap.receive_frame(e.frame)).send)
+        sender = medium.attach("x", MAC_A)
+        frames = [
+            bare_frame(src=CLIENT_MAC, dst=AP_MAC),
+            bare_frame(src=MAC_A, dst=AP_MAC, subtype=FrameSubtype.DEAUTHENTICATION),
+            bare_frame(src=MAC_B, dst=AP_MAC, subtype=FrameSubtype.DISASSOCIATION),
+        ]
+        sender.send(*frames)
+        events = medium.run_until_idle()
+        reply = bare_frame(src=AP_MAC, dst=CLIENT_MAC, subtype=FrameSubtype.AUTH_RESPONSE)
+        assert [(e.tick, e.src, e.frame) for e in events] == [
+            (1, "x", frames[0]),
+            (1, "x", frames[1]),
+            (1, "x", frames[2]),
+            (2, "ap", reply),
+        ], "one tick for the whole send, and the reply to its first frame one tick later"
+        assert medium.frames_sent == 4, "every frame of the send is counted"
 
     def test_responses_are_processed_next_tick(self):
         medium = Medium()
@@ -313,6 +335,20 @@ class TestEventLog:
             "frame": raw.hex(),
         }
 
+    def test_labels_are_quoted_exactly_like_json_dumps(self):
+        label = 'q"uote \\back caf\u00e9 \u2603 \U0001f600 \n'
+        event = MediumEvent(7, EventKind.SNIFFED, label, "to " + label, b"\x01\xff")
+        expected = {"tick": 7, "kind": "sniffed", "from": label, "to": "to " + label}
+        assert event.to_json() == json.dumps(dict(expected, frame="01ff"), separators=(",", ":"))
+
+    def test_events_are_immutable_and_hashable(self):
+        event = MediumEvent(1, EventKind.DELIVERED, "a", "b", b"\x00")
+        with pytest.raises(AttributeError):
+            event.tick = 2
+        with pytest.raises(AttributeError):
+            event.extra = None
+        assert {event: 1}[MediumEvent(1, EventKind.DELIVERED, "a", "b", b"\x00")] == 1
+
 
 class TestDrainResult:
     def test_each_drain_returns_only_its_own_events(self):
@@ -345,6 +381,15 @@ class TestTickLimit:
         handles["a"].send(bare_frame(src=MAC_A, dst=MAC_B))
         with pytest.raises(TickLimitExceeded):
             medium.run_until_idle(max_ticks=50)
+
+    def test_message_counts_queued_frames_not_send_calls(self):
+        medium = Medium()
+        a = medium.attach("a", MAC_A)
+        # b answers every frame with two copies in one send call.
+        b = medium.attach("b", MAC_B, lambda e: b.send(e.frame, e.frame))
+        a.send(bare_frame(), bare_frame(), bare_frame())
+        with pytest.raises(TickLimitExceeded, match=r"^6 frames still queued after 1 ticks$"):
+            medium.run_until_idle(max_ticks=1)
 
     def test_budget_is_per_call(self):
         medium = Medium()

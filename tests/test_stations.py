@@ -475,7 +475,7 @@ class TestHostileBytes:
             b"",
             b"\x7f" + _DEAUTH[1:],
             _DEAUTH + b"\x00garbage",
-            _DEAUTH[:7] + OTHER_MAC.octets + _DEAUTH[13:],
+            _DEAUTH[:7] + OTHER_MAC + _DEAUTH[13:],
         ],
         ids=["empty", "unknown_subtype", "trailing_garbage", "other_mac"],
     )
