@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .tokens import generate_token, hash_token
 
 MIN_ITERATIONS = 100
+MAX_ITERATIONS = 1_000_000  # two float samples are kept per iteration
 DEFAULT_ITERATIONS = 10_000
 
 PERCENTILE_POINTS = (50, 90, 99)
@@ -68,8 +69,8 @@ def _percentiles(samples: list[float]) -> dict[int, float]:
 
 def run_bench(iterations: int = DEFAULT_ITERATIONS) -> BenchReport:
     """Time ``iterations`` token draws and digests, one by one."""
-    if iterations < MIN_ITERATIONS:
-        raise ValueError(f"need at least {MIN_ITERATIONS} iterations, got {iterations}")
+    if not MIN_ITERATIONS <= iterations <= MAX_ITERATIONS:
+        raise ValueError(f"need {MIN_ITERATIONS}-{MAX_ITERATIONS} iterations, got {iterations}")
 
     token_samples = []
     hash_samples = []

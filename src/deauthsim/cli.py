@@ -7,8 +7,9 @@
 
 Exit codes: 0 success; 2 bad configuration, including an unreadable
 scenario file, a replay attack with no station frame to replay, an
-``associate`` step for a client already associated with that AP and a
-``--log`` path that cannot be written; 3 tick limit exceeded.
+``associate`` step for a client already associated with that AP, a
+``--log`` path that cannot be written and a bench ``--iterations``
+outside 100 to 1,000,000; 3 tick limit exceeded.
 
 The ``--log`` file is opened (created or truncated) after the scenario
 loads and before it runs, so an unwritable path exits 2 without
@@ -24,7 +25,7 @@ import json
 import sys
 
 from .adversary import AdversaryError
-from .bench import DEFAULT_ITERATIONS, MIN_ITERATIONS, BenchReport, run_bench
+from .bench import DEFAULT_ITERATIONS, MAX_ITERATIONS, MIN_ITERATIONS, BenchReport, run_bench
 from .medium import TickLimitExceeded, write_event_log
 from .scenario import (
     ConfigError,
@@ -152,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--iterations",
         type=int,
         default=DEFAULT_ITERATIONS,
-        help=f"sample count, minimum {MIN_ITERATIONS}",
+        help=f"sample count, {MIN_ITERATIONS} to {MAX_ITERATIONS}",
     )
     bench_p.add_argument("--format", choices=("human", "json"), default="human")
     bench_p.set_defaults(func=_cmd_bench)

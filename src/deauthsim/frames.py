@@ -32,7 +32,11 @@ with the association and teardown codes.
 
 ``decode_frame`` never raises anything but ``DecodeError`` subclasses,
 no matter how hostile the input: adversaries inject arbitrary bytes and
-receivers must shrug them off.
+receivers must shrug them off.  It remembers the one frame it decoded
+last, with its bytes, because a flood repeats one frame: each copy after
+the first costs an equality test.  That is safe because the key is an
+immutable ``bytes`` copy of the input, the frame is immutable, errors
+are never kept, and one pair is all it holds.
 """
 
 from __future__ import annotations
@@ -100,7 +104,9 @@ class FrameSubtype(Enum):
 
 TEARDOWN_SUBTYPES = frozenset({FrameSubtype.DEAUTHENTICATION, FrameSubtype.DISASSOCIATION})
 
+# Enum.value is a Python-level property; the codec looks codes up here.
 _SUBTYPE_BY_CODE = {subtype.value: subtype for subtype in FrameSubtype}
+_CODE_BY_SUBTYPE = {subtype: subtype.value for subtype in FrameSubtype}
 
 
 class MacAddress(bytes):
@@ -178,12 +184,17 @@ class ManagementFrame(_FrameFields):
 
 def encode_frame(frame: ManagementFrame) -> bytes:
     """Serialize a frame to its canonical byte string."""
-    header = _HEADER.pack(frame.subtype.value, frame.src, frame.dst, frame.status_or_reason)
+    code = _CODE_BY_SUBTYPE[frame.subtype]
+    header = _HEADER.pack(code, frame.src, frame.dst, frame.status_or_reason)
     if frame.commitment is not None:
         return header + _HASH_ELEMENT_HEADER + frame.commitment
     if frame.token is not None:
         return header + _TOKEN_ELEMENT_HEADER + frame.token
     return header
+
+
+# Last (bytes, frame) decoded, read and replaced as one tuple; see the module docstring.
+_last_decoded: tuple[bytes | None, ManagementFrame | None] = (None, None)
 
 
 def decode_frame(data: bytes) -> ManagementFrame:
@@ -193,8 +204,12 @@ def decode_frame(data: bytes) -> ManagementFrame:
     layout rule: ``TooShort``, ``UnknownSubtype``, ``BadIeLength`` or
     ``TrailingBytes``.
     """
+    global _last_decoded
     if type(data) is not bytes:
         data = bytes(data)
+    last_data, last_frame = _last_decoded
+    if data == last_data:
+        return last_frame
     if len(data) < HEADER_SIZE:
         raise TooShort(f"{len(data)} bytes is shorter than the {HEADER_SIZE}-byte header")
 
@@ -233,4 +248,6 @@ def decode_frame(data: bytes) -> ManagementFrame:
     # struct and the checks above fixed every size and range, so the
     # values are built without running their constructors' checks again.
     src, dst = bytes.__new__(MacAddress, src_raw), bytes.__new__(MacAddress, dst_raw)
-    return tuple.__new__(ManagementFrame, (subtype, src, dst, status, commitment, token))
+    frame = tuple.__new__(ManagementFrame, (subtype, src, dst, status, commitment, token))
+    _last_decoded = data, frame
+    return frame

@@ -5,6 +5,9 @@ tick N+1, in submission order.  One ``send`` call may carry many frames,
 as a whole attack step does: the call is one queue entry holding one
 tuple of frames, processed in order in the same tick, and each frame
 counts in ``frames_sent`` and in the ``TickLimitExceeded`` message.
+``run_until_idle`` drains an entry in one loop, reading the sender once
+per entry and the taps and the loss draw once per call; the per-frame
+events and loss draws below keep their order.
 
 Processing a frame emits, in order, an ``injected`` event when the
 sender was attached as an injector, one ``sniffed`` event per injector
@@ -76,6 +79,13 @@ class EventKind(Enum):
     INJECTED = "injected"
     SNIFFED = "sniffed"
 
+    # Identity hashing, as on FrameSubtype: _KIND_TEXT lookups stay in C.
+    __hash__ = object.__hash__
+
+
+# Enum.value is a Python-level property; log lines look the word up here.
+_KIND_TEXT = {kind: kind.value for kind in EventKind}
+
 
 @dataclass(frozen=True)
 class MediumConfig:
@@ -105,7 +115,7 @@ class MediumEvent(NamedTuple):
         so only the two endpoint labels need JSON string quoting.
         """
         return (
-            f'{{"tick":{self.tick},"kind":"{self.kind.value}",'
+            f'{{"tick":{self.tick},"kind":"{_KIND_TEXT[self.kind]}",'
             f'"from":{_quote(self.src)},"to":{_quote(self.dst)},'
             f'"frame":"{self.frame.hex()}"}}'
         )
@@ -196,61 +206,50 @@ class Medium:
         log stays in ``events``.
         """
         start = len(self.events)
+        log = self.events.append
+        draw, loss = self._loss_rng.random, self.config.loss_probability
+        taps, mac_owner, endpoints = self._taps, self._mac_owner, self._endpoints.values()
+        new = tuple.__new__  # MediumEvent's generated __new__ checks nothing either
+        injected, sniffed = EventKind.INJECTED, EventKind.SNIFFED
+        delivered, dropped = EventKind.DELIVERED, EventKind.DROPPED
         budget = max_ticks
         while self._pending:
             if budget <= 0:
                 queued = sum(len(frames) for _, frames in self._pending)
                 raise TickLimitExceeded(f"{queued} frames still queued after {max_ticks} ticks")
             budget -= 1
-            self._tick += 1
-            batch = self._pending
-            self._pending = []
+            self._tick = tick = self._tick + 1
+            batch, self._pending = self._pending, []
             for sender, frames in batch:
                 self.frames_sent += len(frames)
+                src, is_injector = sender.endpoint_id, sender.injector
                 for data in frames:
-                    self._process(sender, data)
+                    # Short of the destination field when the frame is short.
+                    dst = data[_DST_OFFSET:_DST_END]
+                    owner = mac_owner.get(dst)
+                    if owner is not None:
+                        dst_label = owner.endpoint_id
+                    else:
+                        dst_label = str(MacAddress(dst)) if len(dst) == 6 else "?"
+                    if is_injector:
+                        log(new(MediumEvent, (tick, injected, src, dst_label, data)))
+                    for tap in taps:
+                        event = new(MediumEvent, (tick, sniffed, src, tap.endpoint_id, data))
+                        log(event)
+                        if tap.receive is not None:
+                            tap.receive(event)
+                    if draw() < loss:
+                        self.frames_dropped += 1
+                        log(new(MediumEvent, (tick, dropped, src, dst_label, data)))
+                        continue
+                    event = new(MediumEvent, (tick, delivered, src, dst_label, data))
+                    log(event)
+                    if dst == BROADCAST:
+                        for endpoint in endpoints:
+                            if endpoint.endpoint_id == src or endpoint.mac is None:
+                                continue
+                            if endpoint.receive is not None:
+                                endpoint.receive(event)
+                    elif owner is not None and owner.receive is not None:
+                        owner.receive(event)
         return self.events[start:]
-
-    # -- internals -----------------------------------------------------
-
-    def _process(self, sender: _Endpoint, data: bytes) -> None:
-        sender_id = sender.endpoint_id
-        tick = self._tick
-        log = self.events.append
-
-        if len(data) < _DST_END:
-            dst = None
-            owner = None
-            dst_label = "?"
-        else:
-            dst = data[_DST_OFFSET:_DST_END]
-            owner = self._mac_owner.get(dst)
-            dst_label = owner.endpoint_id if owner is not None else str(MacAddress(dst))
-
-        if sender.injector:
-            log(MediumEvent(tick, EventKind.INJECTED, sender_id, dst_label, data))
-
-        for tap in self._taps:
-            event = MediumEvent(tick, EventKind.SNIFFED, sender_id, tap.endpoint_id, data)
-            log(event)
-            if tap.receive is not None:
-                tap.receive(event)
-
-        if self._loss_rng.random() < self.config.loss_probability:
-            self.frames_dropped += 1
-            log(MediumEvent(tick, EventKind.DROPPED, sender_id, dst_label, data))
-            return
-
-        event = MediumEvent(tick, EventKind.DELIVERED, sender_id, dst_label, data)
-        log(event)
-        if dst is None:
-            return
-        if dst == BROADCAST:
-            for endpoint in self._endpoints.values():
-                if endpoint.endpoint_id == sender_id or endpoint.mac is None:
-                    continue
-                if endpoint.receive is not None:
-                    endpoint.receive(event)
-            return
-        if owner is not None and owner.receive is not None:
-            owner.receive(event)

@@ -28,7 +28,9 @@ Reason code dispatch for protected-mode teardown frames:
 
 Accepting a teardown deletes the session record outright, so an exact
 replay of the same frame finds no session and is ignored: revealed
-tokens are single-use.
+tokens are single-use.  ``receive_frame`` hands every teardown addressed
+here straight to ``verify_deauth``; each role's ``_dispatch`` answers
+only its handshake frames.
 """
 
 from __future__ import annotations
@@ -277,12 +279,12 @@ class Station:
             return None
         if frame.dst != self.mac and frame.dst != BROADCAST:
             return None
+        if frame.subtype in TEARDOWN_SUBTYPES:
+            return frame, self.verify_deauth(frame)
         return self._dispatch(frame)
 
     def _dispatch(self, frame: ManagementFrame) -> tuple[ManagementFrame, Verdict] | None:
-        if frame.subtype in TEARDOWN_SUBTYPES:
-            return frame, self.verify_deauth(frame)
-        return None
+        return None  # each role answers its own handshake frames
 
 
 class ClientStation(Station):
@@ -363,7 +365,7 @@ class ClientStation(Station):
                 return frame, self.handle_assoc_response(frame)
             except NoPendingSession:
                 return None
-        return super()._dispatch(frame)
+        return None
 
 
 class AccessPoint(Station):
@@ -429,4 +431,4 @@ class AccessPoint(Station):
             response, verdict = self.handle_assoc_request(frame)
             self._send(response)
             return frame, verdict
-        return super()._dispatch(frame)
+        return None

@@ -209,6 +209,15 @@ class TestBench:
         assert main(["bench", "--iterations", "99"]) == EXIT_CONFIG
         assert "error" in capsys.readouterr().err
 
+    def test_too_many_iterations_exits_2(self, capsys, monkeypatch):
+        # Refused before any sample is taken or any sample list grows.
+        def must_not_run():
+            raise AssertionError("bench ran despite the refused iteration count")
+
+        monkeypatch.setattr("deauthsim.bench.generate_token", must_not_run)
+        assert main(["bench", "--iterations", "1000001"]) == EXIT_CONFIG
+        assert "1000000" in capsys.readouterr().err
+
 
 class TestListScenarios:
     def test_lists_all_bundled(self, capsys):

@@ -245,6 +245,23 @@ class TestDecodeErrors:
         with pytest.raises(BadIeLength):
             decode_frame(raw)
 
+    def test_errors_repeat_and_are_never_remembered(self):
+        malformed = (
+            self.VALID_BARE[:14],
+            bytes([0x02]) + self.VALID_BARE[1:],
+            self.VALID_BARE + b"\x00",
+            self.VALID_BARE + bytes([IE_ELEMENT_ID, 0, PAYLOAD_TOKEN]),
+        )
+        for raw in malformed:
+            raised = []
+            for before in (None, None, self.VALID_BARE):
+                if before is not None:
+                    decode_frame(before)
+                with pytest.raises(DecodeError) as info:
+                    decode_frame(raw)
+                raised.append(type(info.value))
+            assert len(set(raised)) == 1, (raw, raised)
+
     def test_all_errors_are_decode_errors(self):
         for cls in (TooShort, UnknownSubtype, BadIeLength, TrailingBytes):
             assert issubclass(cls, DecodeError)
@@ -302,6 +319,41 @@ class TestRoundTrip:
         table = {MacAddress.parse(str(frame.src)): "src", MacAddress.parse(str(frame.dst)): "dst"}
         assert (table[frame.src], table[frame.dst]) == ("src", "dst")
 
+    def test_mutated_bytearray_decodes_afresh(self):
+        buffer = bytearray(encode_frame(element_frame()))
+        decode_frame(encode_frame(element_frame(token=bytes(16))))  # so the next one misses
+        assert decode_frame(buffer).status_or_reason == 3
+        buffer[0] = FrameSubtype.DISASSOCIATION.value
+        buffer[13] = 8
+        frame = decode_frame(buffer)
+        assert (frame.subtype, frame.status_or_reason) == (FrameSubtype.DISASSOCIATION, 8)
+
+
+def outcome(data):
+    """What decode_frame makes of ``data``: the frame, or the error's type."""
+    try:
+        return decode_frame(data)
+    except DecodeError as exc:
+        return type(exc)
+
+
+@st.composite
+def wire_variant(draw):
+    """An encoded frame, kept whole, truncated or with one byte flipped."""
+    data = bytearray(encode_frame(draw(frame_strategy())))
+    mutation = draw(st.sampled_from(("keep", "truncate", "flip")))
+    if mutation == "truncate":
+        del data[draw(st.integers(0, len(data) - 1)) :]
+    elif mutation == "flip":
+        data[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
+    return bytes(data)
+
+
+SENTINELS = (
+    encode_frame(ManagementFrame(FrameSubtype.AUTH_REQUEST, SRC, DST)),
+    encode_frame(ManagementFrame(FrameSubtype.AUTH_RESPONSE, SRC, DST)),
+)
+
 
 class TestDecodeRobustness:
     @given(data=st.binary(max_size=200))
@@ -338,3 +390,14 @@ class TestDecodeRobustness:
                 decode_frame(mutated)
             except DecodeError:
                 pass
+
+    @given(
+        pool=st.lists(wire_variant(), min_size=1, max_size=4),
+        picks=st.lists(st.integers(0, 3), min_size=1, max_size=12),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_repeats_decode_like_misses(self, pool, picks):
+        for data in [pool[i % len(pool)] for i in picks]:
+            first = outcome(data)
+            decode_frame(next(s for s in SENTINELS if s != data))
+            assert outcome(data) == first, data.hex()

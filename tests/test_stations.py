@@ -329,6 +329,19 @@ class TestVerifiedTeardown:
         assert client.state_toward(ap.mac) is expected_state
         assert client.verify_deauth(frame).action is Action.IGNORE
 
+    def test_repeated_teardown_bytes_are_verified_each_time(self):
+        # A revealed token stays single-use when the decoder hands back
+        # the frame it decoded for the same bytes a moment ago.
+        client, ap = make_pair()
+        complete_handshake(client, ap)
+        data = encode_frame(client.make_verified_deauth(ap.mac, 3))
+        causes = [ap.receive_frame(data)[1].cause for _ in range(2)]
+        assert causes == ["token_verified", "no_session"]
+        elsewhere = ClientStation(OTHER_MAC, rng=Random(0))
+        assert elsewhere.receive_frame(data) is None, "the same bytes, not addressed here"
+        frame = client.make_verified_deauth(ap.mac, 3)._replace(dst=OTHER_MAC)
+        assert ap.receive_frame(encode_frame(frame)) is None
+
     def test_frame_reveals_own_token(self):
         client, ap = make_pair()
         complete_handshake(client, ap)
