@@ -6,10 +6,11 @@
     deauthsim list-scenarios
 
 Exit codes: 0 success; 2 bad configuration, including an unreadable
-scenario file, a replay attack with no station frame to replay, an
-``associate`` step for a client already associated with that AP, a
-``--log`` path that cannot be written and a bench ``--iterations``
-outside 100 to 1,000,000; 3 tick limit exceeded.
+scenario file or one longer than ``scenario.MAX_SCENARIO_BYTES``
+(16 MiB, so ``run /dev/zero`` exits 2), a replay attack with no
+station frame to replay, an ``associate`` step for a client already
+associated with that AP, a ``--log`` path that cannot be written and a
+bench ``--iterations`` outside 100 to 1,000,000; 3 tick limit exceeded.
 
 The ``--log`` file is opened (created or truncated) after the scenario
 loads and before it runs, so an unwritable path exits 2 without
@@ -25,7 +26,8 @@ import json
 import sys
 
 from .adversary import AdversaryError
-from .bench import DEFAULT_ITERATIONS, MAX_ITERATIONS, MIN_ITERATIONS, BenchReport, run_bench
+from .bench import DEFAULT_ITERATIONS, MAX_ITERATIONS, MIN_ITERATIONS, REFERENCE_ROWS
+from .bench import BenchReport, run_bench
 from .medium import TickLimitExceeded, write_event_log
 from .scenario import (
     ConfigError,
@@ -78,10 +80,7 @@ def _bench_human(report: BenchReport) -> str:
         "",
         "reference hardware (mean seconds):",
     ]
-    for platform, tok, sha, total in (
-        (r["platform"], r["token_mean_s"], r["hash_mean_s"], r["total_mean_s"])
-        for r in report.to_dict()["reference"]
-    ):
+    for platform, tok, sha, total in REFERENCE_ROWS:
         lines.append(
             f"  {platform:<16} token={tok:.6f} sha512={sha:.6f} total={total:.6f}"
         )

@@ -131,7 +131,6 @@ def write_event_log(events: list[MediumEvent], stream: IO[str]) -> None:
 @dataclass
 class _Endpoint:
     endpoint_id: str
-    mac: MacAddress | None
     receive: Callable[[MediumEvent], None] | None
     injector: bool
 
@@ -181,7 +180,7 @@ class Medium:
         if mac is not None and mac in self._mac_owner:
             owner = self._mac_owner[mac].endpoint_id
             raise DuplicateEndpoint(f"MAC {mac} already owned by {owner!r}")
-        endpoint = _Endpoint(endpoint_id, mac, receive, injector)
+        endpoint = _Endpoint(endpoint_id, receive, injector)
         self._endpoints[endpoint_id] = endpoint
         if mac is not None:
             self._mac_owner[mac] = endpoint
@@ -208,7 +207,7 @@ class Medium:
         start = len(self.events)
         log = self.events.append
         draw, loss = self._loss_rng.random, self.config.loss_probability
-        taps, mac_owner, endpoints = self._taps, self._mac_owner, self._endpoints.values()
+        taps, mac_owner = self._taps, self._mac_owner
         new = tuple.__new__  # MediumEvent's generated __new__ checks nothing either
         injected, sniffed = EventKind.INJECTED, EventKind.SNIFFED
         delivered, dropped = EventKind.DELIVERED, EventKind.DROPPED
@@ -245,10 +244,8 @@ class Medium:
                     event = new(MediumEvent, (tick, delivered, src, dst_label, data))
                     log(event)
                     if dst == BROADCAST:
-                        for endpoint in endpoints:
-                            if endpoint.endpoint_id == src or endpoint.mac is None:
-                                continue
-                            if endpoint.receive is not None:
+                        for endpoint in mac_owner.values():
+                            if endpoint.endpoint_id != src and endpoint.receive is not None:
                                 endpoint.receive(event)
                     elif owner is not None and owner.receive is not None:
                         owner.receive(event)

@@ -24,17 +24,20 @@ A scenario file is YAML with a versioned schema:
       - attack: {index: 0}
 
 Each record's dataclass is its schema: one strict builder reads
-``StationSpec``, ``AttackerConfig`` and the script actions from their
-fields, and the top level allows ``schema`` plus the fields of
-``ScenarioConfig``.  Unknown keys, keys repeated within one mapping and
-missing required fields are a ``ConfigError`` (a misspelt or repeated
-``loss_probability`` must not silently run loss-free).  Values are never
-coerced: a MAC comes only from a string, an integer never from a string,
-float or boolean, and ``name`` must be a string.  ``stations``,
-``attackers`` and ``script`` must be lists, and ``frame_count`` is
-capped at ``adversary.MAX_FRAME_COUNT``.  Station MACs are unique
+``ScenarioConfig``, ``StationSpec``, ``AttackerConfig`` and the script
+actions from their fields, so the top level allows ``schema`` plus the
+fields of ``ScenarioConfig`` and a new field needs no loader change; a
+file may leave out ``name`` and ``seed``.  Unknown keys, keys repeated
+within one mapping and missing required fields are a ``ConfigError`` (a
+misspelt or repeated ``loss_probability`` must not silently run
+loss-free).  Values are never coerced: a MAC comes only from a string,
+an integer never from a string, float or boolean, and ``name`` must be a
+string.  ``stations``, ``attackers`` and ``script`` must be lists, and
+``frame_count`` is capped at ``adversary.MAX_FRAME_COUNT``.  A file
+longer than ``MAX_SCENARIO_BYTES`` is refused.  Station MACs are unique
 unicast addresses (I/G bit clear); an attacker's ``target`` and
-``spoof_src`` may be group addresses: a broadcast deauth is a real attack.
+``spoof_src`` may be group addresses: a broadcast deauth is a real
+attack.
 
 Script actions run in order; the medium drains to idle after each one.
 An ``associate`` step for a client already associated with that AP
@@ -57,12 +60,12 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from collections.abc import Hashable
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from importlib import resources
 from pathlib import Path
 from random import Random
-from typing import get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -79,6 +82,8 @@ from .stations import (
 )
 
 SCHEMA_VERSION = 1
+# Far above any scenario this package builds; reading stops one byte past it.
+MAX_SCENARIO_BYTES = 16 * 1024 * 1024
 
 # Subtypes whose verdicts the outcome tallies.
 COUNTED_SUBTYPES = TEARDOWN_SUBTYPES | {FrameSubtype.ASSOC_REQUEST}
@@ -193,20 +198,28 @@ class ScenarioOutcome:
 # -- config loading ----------------------------------------------------
 
 
-def _reject_unknown_keys(mapping: dict, known, where: str) -> None:
-    unknown = [key for key in mapping if key not in known]
-    if unknown:
-        raise ConfigError(
-            f"{where}: unknown field {unknown[0]!r}; expected one of {', '.join(known)}"
-        )
-
-
 # The YAML values each plain field type accepts.
 _PLAIN_TYPES = {int: int, float: (int, float), str: str}
 
 
 def _convert(value, kind: type, key: str, where: str):
     """One field's YAML value as its declared type, never coerced."""
+    if get_origin(kind) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where}: {key} must be a list, got {value!r}")
+        item_kind = get_args(kind)[0]
+        return tuple(
+            _convert(item, item_kind, key, f"{key}[{i}]") for i, item in enumerate(value)
+        )
+    if kind == ScriptAction:
+        if not isinstance(value, dict) or len(value) != 1:
+            raise ConfigError(f"{where}: each action is a one-key mapping")
+        (verb, body), = value.items()
+        if verb not in ACTIONS:
+            raise ConfigError(f"{where}: unknown action {verb!r}")
+        return _record(ACTIONS[verb], body, where)
+    if is_dataclass(kind):
+        return _record(kind, value, where)
     if kind is MacAddress:
         if not isinstance(value, str):
             raise ConfigError(f"{where}: {key} must be a MAC address string, got {value!r}")
@@ -251,7 +264,11 @@ def _record(cls, entry, where: str):
     if not isinstance(entry, dict):
         raise ConfigError(f"{where}: must be a mapping")
     kinds, required = _schema(cls)
-    _reject_unknown_keys(entry, kinds, where)
+    unknown = [key for key in entry if key not in kinds]
+    if unknown:
+        raise ConfigError(
+            f"{where}: unknown field {unknown[0]!r}; expected one of {', '.join(kinds)}"
+        )
     for key in required:
         if key not in entry:
             raise ConfigError(f"{where}: missing required field {key!r}")
@@ -265,53 +282,16 @@ def _record(cls, entry, where: str):
 ACTIONS = {"associate": AssociateAction, "deauth": DeauthAction, "attack": AttackAction}
 
 
-def _parse_action(entry, index: int) -> ScriptAction:
-    where = f"script[{index}]"
-    if not isinstance(entry, dict) or len(entry) != 1:
-        raise ConfigError(f"{where}: each action is a one-key mapping")
-    (verb, body), = entry.items()
-    if verb not in ACTIONS:
-        raise ConfigError(f"{where}: unknown action {verb!r}")
-    return _record(ACTIONS[verb], body, where)
-
-
-def _list(doc: dict, key: str) -> list:
-    value = doc.get(key, [])
-    if not isinstance(value, list):
-        raise ConfigError(f"scenario: {key} must be a list, got {value!r}")
-    return value
-
-
 def config_from_dict(doc: dict) -> ScenarioConfig:
     """Validate a parsed scenario document into a ScenarioConfig."""
     if not isinstance(doc, dict):
         raise ConfigError("scenario document must be a mapping")
-    kinds, _ = _schema(ScenarioConfig)
-    _reject_unknown_keys(doc, ("schema", *kinds), "scenario")
-    schema = _convert(doc.get("schema", SCHEMA_VERSION), int, "schema", "scenario")
+    # A file may leave out name, seed and stations; a ScenarioConfig may not.
+    values = {"name": "unnamed", "seed": 0, "stations": [], **doc}
+    schema = _convert(values.pop("schema", SCHEMA_VERSION), int, "schema", "scenario")
     if schema != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema version {schema!r}")
-    if "mode" not in doc:
-        raise ConfigError("scenario: missing required field 'mode'")
-    # A file may leave out name and seed; a ScenarioConfig may not.
-    values = {"name": "unnamed", "seed": 0, **doc}
-    scalars = {
-        key: _convert(values[key], kinds[key], key, "scenario")
-        for key in ("name", "mode", "seed", "loss_probability", "max_ticks")
-        if key in values
-    }
-    return ScenarioConfig(
-        **scalars,
-        stations=tuple(
-            _record(StationSpec, entry, f"stations[{i}]")
-            for i, entry in enumerate(_list(doc, "stations"))
-        ),
-        attackers=tuple(
-            _record(AttackerConfig, entry, f"attackers[{i}]")
-            for i, entry in enumerate(_list(doc, "attackers"))
-        ),
-        script=tuple(_parse_action(entry, i) for i, entry in enumerate(_list(doc, "script"))),
-    )
+    return _record(ScenarioConfig, values, "scenario")
 
 
 class _UniqueKeyLoader(yaml.SafeLoader):
@@ -364,15 +344,25 @@ def load_bundled_scenario(name: str) -> ScenarioConfig:
     return load_scenario_text(candidate.read_text())
 
 
+def _read_capped(path: Path) -> str:
+    """The file's text, reading at most one byte past ``MAX_SCENARIO_BYTES``."""
+    with path.open("rb") as stream:
+        data = stream.read(MAX_SCENARIO_BYTES + 1)
+    if len(data) > MAX_SCENARIO_BYTES:
+        raise ConfigError(f"scenario file {path} is larger than {MAX_SCENARIO_BYTES} bytes")
+    return data.decode()
+
+
 def load_scenario(ref: str | Path) -> ScenarioConfig:
     """Load a scenario from a file path or a bundled scenario name.
 
-    A path that cannot be read as UTF-8 text is a ``ConfigError``.
+    A path that cannot be read as UTF-8 text, or holds more than
+    ``MAX_SCENARIO_BYTES``, is a ``ConfigError``.
     """
     path = Path(ref)
     try:
         # exists() itself raises for a name too long to be a path.
-        text = path.read_text() if path.exists() else None
+        text = _read_capped(path) if path.exists() else None
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read scenario file {ref}: {exc}") from None
     if text is not None:
@@ -488,9 +478,8 @@ class ScenarioRun:
         )
 
         for mac, station in self.stations.items():
-            state = max(
-                station.peer_state.values(), default=LifecycleState.UNAUTH_UNASSOC
-            )
+            peers = station.sessions.keys() | station.authenticated
+            state = max(map(station.state_toward, peers), default=LifecycleState.UNAUTH_UNASSOC)
             outcome.final_states[str(mac)] = state.name.lower()
         return outcome
 

@@ -4,9 +4,12 @@ Stations track a three-state lifecycle per peer:
 
     UNAUTH_UNASSOC -> AUTH_UNASSOC -> AUTH_ASSOC
 
-The state lives in ``Station.peer_state`` alone.  A verified
-deauthentication drops the peer back to UNAUTH_UNASSOC from any state; a
-verified disassociation drops an associated peer back to AUTH_UNASSOC.
+The state is derived, never stored: a peer is AUTH_ASSOC exactly while
+it has a record in ``Station.sessions``, else AUTH_UNASSOC while it is in
+``Station.authenticated``, else UNAUTH_UNASSOC.  A verified
+deauthentication deletes the session and forgets the authentication, so
+the peer drops back to UNAUTH_UNASSOC; a verified disassociation deletes
+only the session, so it drops back to AUTH_UNASSOC.
 
 Protected mode implements the token handshake: the client commits to a
 secret token by sending its SHA-512 digest as the association request's
@@ -84,28 +87,6 @@ class LifecycleState(IntEnum):
     AUTH_ASSOC = 3
 
 
-class LifecycleEvent(Enum):
-    AUTH_OK = "auth_ok"
-    ASSOC_OK = "assoc_ok"
-    VERIFIED_DISASSOC = "verified_disassoc"
-    VERIFIED_DEAUTH = "verified_deauth"
-
-
-def transition(state: LifecycleState, event: LifecycleEvent) -> LifecycleState:
-    """Total lifecycle step function; undefined pairs keep the state."""
-    if event is LifecycleEvent.VERIFIED_DEAUTH:
-        return LifecycleState.UNAUTH_UNASSOC
-    if event is LifecycleEvent.VERIFIED_DISASSOC:
-        if state is LifecycleState.AUTH_ASSOC:
-            return LifecycleState.AUTH_UNASSOC
-        return state
-    if event is LifecycleEvent.AUTH_OK and state == LifecycleState.UNAUTH_UNASSOC:
-        return LifecycleState.AUTH_UNASSOC
-    if event is LifecycleEvent.ASSOC_OK and state == LifecycleState.AUTH_UNASSOC:
-        return LifecycleState.AUTH_ASSOC
-    return state
-
-
 class Action(Enum):
     ACCEPT = "accept"
     IGNORE = "ignore"
@@ -144,8 +125,8 @@ class SessionRecord:
     Holds this side's 16 raw token bytes and their digest, and the
     peer's commitment once known (``None`` in legacy mode and while a
     request is in flight).  The peer is the record's key in
-    ``sessions`` or ``pending``, and the lifecycle state toward it lives
-    in ``Station.peer_state``.
+    ``sessions`` or ``pending``; being a key in ``sessions`` is what
+    makes the peer AUTH_ASSOC.
     """
 
     own_token: bytes
@@ -162,7 +143,8 @@ class Station:
         self.rng = rng
         self.name = str(mac)
         self.sessions: dict[MacAddress, SessionRecord] = {}
-        self.peer_state: dict[MacAddress, LifecycleState] = {}
+        # Peers that authenticated; those with a session are associated too.
+        self.authenticated: set[MacAddress] = set()
         self._transmit: Callable[[bytes], None] | None = None
 
     # -- wiring ------------------------------------------------------
@@ -178,10 +160,11 @@ class Station:
     # -- lifecycle ---------------------------------------------------
 
     def state_toward(self, peer: MacAddress) -> LifecycleState:
-        return self.peer_state.get(peer, LifecycleState.UNAUTH_UNASSOC)
-
-    def _apply_event(self, peer: MacAddress, event: LifecycleEvent) -> None:
-        self.peer_state[peer] = transition(self.state_toward(peer), event)
+        if peer in self.sessions:
+            return LifecycleState.AUTH_ASSOC
+        if peer in self.authenticated:
+            return LifecycleState.AUTH_UNASSOC
+        return LifecycleState.UNAUTH_UNASSOC
 
     def _new_session(self, peer_hash: bytes | None) -> SessionRecord:
         """Draw this side's token and commit to it."""
@@ -190,10 +173,8 @@ class Station:
 
     def _delete_session(self, peer: MacAddress, subtype: FrameSubtype) -> None:
         del self.sessions[peer]
-        if subtype is FrameSubtype.DISASSOCIATION:
-            self._apply_event(peer, LifecycleEvent.VERIFIED_DISASSOC)
-        else:
-            self._apply_event(peer, LifecycleEvent.VERIFIED_DEAUTH)
+        if subtype is not FrameSubtype.DISASSOCIATION:
+            self.authenticated.discard(peer)
 
     # -- teardown ----------------------------------------------------
 
@@ -202,9 +183,7 @@ class Station:
 
         Reason 8 is a disassociation; 3, 4 and 5 are deauthentications;
         any other reason is a ``ValueError`` in both modes.  Requires a
-        session with ``peer``, else ``WrongState``.  A record sits in
-        ``sessions`` only from the association's ASSOC_OK until its
-        teardown, so having one means the peer is AUTH_ASSOC.
+        session with ``peer``, else ``WrongState``.
         """
         if reason not in TEARDOWN_REASONS:
             raise ValueError(f"reason {reason} is not a normal-disconnect code")
@@ -348,13 +327,12 @@ class ClientStation(Station):
                 return _REJECT_MISSING_HASH
             record.peer_hash = frame.commitment
         self.sessions[frame.src] = record
-        self._apply_event(frame.src, LifecycleEvent.ASSOC_OK)
         return _ACCEPT_ASSOC_CONFIRMED
 
     def _dispatch(self, frame: ManagementFrame) -> tuple[ManagementFrame, Verdict] | None:
         if frame.subtype is FrameSubtype.AUTH_RESPONSE:
             if frame.status_or_reason == STATUS_SUCCESS:
-                self._apply_event(frame.src, LifecycleEvent.AUTH_OK)
+                self.authenticated.add(frame.src)
                 if frame.src in self._join_targets:
                     self._join_targets.discard(frame.src)
                     assoc, _ = self.begin_association(frame.src)
@@ -400,9 +378,8 @@ class AccessPoint(Station):
                 return self._refuse(src, _REJECT_REPLAYED_HASH)
             self.seen_hashes.add(peer_hash)
 
+        self.authenticated.add(src)
         record = self.sessions[src] = self._new_session(peer_hash)
-        self._apply_event(src, LifecycleEvent.AUTH_OK)
-        self._apply_event(src, LifecycleEvent.ASSOC_OK)
         commitment = record.own_hash if self.protected else None
         response = ManagementFrame(
             FrameSubtype.ASSOC_RESPONSE, self.mac, src, STATUS_SUCCESS, commitment
@@ -420,7 +397,7 @@ class AccessPoint(Station):
     def _dispatch(self, frame: ManagementFrame) -> tuple[ManagementFrame, Verdict] | None:
         if frame.subtype is FrameSubtype.AUTH_REQUEST:
             # Keeps no state for a spoofable source: handle_assoc_request
-            # applies AUTH_OK itself.
+            # records the authentication itself.
             self._send(
                 ManagementFrame(
                     FrameSubtype.AUTH_RESPONSE, self.mac, frame.src, STATUS_SUCCESS

@@ -1,12 +1,14 @@
 """Command line behavior: formats, logs, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 from deauthsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_TICK_LIMIT, main
+from deauthsim.scenario import MAX_SCENARIO_BYTES
 
 TICK_BOMB = """
 schema: 1
@@ -177,6 +179,34 @@ class TestRun:
         assert main(["run", str(path)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_oversized_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "huge.yaml"
+        with open(path, "wb") as stream:
+            stream.truncate(MAX_SCENARIO_BYTES + 1)  # sparse: no blocks written
+        assert main(["run", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert str(MAX_SCENARIO_BYTES) in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+    def test_endless_file_exits_2_in_bounded_memory(self):
+        resource = pytest.importorskip("resource")
+
+        def cap_address_space():
+            limit = 512 * 1024 * 1024
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        result = subprocess.run(
+            [sys.executable, "-m", "deauthsim", "run", "/dev/zero"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=cap_address_space,
+        )
+        assert result.returncode == EXIT_CONFIG, result.stderr[-500:]
+        assert result.stderr.startswith("error:")
+        assert len(result.stderr.splitlines()) == 1 and "Traceback" not in result.stderr
 
     def test_tick_limit_exits_3(self, tmp_path, capsys):
         path = tmp_path / "bomb.yaml"

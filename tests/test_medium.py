@@ -86,10 +86,16 @@ class TestDeliverySemantics:
         a = medium.attach("a", MAC_A, got_a)
         medium.attach("b", MAC_B, got_b)
         medium.attach("c", MacAddress.parse("02:00:00:00:00:0c"), got_c)
+        # Endpoints without a MAC are not stations: no delivery reaches them.
+        got_tap, got_macless = Collector(), Collector()
+        medium.attach("tap", None, got_tap, injector=True)
+        medium.attach("macless", None, got_macless)
         a.send(bare_frame(dst=BROADCAST))
         medium.run_until_idle()
         assert got_a.events == [], "sender must not hear its own broadcast"
         assert len(got_b.events) == 1 and len(got_c.events) == 1
+        assert [e.kind for e in got_tap.events] == [EventKind.SNIFFED]
+        assert got_macless.events == []
         delivered = [e for e in medium.events if e.kind is EventKind.DELIVERED]
         assert len(delivered) == 1, "one send, one delivered event"
 

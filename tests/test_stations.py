@@ -1,6 +1,7 @@
 """Protocol logic: lifecycle, handshake, teardown verdicts, replays."""
 
 import copy
+from enum import Enum
 from random import Random
 
 import pytest
@@ -16,12 +17,10 @@ from deauthsim.frames import (
 from deauthsim.stations import (
     Action,
     ClientStation,
-    LifecycleEvent,
     LifecycleState,
     MalformedFrame,
     NoPendingSession,
     WrongState,
-    transition,
 )
 from deauthsim.tokens import generate_token, hash_token
 from helpers import AP_MAC, CLIENT_MAC, OTHER_MAC, auth_success, complete_handshake, make_pair
@@ -32,35 +31,89 @@ S2 = LifecycleState.AUTH_UNASSOC
 S3 = LifecycleState.AUTH_ASSOC
 
 
+class LifecycleEvent(Enum):
+    """The stimuli of the lifecycle table, each sent to the client by the AP."""
+
+    AUTH_OK = "an authentication response"
+    ASSOC_OK = "begin_association, answered by the AP"
+    VERIFIED_DISASSOC = "a verified reason-8 teardown"
+    VERIFIED_DEAUTH = "a verified reason-3 teardown"
+
+
+# The client's answer when it has no session to verify a teardown against.
+NO_SESSION = "no_session"
+
+
 class TestTransition:
-    """The step function is total; this is the full 3x4 table."""
+    """The full 3x4 lifecycle table, driven through a client's public API.
+
+    Each entry is the client's state toward the AP afterwards, or
+    ``WrongState`` when the client refuses the step, or ``NO_SESSION``
+    when it ignores a teardown and keeps its state.  A teardown is
+    verified only from AUTH_ASSOC: in the other states there is no
+    session, so the AP's frame carries a token nothing can check.
+    """
 
     TABLE = {
         (S1, LifecycleEvent.AUTH_OK): S2,
         (S2, LifecycleEvent.AUTH_OK): S2,
         (S3, LifecycleEvent.AUTH_OK): S3,
-        (S1, LifecycleEvent.ASSOC_OK): S1,
+        (S1, LifecycleEvent.ASSOC_OK): WrongState,
         (S2, LifecycleEvent.ASSOC_OK): S3,
-        (S3, LifecycleEvent.ASSOC_OK): S3,
-        (S1, LifecycleEvent.VERIFIED_DISASSOC): S1,
-        (S2, LifecycleEvent.VERIFIED_DISASSOC): S2,
+        (S3, LifecycleEvent.ASSOC_OK): WrongState,
+        (S1, LifecycleEvent.VERIFIED_DISASSOC): NO_SESSION,
+        (S2, LifecycleEvent.VERIFIED_DISASSOC): NO_SESSION,
         (S3, LifecycleEvent.VERIFIED_DISASSOC): S2,
-        (S1, LifecycleEvent.VERIFIED_DEAUTH): S1,
-        (S2, LifecycleEvent.VERIFIED_DEAUTH): S1,
+        (S1, LifecycleEvent.VERIFIED_DEAUTH): NO_SESSION,
+        (S2, LifecycleEvent.VERIFIED_DEAUTH): NO_SESSION,
         (S3, LifecycleEvent.VERIFIED_DEAUTH): S1,
     }
 
     def test_table_is_exhaustive(self):
         assert len(self.TABLE) == len(LifecycleState) * len(LifecycleEvent)
 
+    @staticmethod
+    def _stimulate(client, ap, event):
+        if event is LifecycleEvent.AUTH_OK:
+            frame = ManagementFrame(FrameSubtype.AUTH_RESPONSE, AP_MAC, CLIENT_MAC, 0)
+        elif event is LifecycleEvent.ASSOC_OK:
+            request, _ = client.begin_association(AP_MAC)
+            frame, _ = ap.handle_assoc_request(request)
+        else:
+            reason = 8 if event is LifecycleEvent.VERIFIED_DISASSOC else 3
+            if CLIENT_MAC in ap.sessions:
+                frame = ap.begin_teardown(CLIENT_MAC, reason)
+            else:
+                subtype = (
+                    FrameSubtype.DISASSOCIATION if reason == 8 else FrameSubtype.DEAUTHENTICATION
+                )
+                token = b"\x42" * 16 if client.protected else None
+                frame = ManagementFrame(subtype, AP_MAC, CLIENT_MAC, reason, token=token)
+        return client.receive_frame(encode_frame(frame))
+
     @pytest.mark.parametrize("state", list(LifecycleState))
     @pytest.mark.parametrize("event", list(LifecycleEvent))
     def test_every_pair(self, state, event):
-        assert transition(state, event) is self.TABLE[(state, event)]
-
-    def test_verified_deauth_resets_from_anywhere(self):
-        for state in LifecycleState:
-            assert transition(state, LifecycleEvent.VERIFIED_DEAUTH) is S1
+        expected = self.TABLE[(state, event)]
+        for protected in (True, False):
+            client, ap = make_pair(protected=protected)
+            if state is S2:
+                auth_success(client, ap)
+            elif state is S3:
+                complete_handshake(client, ap)
+            assert client.state_toward(AP_MAC) is state
+            if expected is WrongState:
+                with pytest.raises(WrongState):
+                    self._stimulate(client, ap, event)
+                assert client.state_toward(AP_MAC) is state
+                continue
+            result = self._stimulate(client, ap, event)
+            if expected == NO_SESSION:
+                assert result[1].cause == NO_SESSION, protected
+                assert client.state_toward(AP_MAC) is state, protected
+            else:
+                assert result is None or result[1].action is Action.ACCEPT, protected
+                assert client.state_toward(AP_MAC) is expected, protected
 
 
 class TestHandshake:
@@ -87,7 +140,7 @@ class TestHandshake:
             ap.receive_frame(
                 encode_frame(ManagementFrame(FrameSubtype.AUTH_REQUEST, spoofed, AP_MAC, 0))
             )
-        assert ap.peer_state == {}
+        assert ap.authenticated == set() and ap.sessions == {}
         assert len(sent) == 1000
         assert all(decode_frame(raw).subtype is FrameSubtype.AUTH_RESPONSE for raw in sent)
 
@@ -441,7 +494,7 @@ class TestLegacyMode:
 def _station_fingerprint(station):
     return (
         copy.deepcopy(station.sessions),
-        dict(station.peer_state),
+        set(station.authenticated),
         set(getattr(station, "seen_hashes", set())),
         dict(getattr(station, "pending", {})),
     )
@@ -500,6 +553,33 @@ class TestHostileBytes:
         assert client.receive_frame(raw) is None
         assert _station_fingerprint(client) == before
 
+    @pytest.mark.parametrize(
+        "subtype",
+        [
+            FrameSubtype.AUTH_REQUEST,
+            FrameSubtype.ASSOC_REQUEST,
+            FrameSubtype.AUTH_RESPONSE,
+            FrameSubtype.ASSOC_RESPONSE,
+        ],
+        ids=lambda subtype: subtype.name.lower(),
+    )
+    @pytest.mark.parametrize("protected", [True, False])
+    def test_the_other_roles_handshake_frame(self, subtype, protected):
+        # Requests are the AP's to answer and responses the client's; a
+        # station sent the other role's frame does nothing with it.
+        client, ap = make_pair(protected=protected)
+        complete_handshake(client, ap)
+        is_request = subtype in (FrameSubtype.AUTH_REQUEST, FrameSubtype.ASSOC_REQUEST)
+        station, peer = (client, ap) if is_request else (ap, client)
+        commitment = b"\x42" * 64 if subtype.name.startswith("ASSOC") else None
+        sent = []
+        station.bind_transmit(sent.append)
+        before = _station_fingerprint(station)
+        frame = ManagementFrame(subtype, peer.mac, station.mac, 0, commitment)
+        assert station.receive_frame(encode_frame(frame)) is None
+        assert sent == []
+        assert _station_fingerprint(station) == before
+
 
 class TestSessionRecord:
     def test_deleted_not_blanked_on_accept(self):
@@ -528,11 +608,11 @@ lifecycle_op = st.one_of(
 
 
 class TestSessionImpliesAssociated:
-    """A record sits in ``sessions`` only while the peer is AUTH_ASSOC.
+    """Only the real peer ever gets a session or an authentication.
 
-    ``make_verified_deauth`` relies on this to treat any record as an
-    established session, and ``Station.peer_state`` is the only place the
-    state is kept.
+    A record in ``sessions`` is what makes a peer AUTH_ASSOC, so no
+    walk of handshakes, teardowns, forgeries and replays may leave one
+    (or an ``authenticated`` entry) for any other MAC.
     """
 
     @given(protected=st.booleans(), ops=st.lists(lifecycle_op, max_size=25))
@@ -571,6 +651,5 @@ class TestSessionImpliesAssociated:
             elif requests:
                 ap.handle_assoc_request(requests[op[1] % len(requests)])
             for station, peer in ((client, ap.mac), (ap, client.mac)):
-                assert set(station.sessions) <= {peer}
-                for key in station.sessions:
-                    assert station.state_toward(key) is S3, (op, station.peer_state)
+                assert set(station.sessions) <= {peer}, op
+                assert station.authenticated <= {peer}, op
