@@ -42,7 +42,6 @@ from .frames import (
     decode_frame,
     encode_frame,
 )
-from .medium import MediumEvent
 
 DEFAULT_REASON = 3
 
@@ -107,13 +106,13 @@ class Adversary:
         self.endpoint_id = endpoint_id
         self.captures: list[bytes] = []
 
-    def on_sniffed(self, event: MediumEvent) -> None:
-        """Keep the frame's bytes if it is the first one this kind replays."""
+    def on_sniffed(self, data: bytes) -> None:
+        """Keep a sniffed frame's bytes if it is the first one this kind replays."""
         kind = self.cfg.kind
         if self.captures or kind not in REPLAY_KINDS:
             return
         try:
-            frame = decode_frame(event.frame)
+            frame = decode_frame(data)
         except DecodeError:
             return
         if kind is AttackKind.ASSOC_REPLAY:
@@ -121,7 +120,7 @@ class Adversary:
         else:
             replayed = frame.subtype in TEARDOWN_SUBTYPES and frame.token is not None
         if replayed:
-            self.captures.append(event.frame)
+            self.captures.append(data)
 
     def frames(self) -> list[bytes]:
         """Build this attacker's frame sequence, ready to inject.

@@ -27,27 +27,29 @@ looked up as raw bytes; the medium never inspects the source, which is
 what makes spoofing possible by construction.  The broadcast MAC
 ff:ff:ff:ff:ff:ff reaches every MAC-owning endpoint except the sender.
 
-``Medium.events`` keeps the whole log, each event an immutable
-``NamedTuple``; each ``run_until_idle`` call returns only the events
-that call produced, so draining after every script step costs time
-linear in the events, not in the log so far.  ``write_event_log``
+``Medium.events`` keeps the whole log, each event a plain tuple
+``(tick, kind, from, to, frame)`` whose kind is its log word.  Every
+item is an atomic value, so the cyclic GC stops tracking an event at
+its first collection.  Each ``run_until_idle`` call returns only the
+events that call produced, so draining after every script step costs
+time linear in the events, not in the log so far.  ``write_event_log``
 formats each line directly, the same bytes as ``json.dumps`` with
 compact separators.
 ``frames_sent`` and ``frames_dropped`` count processed and lost frames
 as they happen, so totals never need a pass over the log.
 
-Event ``src`` is the sending endpoint's identifier, not the frame's
-source field: the log is the omniscient observer and always knows who
-really transmitted.
+An event's ``from`` is the sending endpoint's identifier, not the
+frame's source field: the log is the omniscient observer and always
+knows who really transmitted.  A receiver is called with that
+identifier and the frame's bytes, ``receive(src, frame)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from json.encoder import encode_basestring_ascii as _quote
 from random import Random
-from typing import IO, Callable, NamedTuple
+from typing import IO, Callable
 
 from .frames import BROADCAST, MacAddress
 
@@ -73,65 +75,30 @@ class TickLimitExceeded(MediumError):
     """The tick budget ran out with frames still queued."""
 
 
-class EventKind(Enum):
-    DELIVERED = "delivered"
-    DROPPED = "dropped"
-    INJECTED = "injected"
-    SNIFFED = "sniffed"
-
-    # Identity hashing, as on FrameSubtype: _KIND_TEXT lookups stay in C.
-    __hash__ = object.__hash__
-
-
-# Enum.value is a Python-level property; log lines look the word up here.
-_KIND_TEXT = {kind: kind.value for kind in EventKind}
-
-
-@dataclass(frozen=True)
-class MediumConfig:
-    loss_probability: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.loss_probability <= 1.0:
-            raise ValueError(
-                f"loss probability {self.loss_probability} outside [0, 1]"
-            )
-
-
-class MediumEvent(NamedTuple):
-    """One log line: who sent what, and what the medium did with it."""
-
-    tick: int
-    kind: EventKind
-    src: str
-    dst: str
-    frame: bytes
-
-    def to_json(self) -> str:
-        """``json.dumps`` of the line's mapping with ``(",", ":")`` separators.
-
-        The tick is an int, the kind a fixed ASCII word and the frame hex,
-        so only the two endpoint labels need JSON string quoting.
-        """
-        return (
-            f'{{"tick":{self.tick},"kind":"{_KIND_TEXT[self.kind]}",'
-            f'"from":{_quote(self.src)},"to":{_quote(self.dst)},'
-            f'"frame":"{self.frame.hex()}"}}'
-        )
+# One log line: (tick, kind, from, to, frame); kind is "injected",
+# "sniffed", "delivered" or "dropped".
+MediumEvent = tuple[int, str, str, str, bytes]
 
 
 def write_event_log(events: list[MediumEvent], stream: IO[str]) -> None:
-    """Serialize events as JSON Lines, one event per line."""
-    for event in events:
-        stream.write(event.to_json())
-        stream.write("\n")
+    """Serialize events as JSON Lines, one event per line.
+
+    Each line is ``json.dumps`` of the event's mapping with ``(",", ":")``
+    separators.  The tick is an int, the kind a fixed ASCII word and the
+    frame hex, so only the two endpoint labels need JSON string quoting.
+    """
+    write = stream.write
+    for tick, kind, src, dst, frame in events:
+        write(
+            f'{{"tick":{tick},"kind":"{kind}","from":{_quote(src)},'
+            f'"to":{_quote(dst)},"frame":"{frame.hex()}"}}\n'
+        )
 
 
 @dataclass
 class _Endpoint:
     endpoint_id: str
-    receive: Callable[[MediumEvent], None] | None
+    receive: Callable[[str, bytes], None] | None
     injector: bool
 
 
@@ -147,8 +114,9 @@ class Handle:
 
 
 class Medium:
-    def __init__(self, config: MediumConfig | None = None):
-        self.config = config if config is not None else MediumConfig()
+    def __init__(self, *, loss_probability: float = 0.0, seed: int = 0):
+        # Taken as given: ScenarioConfig refuses a probability outside [0, 1].
+        self.loss_probability = loss_probability
         self.events: list[MediumEvent] = []
         self.frames_sent = 0
         self.frames_dropped = 0
@@ -160,20 +128,21 @@ class Medium:
         # One entry per send call: the sender and the frames it queued.
         self._pending: list[tuple[_Endpoint, tuple[bytes, ...]]] = []
         self._tick = 0
-        self._loss_rng = Random(self.config.seed)
+        self._loss_rng = Random(seed)
 
     def attach(
         self,
         endpoint_id: str,
         mac: MacAddress | None = None,
-        receive: Callable[[MediumEvent], None] | None = None,
+        receive: Callable[[str, bytes], None] | None = None,
         *,
         injector: bool = False,
     ) -> Handle:
         """Register an endpoint; identifiers and MACs must be unused.
 
-        An injector is also a promiscuous tap: ``receive`` gets a
-        ``sniffed`` event for every frame sent, whatever its destination.
+        An injector is also a promiscuous tap: ``receive`` sees every
+        frame sent, whatever its destination, and it is logged as
+        ``sniffed``.
         """
         if endpoint_id in self._endpoints:
             raise DuplicateEndpoint(f"endpoint id {endpoint_id!r} already attached")
@@ -206,11 +175,8 @@ class Medium:
         """
         start = len(self.events)
         log = self.events.append
-        draw, loss = self._loss_rng.random, self.config.loss_probability
+        draw, loss = self._loss_rng.random, self.loss_probability
         taps, mac_owner = self._taps, self._mac_owner
-        new = tuple.__new__  # MediumEvent's generated __new__ checks nothing either
-        injected, sniffed = EventKind.INJECTED, EventKind.SNIFFED
-        delivered, dropped = EventKind.DELIVERED, EventKind.DROPPED
         budget = max_ticks
         while self._pending:
             if budget <= 0:
@@ -231,22 +197,20 @@ class Medium:
                     else:
                         dst_label = str(MacAddress(dst)) if len(dst) == 6 else "?"
                     if is_injector:
-                        log(new(MediumEvent, (tick, injected, src, dst_label, data)))
+                        log((tick, "injected", src, dst_label, data))
                     for tap in taps:
-                        event = new(MediumEvent, (tick, sniffed, src, tap.endpoint_id, data))
-                        log(event)
+                        log((tick, "sniffed", src, tap.endpoint_id, data))
                         if tap.receive is not None:
-                            tap.receive(event)
+                            tap.receive(src, data)
                     if draw() < loss:
                         self.frames_dropped += 1
-                        log(new(MediumEvent, (tick, dropped, src, dst_label, data)))
+                        log((tick, "dropped", src, dst_label, data))
                         continue
-                    event = new(MediumEvent, (tick, delivered, src, dst_label, data))
-                    log(event)
+                    log((tick, "delivered", src, dst_label, data))
                     if dst == BROADCAST:
                         for endpoint in mac_owner.values():
                             if endpoint.endpoint_id != src and endpoint.receive is not None:
-                                endpoint.receive(event)
+                                endpoint.receive(src, data)
                     elif owner is not None and owner.receive is not None:
-                        owner.receive(event)
+                        owner.receive(src, data)
         return self.events[start:]

@@ -71,7 +71,7 @@ import yaml
 
 from .adversary import REPLAY_KINDS, Adversary, AttackerConfig
 from .frames import TEARDOWN_SUBTYPES, FrameSubtype, MacAddress
-from .medium import DEFAULT_MAX_TICKS, Medium, MediumConfig, MediumEvent
+from .medium import DEFAULT_MAX_TICKS, Medium, MediumEvent
 from .stations import (
     AccessPoint,
     ClientStation,
@@ -254,12 +254,14 @@ def _schema(cls) -> tuple[dict[str, type], tuple[str, ...]]:
     return kinds, required
 
 
-def _record(cls, entry, where: str):
+def _record(cls, entry, where: str, read_by_caller: tuple[str, ...] = ()):
     """Build dataclass ``cls`` from a YAML mapping; the dataclass is the schema.
 
     Its fields are the only keys allowed, those without a default are
     required, each value is converted by its declared type, and the
-    dataclass's own ``ValueError`` checks become ``ConfigError``.
+    dataclass's own ``ValueError`` checks become ``ConfigError``.  Keys
+    in ``read_by_caller`` were taken out of ``entry`` by the caller; the
+    unknown-key message lists them first.
     """
     if not isinstance(entry, dict):
         raise ConfigError(f"{where}: must be a mapping")
@@ -267,7 +269,8 @@ def _record(cls, entry, where: str):
     unknown = [key for key in entry if key not in kinds]
     if unknown:
         raise ConfigError(
-            f"{where}: unknown field {unknown[0]!r}; expected one of {', '.join(kinds)}"
+            f"{where}: unknown field {unknown[0]!r}; "
+            f"expected one of {', '.join((*read_by_caller, *kinds))}"
         )
     for key in required:
         if key not in entry:
@@ -291,7 +294,7 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
     schema = _convert(values.pop("schema", SCHEMA_VERSION), int, "schema", "scenario")
     if schema != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema version {schema!r}")
-    return _record(ScenarioConfig, values, "scenario")
+    return _record(ScenarioConfig, values, "scenario", ("schema",))
 
 
 class _UniqueKeyLoader(yaml.SafeLoader):
@@ -378,6 +381,8 @@ def load_scenario(ref: str | Path) -> ScenarioConfig:
 class ScenarioRun:
     """Wires stations, adversaries and medium for one config.
 
+    The medium calls ``_deliver`` (stations) and ``_sniff`` (replay
+    attackers) with the true sender's endpoint id and the frame's bytes.
     Verdicts are tallied as they happen and not kept: per-cause counts
     for the subtypes in ``COUNTED_SUBTYPES``, accepted frames injected by
     an adversary, and accepted teardowns sent by stations.
@@ -399,9 +404,7 @@ class ScenarioRun:
         ]
         self.adversary_ids = {adv.endpoint_id for adv in self.adversaries}
 
-        self.medium = Medium(
-            MediumConfig(loss_probability=cfg.loss_probability, seed=medium_seed)
-        )
+        self.medium = Medium(loss_probability=cfg.loss_probability, seed=medium_seed)
 
         protected = cfg.mode is Mode.PROTECTED
         self.stations: dict[MacAddress, Station] = {}
@@ -427,19 +430,19 @@ class ScenarioRun:
             for adv in self.adversaries
         ]
 
-    def _sniff(self, adversary: Adversary, event: MediumEvent) -> None:
-        if event.src not in self.adversary_ids:
-            adversary.on_sniffed(event)
+    def _sniff(self, adversary: Adversary, src: str, data: bytes) -> None:
+        if src not in self.adversary_ids:
+            adversary.on_sniffed(data)
 
-    def _deliver(self, station: Station, event: MediumEvent) -> None:
-        result = station.receive_frame(event.frame)
+    def _deliver(self, station: Station, src: str, data: bytes) -> None:
+        result = station.receive_frame(data)
         if result is None:
             return
         frame, verdict = result
         if frame.subtype in COUNTED_SUBTYPES:
             self.verdict_counts[verdict.cause] += 1
         if verdict.action is Action.ACCEPT:
-            if event.src in self.adversary_ids:
+            if src in self.adversary_ids:
                 self.attack_success_count += 1
             elif frame.subtype in TEARDOWN_SUBTYPES:
                 self.teardown_accepts += 1

@@ -17,20 +17,15 @@ from deauthsim.frames import (
     decode_frame,
     encode_frame,
 )
-from deauthsim.medium import EventKind, MediumEvent
 from deauthsim.stations import Action
 from helpers import AP_MAC, CLIENT_MAC, complete_handshake, make_pair
-
-
-def sniffed(raw: bytes, tick: int = 1) -> MediumEvent:
-    return MediumEvent(tick, EventKind.SNIFFED, "victim", "attacker", raw)
 
 
 def adversary(cfg: AttackerConfig, *frames: bytes) -> Adversary:
     """An attacker for ``cfg`` that has sniffed ``frames`` in order."""
     adv = Adversary(cfg, "attacker:0")
-    for tick, raw in enumerate(frames, 1):
-        adv.on_sniffed(sniffed(raw, tick))
+    for raw in frames:
+        adv.on_sniffed(raw)
     return adv
 
 
@@ -182,7 +177,7 @@ class TestAdversaryShell:
             AttackerConfig(AttackKind.ASSOC_REPLAY, CLIENT_MAC, AP_MAC, frame_count=2),
             "attacker:0",
         )
-        adv.on_sniffed(sniffed(encode_frame(request)))
+        adv.on_sniffed(encode_frame(request))
         assert adv.frames() == [encode_frame(request)] * 2
 
     @pytest.mark.parametrize(

@@ -16,11 +16,8 @@ from deauthsim.frames import (
 from deauthsim.medium import (
     Detached,
     DuplicateEndpoint,
-    EventKind,
     Handle,
     Medium,
-    MediumConfig,
-    MediumEvent,
     TickLimitExceeded,
     write_event_log,
 )
@@ -35,14 +32,18 @@ def bare_frame(src=None, dst=None, subtype=FrameSubtype.AUTH_REQUEST):
     return encode_frame(ManagementFrame(subtype, src or MAC_A, dst or MAC_B, 0))
 
 
+def kinds(events):
+    return [kind for _, kind, _, _, _ in events]
+
+
 class Collector:
-    """Minimal endpoint: records every event it is handed."""
+    """Minimal endpoint: records every ``(src, frame)`` it is handed."""
 
     def __init__(self):
         self.events = []
 
-    def __call__(self, event):
-        self.events.append(event)
+    def __call__(self, src, frame):
+        self.events.append((src, frame))
 
 
 class TestAttach:
@@ -77,7 +78,7 @@ class TestDeliverySemantics:
         medium.attach("c", MacAddress.parse("02:00:00:00:00:0c"), got_c)
         a.send(bare_frame())
         medium.run_until_idle()
-        assert len(got_b.events) == 1 and got_b.events[0].kind is EventKind.DELIVERED
+        assert got_b.events == [("a", bare_frame())]
         assert got_c.events == []
 
     def test_broadcast_reaches_everyone_but_the_sender(self):
@@ -94,18 +95,16 @@ class TestDeliverySemantics:
         medium.run_until_idle()
         assert got_a.events == [], "sender must not hear its own broadcast"
         assert len(got_b.events) == 1 and len(got_c.events) == 1
-        assert [e.kind for e in got_tap.events] == [EventKind.SNIFFED]
+        assert got_tap.events == [("a", bare_frame(dst=BROADCAST))]
         assert got_macless.events == []
-        delivered = [e for e in medium.events if e.kind is EventKind.DELIVERED]
-        assert len(delivered) == 1, "one send, one delivered event"
+        assert kinds(medium.events) == ["sniffed", "delivered"], "one send, one delivered event"
 
     def test_unowned_destination_is_logged_but_reaches_nobody(self):
         medium = Medium()
         a = medium.attach("a", MAC_A)
         a.send(bare_frame(dst=MacAddress.parse("02:99:99:99:99:99")))
-        events = medium.run_until_idle()
-        assert [e.kind for e in events] == [EventKind.DELIVERED]
-        assert events[0].dst == "02:99:99:99:99:99"
+        [(_, kind, _, dst, _)] = medium.run_until_idle()
+        assert (kind, dst) == ("delivered", "02:99:99:99:99:99")
 
     @pytest.mark.parametrize("size", [0, 1, 12])
     def test_frame_too_short_for_a_destination_is_labelled_unknown(self, size):
@@ -115,7 +114,7 @@ class TestDeliverySemantics:
         medium.attach("b", MAC_B, got_b)
         a.send(bare_frame(dst=MAC_B)[:size])
         events = medium.run_until_idle()
-        assert [(e.kind, e.dst) for e in events] == [(EventKind.DELIVERED, "?")]
+        assert [(kind, dst) for _, kind, _, dst, _ in events] == [("delivered", "?")]
         assert got_b.events == [], "a frame with no destination reaches nobody"
 
     def test_true_sender_recorded_despite_spoofed_source(self):
@@ -128,19 +127,20 @@ class TestDeliverySemantics:
         )
         attacker.send(spoofed)
         events = medium.run_until_idle()
-        assert all(e.src == "attacker" for e in events), (
+        assert all(src == "attacker" for _, _, src, _, _ in events), (
             "the log records who really transmitted, not the claimed MAC"
         )
-        assert [e.kind for e in events] == [
-            EventKind.INJECTED,
-            EventKind.SNIFFED,
-            EventKind.DELIVERED,
+        assert kinds(events) == [
+            "injected",
+            "sniffed",
+            "delivered",
         ], "an injector is also a tap, so it sniffs its own frame"
+        assert sink.events == [("attacker", spoofed)], "the receiver is told the true sender"
 
     def test_one_send_of_many_frames_is_one_tick_in_order(self):
         medium = Medium()
         ap = AccessPoint(AP_MAC, rng=Random(2))
-        ap.bind_transmit(medium.attach("ap", AP_MAC, lambda e: ap.receive_frame(e.frame)).send)
+        ap.bind_transmit(medium.attach("ap", AP_MAC, lambda _, f: ap.receive_frame(f)).send)
         sender = medium.attach("x", MAC_A)
         frames = [
             bare_frame(src=CLIENT_MAC, dst=AP_MAC),
@@ -150,7 +150,7 @@ class TestDeliverySemantics:
         sender.send(*frames)
         events = medium.run_until_idle()
         reply = bare_frame(src=AP_MAC, dst=CLIENT_MAC, subtype=FrameSubtype.AUTH_RESPONSE)
-        assert [(e.tick, e.src, e.frame) for e in events] == [
+        assert [(tick, src, frame) for tick, _, src, _, frame in events] == [
             (1, "x", frames[0]),
             (1, "x", frames[1]),
             (1, "x", frames[2]),
@@ -162,14 +162,14 @@ class TestDeliverySemantics:
         medium = Medium()
         client = ClientStation(CLIENT_MAC, rng=Random(1))
         ap = AccessPoint(AP_MAC, rng=Random(2))
-        ch = medium.attach("client", CLIENT_MAC, lambda e: client.receive_frame(e.frame))
-        ah = medium.attach("ap", AP_MAC, lambda e: ap.receive_frame(e.frame))
+        ch = medium.attach("client", CLIENT_MAC, lambda _, f: client.receive_frame(f))
+        ah = medium.attach("ap", AP_MAC, lambda _, f: ap.receive_frame(f))
         client.bind_transmit(ch.send)
         ap.bind_transmit(ah.send)
         client.start_join(AP_MAC)
         events = medium.run_until_idle()
-        delivered = [e for e in events if e.kind is EventKind.DELIVERED]
-        assert [e.tick for e in delivered] == [1, 2, 3, 4], (
+        delivered = [tick for tick, kind, _, _, _ in events if kind == "delivered"]
+        assert delivered == [1, 2, 3, 4], (
             "each handshake step advances one tick"
         )
 
@@ -178,15 +178,14 @@ class TestDeliverySemantics:
         medium = Medium()
         client = ClientStation(CLIENT_MAC, rng=Random(1))
         ap = AccessPoint(AP_MAC, rng=Random(2))
-        ch = medium.attach("client", CLIENT_MAC, lambda e: client.receive_frame(e.frame))
-        ah = medium.attach("ap", AP_MAC, lambda e: ap.receive_frame(e.frame))
+        ch = medium.attach("client", CLIENT_MAC, lambda _, f: client.receive_frame(f))
+        ah = medium.attach("ap", AP_MAC, lambda _, f: ap.receive_frame(f))
         client.bind_transmit(ch.send)
         ap.bind_transmit(ah.send)
         client.start_join(AP_MAC)
         events = medium.run_until_idle()
-        kinds = [e.kind for e in events]
-        assert kinds == [EventKind.DELIVERED] * 4
-        subtypes = [e.frame[0] for e in events]
+        assert kinds(events) == ["delivered"] * 4
+        subtypes = [frame[0] for _, _, _, _, frame in events]
         assert subtypes == [0x10, 0x11, 0x00, 0x01]
         assert client.sessions and ap.sessions
 
@@ -197,33 +196,34 @@ class TestPromiscuousSniffing:
         medium = Medium()
         client = ClientStation(CLIENT_MAC, rng=Random(1))
         ap = AccessPoint(AP_MAC, rng=Random(2))
-        ch = medium.attach("client", CLIENT_MAC, lambda e: client.receive_frame(e.frame))
-        ah = medium.attach("ap", AP_MAC, lambda e: ap.receive_frame(e.frame))
+        ch = medium.attach("client", CLIENT_MAC, lambda _, f: client.receive_frame(f))
+        ah = medium.attach("ap", AP_MAC, lambda _, f: ap.receive_frame(f))
         client.bind_transmit(ch.send)
         ap.bind_transmit(ah.send)
         medium.attach("spy", None, tap, injector=True)
         client.start_join(AP_MAC)
-        medium.run_until_idle()
+        events = medium.run_until_idle()
         assert len(tap.events) == 4, "the sniffer sees the whole handshake"
-        assert all(e.kind is EventKind.SNIFFED for e in tap.events)
-        assert all(e.dst == "spy" for e in tap.events)
+        sniffed = [(src, frame) for _, kind, src, dst, frame in events if kind == "sniffed"]
+        assert tap.events == sniffed
+        assert all(dst == "spy" for _, kind, _, dst, _ in events if kind == "sniffed")
 
     def test_taps_observe_dropped_frames_too(self):
         tap = Collector()
-        medium = Medium(MediumConfig(loss_probability=1.0))
+        medium = Medium(loss_probability=1.0)
         a = medium.attach("a", MAC_A)
         medium.attach("b", MAC_B)
         medium.attach("spy", None, tap, injector=True)
         a.send(bare_frame())
         events = medium.run_until_idle()
-        assert [e.kind for e in events] == [EventKind.SNIFFED, EventKind.DROPPED]
+        assert kinds(events) == ["sniffed", "dropped"]
         assert len(tap.events) == 1
 
 
 class TestConservation:
     def test_every_send_yields_one_delivery_outcome_plus_sniffs(self):
         tap = Collector()
-        medium = Medium(MediumConfig(loss_probability=0.5, seed=77))
+        medium = Medium(loss_probability=0.5, seed=77)
         a = medium.attach("a", MAC_A)
         medium.attach("b", MAC_B)
         medium.attach("spy", None, tap, injector=True)
@@ -231,9 +231,9 @@ class TestConservation:
         for _ in range(sends):
             a.send(bare_frame())
         events = medium.run_until_idle()
-        delivered = sum(e.kind is EventKind.DELIVERED for e in events)
-        dropped = sum(e.kind is EventKind.DROPPED for e in events)
-        sniffed = sum(e.kind is EventKind.SNIFFED for e in events)
+        delivered = kinds(events).count("delivered")
+        dropped = kinds(events).count("dropped")
+        sniffed = kinds(events).count("sniffed")
         assert delivered + dropped == sends, "exactly one outcome per send"
         assert sniffed == sends, "one sniffed copy per tap per send"
         assert 0 < delivered < sends, "a 0.5 loss rate drops some but not all"
@@ -244,49 +244,40 @@ class TestLossModel:
         # One random() draw per processed frame, dropped when the draw
         # falls below the loss probability; replay the stream directly.
         loss, seed, sends = 0.3, 2024, 10_000
-        medium = Medium(MediumConfig(loss_probability=loss, seed=seed))
+        medium = Medium(loss_probability=loss, seed=seed)
         a = medium.attach("a", MAC_A)
         medium.attach("b", MAC_B)
         frame = bare_frame()
         for _ in range(sends):
             a.send(frame)
         events = medium.run_until_idle()
-        outcomes = [e.kind for e in events if e.kind is not EventKind.SNIFFED]
+        outcomes = kinds(events)
         rng = Random(seed)
-        expected = [
-            EventKind.DROPPED if rng.random() < loss else EventKind.DELIVERED
-            for _ in range(sends)
-        ]
+        expected = ["dropped" if rng.random() < loss else "delivered" for _ in range(sends)]
         assert outcomes == expected, "loss draws must replay exactly"
 
     def test_zero_loss_delivers_everything(self):
-        medium = Medium(MediumConfig(loss_probability=0.0, seed=3))
+        medium = Medium(loss_probability=0.0, seed=3)
         a = medium.attach("a", MAC_A)
         medium.attach("b", MAC_B)
         for _ in range(200):
             a.send(bare_frame())
         events = medium.run_until_idle()
-        assert sum(e.kind is EventKind.DROPPED for e in events) == 0
+        assert "dropped" not in kinds(events)
 
     def test_full_loss_delivers_nothing(self):
-        medium = Medium(MediumConfig(loss_probability=1.0, seed=3))
+        medium = Medium(loss_probability=1.0, seed=3)
         a = medium.attach("a", MAC_A)
         medium.attach("b", MAC_B)
         for _ in range(200):
             a.send(bare_frame())
         events = medium.run_until_idle()
-        assert sum(e.kind is EventKind.DELIVERED for e in events) == 0
-
-    def test_loss_probability_validated(self):
-        with pytest.raises(ValueError):
-            MediumConfig(loss_probability=1.5)
-        with pytest.raises(ValueError):
-            MediumConfig(loss_probability=-0.1)
+        assert "delivered" not in kinds(events)
 
 
 class TestDeterminism:
     def _run_once(self, seed):
-        medium = Medium(MediumConfig(loss_probability=0.4, seed=seed))
+        medium = Medium(loss_probability=0.4, seed=seed)
         a = medium.attach("a", MAC_A)
         medium.attach("b", MAC_B)
         rng = Random(99)
@@ -316,7 +307,7 @@ class TestDeterminism:
         for _ in range(5):
             a.send(bare_frame())
         events = medium.run_until_idle()
-        ticks = [e.tick for e in events]
+        ticks = [tick for tick, _, _, _, _ in events]
         assert ticks == sorted(ticks)
 
 
@@ -343,17 +334,22 @@ class TestEventLog:
 
     def test_labels_are_quoted_exactly_like_json_dumps(self):
         label = 'q"uote \\back caf\u00e9 \u2603 \U0001f600 \n'
-        event = MediumEvent(7, EventKind.SNIFFED, label, "to " + label, b"\x01\xff")
+        stream = io.StringIO()
+        write_event_log([(7, "sniffed", label, "to " + label, b"\x01\xff")], stream)
         expected = {"tick": 7, "kind": "sniffed", "from": label, "to": "to " + label}
-        assert event.to_json() == json.dumps(dict(expected, frame="01ff"), separators=(",", ":"))
+        assert stream.getvalue() == (
+            json.dumps(dict(expected, frame="01ff"), separators=(",", ":")) + "\n"
+        )
 
     def test_events_are_immutable_and_hashable(self):
-        event = MediumEvent(1, EventKind.DELIVERED, "a", "b", b"\x00")
-        with pytest.raises(AttributeError):
-            event.tick = 2
-        with pytest.raises(AttributeError):
-            event.extra = None
-        assert {event: 1}[MediumEvent(1, EventKind.DELIVERED, "a", "b", b"\x00")] == 1
+        medium = Medium()
+        a = medium.attach("a", MAC_A)
+        medium.attach("b", MAC_B)
+        a.send(bare_frame())
+        [event] = medium.run_until_idle()
+        with pytest.raises(TypeError):
+            event[0] = 2
+        assert {event: 1}[(1, "delivered", "a", "b", bare_frame())] == 1
 
 
 class TestDrainResult:
@@ -366,8 +362,8 @@ class TestDrainResult:
         a.send(bare_frame())
         a.send(bare_frame())
         second = medium.run_until_idle()
-        assert [e.tick for e in first] == [1]
-        assert [e.tick for e in second] == [2, 2]
+        assert [tick for tick, _, _, _, _ in first] == [1]
+        assert [tick for tick, _, _, _, _ in second] == [2, 2]
         assert medium.events == first + second, "the medium still keeps the whole log"
         assert medium.run_until_idle() == [], "an idle drain produces nothing"
         second.clear()
@@ -379,11 +375,11 @@ class TestTickLimit:
         medium = Medium()
         handles = {}
 
-        def echo(name, event):
-            handles[name].send(event.frame)
+        def echo(name, frame):
+            handles[name].send(frame)
 
-        handles["a"] = medium.attach("a", MAC_A, lambda e: echo("a", e))
-        handles["b"] = medium.attach("b", MAC_B, lambda e: echo("b", e))
+        handles["a"] = medium.attach("a", MAC_A, lambda _, f: echo("a", f))
+        handles["b"] = medium.attach("b", MAC_B, lambda _, f: echo("b", f))
         handles["a"].send(bare_frame(src=MAC_A, dst=MAC_B))
         with pytest.raises(TickLimitExceeded):
             medium.run_until_idle(max_ticks=50)
@@ -392,7 +388,7 @@ class TestTickLimit:
         medium = Medium()
         a = medium.attach("a", MAC_A)
         # b answers every frame with two copies in one send call.
-        b = medium.attach("b", MAC_B, lambda e: b.send(e.frame, e.frame))
+        b = medium.attach("b", MAC_B, lambda _, f: b.send(f, f))
         a.send(bare_frame(), bare_frame(), bare_frame())
         with pytest.raises(TickLimitExceeded, match=r"^6 frames still queued after 1 ticks$"):
             medium.run_until_idle(max_ticks=1)
