@@ -35,6 +35,7 @@ from random import Random
 
 from .frames import (
     TEARDOWN_SUBTYPES,
+    TOKEN_PAYLOAD_SIZE,
     FrameSubtype,
     MacAddress,
     ManagementFrame,
@@ -125,9 +126,12 @@ class Adversary:
     def frames(self) -> list[bytes]:
         """Build this attacker's frame sequence, ready to inject.
 
-        Forged deauths are token-less, token guesses each reveal one
-        ``randbytes(16)`` from ``Random(cfg.seed)``, and replays re-send the
-        capture verbatim.
+        Forged deauths are one token-less frame, encoded once and repeated.
+        Token guesses each reveal one ``randbytes(16)`` from
+        ``Random(cfg.seed)``: the deauthentication is encoded once with a
+        placeholder token, and each guess is its bytes up to the token
+        followed by the draw, the same bytes as encoding each guess whole.
+        Replays re-send the capture verbatim.
         """
         cfg = self.cfg
         deauth = partial(
@@ -136,8 +140,9 @@ class Adversary:
         if cfg.kind is AttackKind.FORGED_DEAUTH:
             return [encode_frame(deauth())] * cfg.frame_count
         if cfg.kind is AttackKind.TOKEN_GUESS:
-            rng = Random(cfg.seed)
-            return [encode_frame(deauth(token=rng.randbytes(16))) for _ in range(cfg.frame_count)]
+            prefix = encode_frame(deauth(token=bytes(TOKEN_PAYLOAD_SIZE)))[:-TOKEN_PAYLOAD_SIZE]
+            randbytes = Random(cfg.seed).randbytes
+            return [prefix + randbytes(TOKEN_PAYLOAD_SIZE) for _ in range(cfg.frame_count)]
         if not self.captures:
             if cfg.kind is AttackKind.ASSOC_REPLAY:
                 raise NoCapturedAssoc("no association request was sniffed")

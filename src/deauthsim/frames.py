@@ -23,7 +23,7 @@ Both values are immutable and cheap to build, since every frame on the
 air is decoded into one: a ``MacAddress`` is a ``bytes`` subclass, so it
 hashes and compares as its six octets, in C, and a ``ManagementFrame``
 is a tuple.  Their constructors validate; ``decode_frame`` builds both
-without re-checking what ``struct`` and the element checks have already
+without re-checking what ``struct`` and the element header have already
 fixed.
 
 Authentication is modeled as a single opaque request/response pair, so
@@ -32,11 +32,20 @@ with the association and teardown codes.
 
 ``decode_frame`` never raises anything but ``DecodeError`` subclasses,
 no matter how hostile the input: adversaries inject arbitrary bytes and
-receivers must shrug them off.  It remembers the one frame it decoded
-last, with its bytes, because a flood repeats one frame: each copy after
-the first costs an equality test.  That is safe because the key is an
-immutable ``bytes`` copy of the input, the frame is immutable, errors
-are never kept, and one pair is all it holds.
+receivers must shrug them off.  Each canonical size is read whole by one
+precompiled ``struct``, and a frame of that size is accepted exactly when
+its subtype code is known and its 3-byte element header is the one for
+that size (none, on the bare frame); the layout rules accept nothing
+else.  So the rules themselves run only on refused input: ``_refusal``
+walks them in order and returns the error for the first one broken.
+
+It remembers the one frame it decoded last, with its bytes, because a
+flood repeats one frame: each copy after the first costs an equality
+test.  A distinct frame from the same sender to the same receiver, such
+as the next token guess, reuses that frame's ``src`` and ``dst`` objects
+where the octets are equal.  That is safe because the key is an
+immutable ``bytes`` copy of the input, frames and addresses are
+immutable, errors are never kept, and one pair is all it holds.
 """
 
 from __future__ import annotations
@@ -193,8 +202,50 @@ def encode_frame(frame: ManagementFrame) -> bytes:
     return header
 
 
-# Last (bytes, frame) decoded, read and replaced as one tuple; see the module docstring.
-_last_decoded: tuple[bytes | None, ManagementFrame | None] = (None, None)
+# The two element-bearing sizes, each read whole by one struct.
+_TOKEN_FRAME = struct.Struct(f"{HEADER_FORMAT}3s{TOKEN_PAYLOAD_SIZE}s")
+_HASH_FRAME = struct.Struct(f"{HEADER_FORMAT}3s{HASH_PAYLOAD_SIZE}s")
+_TOKEN_FRAME_SIZE = _TOKEN_FRAME.size
+_HASH_FRAME_SIZE = _HASH_FRAME.size
+
+
+def _refusal(data: bytes) -> DecodeError:
+    """The error naming the first layout rule ``data`` breaks.
+
+    Called only on input ``decode_frame`` refused, so if every rule up to
+    the payload kind holds, the kind does not match the payload size.
+    """
+    if len(data) < HEADER_SIZE:
+        return TooShort(f"{len(data)} bytes is shorter than the {HEADER_SIZE}-byte header")
+    code = data[0]
+    if code not in _SUBTYPE_BY_CODE:
+        return UnknownSubtype(f"unknown subtype code 0x{code:02x}")
+    if data[HEADER_SIZE] != IE_ELEMENT_ID:
+        return TrailingBytes(
+            f"byte {HEADER_SIZE} is 0x{data[HEADER_SIZE]:02x}, not an information element"
+        )
+    if len(data) < HEADER_SIZE + 3:
+        return BadIeLength("information element header truncated")
+    declared = data[HEADER_SIZE + 1]
+    kind = data[HEADER_SIZE + 2]
+    payload_size = len(data) - HEADER_SIZE - 3
+    if declared < 1:
+        return BadIeLength("declared element length must cover the kind byte")
+    if payload_size < declared - 1:
+        return BadIeLength(
+            f"element declares {declared - 1} payload bytes, only {payload_size} present"
+        )
+    if payload_size > declared - 1:
+        return TrailingBytes(f"{payload_size - (declared - 1)} bytes after the element")
+    return BadIeLength(f"no payload kind 0x{kind:02x} has {payload_size} bytes")
+
+
+# Last (bytes, frame) decoded, read and replaced as one tuple; see the module
+# docstring.  The placeholder frame only lends its addresses to the first decode.
+_last_decoded: tuple[bytes | None, ManagementFrame] = (
+    None,
+    tuple.__new__(ManagementFrame, (None, BROADCAST, BROADCAST, 0, None, None)),
+)
 
 
 def decode_frame(data: bytes) -> ManagementFrame:
@@ -210,44 +261,31 @@ def decode_frame(data: bytes) -> ManagementFrame:
     last_data, last_frame = _last_decoded
     if data == last_data:
         return last_frame
-    if len(data) < HEADER_SIZE:
-        raise TooShort(f"{len(data)} bytes is shorter than the {HEADER_SIZE}-byte header")
-
-    code, src_raw, dst_raw, status = _HEADER.unpack_from(data)
+    size = len(data)
+    if size == _TOKEN_FRAME_SIZE:
+        code, src_raw, dst_raw, status, element, token = _TOKEN_FRAME.unpack(data)
+        commitment = None
+        valid = element == _TOKEN_ELEMENT_HEADER
+    elif size == HEADER_SIZE:
+        code, src_raw, dst_raw, status = _HEADER.unpack(data)
+        commitment = token = None
+        valid = True
+    elif size == _HASH_FRAME_SIZE:
+        code, src_raw, dst_raw, status, element, commitment = _HASH_FRAME.unpack(data)
+        token = None
+        valid = element == _HASH_ELEMENT_HEADER
+    else:
+        raise _refusal(data)
     subtype = _SUBTYPE_BY_CODE.get(code)
-    if subtype is None:
-        raise UnknownSubtype(f"unknown subtype code 0x{code:02x}")
-
-    commitment = token = None
-    if len(data) > HEADER_SIZE:
-        if data[HEADER_SIZE] != IE_ELEMENT_ID:
-            raise TrailingBytes(
-                f"byte {HEADER_SIZE} is 0x{data[HEADER_SIZE]:02x},"
-                f" not an information element"
-            )
-        if len(data) < HEADER_SIZE + 3:
-            raise BadIeLength("information element header truncated")
-        declared = data[HEADER_SIZE + 1]
-        kind = data[HEADER_SIZE + 2]
-        payload = data[HEADER_SIZE + 3 :]
-        if declared < 1:
-            raise BadIeLength("declared element length must cover the kind byte")
-        if len(payload) < declared - 1:
-            raise BadIeLength(
-                f"element declares {declared - 1} payload bytes, only {len(payload)} present"
-            )
-        if len(payload) > declared - 1:
-            raise TrailingBytes(f"{len(payload) - (declared - 1)} bytes after the element")
-        if kind == PAYLOAD_HASH and len(payload) == HASH_PAYLOAD_SIZE:
-            commitment = payload
-        elif kind == PAYLOAD_TOKEN and len(payload) == TOKEN_PAYLOAD_SIZE:
-            token = payload
-        else:
-            raise BadIeLength(f"no payload kind 0x{kind:02x} has {len(payload)} bytes")
+    if subtype is None or not valid:
+        raise _refusal(data)
 
     # struct and the checks above fixed every size and range, so the
-    # values are built without running their constructors' checks again.
-    src, dst = bytes.__new__(MacAddress, src_raw), bytes.__new__(MacAddress, dst_raw)
+    # values are built without running their constructors' checks again;
+    # an address equal to the last frame's is that frame's object.
+    last_src, last_dst = last_frame[1], last_frame[2]
+    src = last_src if src_raw == last_src else bytes.__new__(MacAddress, src_raw)
+    dst = last_dst if dst_raw == last_dst else bytes.__new__(MacAddress, dst_raw)
     frame = tuple.__new__(ManagementFrame, (subtype, src, dst, status, commitment, token))
     _last_decoded = data, frame
     return frame

@@ -260,10 +260,7 @@ class Station:
             return None
         if frame.subtype in TEARDOWN_SUBTYPES:
             return frame, self.verify_deauth(frame)
-        return self._dispatch(frame)
-
-    def _dispatch(self, frame: ManagementFrame) -> tuple[ManagementFrame, Verdict] | None:
-        return None  # each role answers its own handshake frames
+        return self._dispatch(frame)  # each role answers its own handshake frames
 
 
 class ClientStation(Station):

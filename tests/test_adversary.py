@@ -1,6 +1,7 @@
 """Attack frames built by ``Adversary``: shapes, determinism, replay captures."""
 
 from dataclasses import replace
+from random import Random
 
 import pytest
 
@@ -12,7 +13,9 @@ from deauthsim.adversary import (
     NoCapturedDeauth,
 )
 from deauthsim.frames import (
+    BROADCAST,
     FrameSubtype,
+    MacAddress,
     ManagementFrame,
     decode_frame,
     encode_frame,
@@ -89,6 +92,36 @@ class TestTokenGuess:
 
         assert guesses(3) == guesses(3)
         assert guesses(3) != guesses(4)
+
+    @pytest.mark.parametrize("reason", [3, 8, 0xFFFF])
+    @pytest.mark.parametrize(
+        "spoof_src, target",
+        [
+            (CLIENT_MAC, AP_MAC),
+            (CLIENT_MAC, BROADCAST),
+            (MacAddress.parse("01:00:5e:00:00:fb"), AP_MAC),
+        ],
+        ids=["unicast", "broadcast-target", "group-source"],
+    )
+    def test_guess_bytes_are_each_guess_encoded_whole(self, reason, spoof_src, target):
+        seed = 0x5EED + reason
+        cfg = AttackerConfig(
+            AttackKind.TOKEN_GUESS, spoof_src, target, frame_count=40, reason=reason, seed=seed
+        )
+        rng = Random(seed)
+        expected = [
+            encode_frame(
+                ManagementFrame(
+                    FrameSubtype.DEAUTHENTICATION,
+                    spoof_src,
+                    target,
+                    reason,
+                    token=rng.randbytes(16),
+                )
+            )
+            for _ in range(40)
+        ]
+        assert adversary(cfg).frames() == expected
 
     def test_random_guesses_never_verify(self):
         client, ap = make_pair()

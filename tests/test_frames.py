@@ -25,6 +25,7 @@ from deauthsim.frames import (
     decode_frame,
     encode_frame,
 )
+from frame_reference import reference_decode
 
 SRC = MacAddress.parse("aa:bb:cc:dd:ee:ff")
 DST = MacAddress.parse("11:22:33:44:55:66")
@@ -401,3 +402,91 @@ class TestDecodeRobustness:
             first = outcome(data)
             decode_frame(next(s for s in SENTINELS if s != data))
             assert outcome(data) == first, data.hex()
+
+
+def assert_agrees_with_reference(data):
+    """decode_frame and the reference return equal frames, or the same error."""
+    try:
+        expected = reference_decode(data)
+    except DecodeError as exc:
+        with pytest.raises(DecodeError) as info:
+            decode_frame(data)
+        assert (type(info.value), str(info.value)) == (type(exc), str(exc)), data.hex()
+        return
+    frame = decode_frame(data)
+    assert frame == expected, data.hex()
+    assert type(frame.src) is type(frame.dst) is MacAddress
+
+
+# A few addresses, so that consecutive decodes often share one.
+OFTEN = (SRC, DST, BROADCAST)
+ELEMENT_HEADER_BYTES = (IE_ELEMENT_ID, TOKEN_PAYLOAD_SIZE + 1, HASH_PAYLOAD_SIZE + 1, 1, 2)
+
+
+@st.composite
+def mutated_canonical(draw):
+    """A canonical frame flipped, truncated, extended or with an element-header byte set."""
+    mac = st.one_of(st.sampled_from(OFTEN), mac_strategy())
+    frame = draw(frame_strategy())
+    frame = frame._replace(src=draw(mac), dst=draw(mac))
+    data = bytearray(encode_frame(frame))
+    for _ in range(draw(st.integers(1, 3))):
+        mutation = draw(st.sampled_from(("keep", "flip", "truncate", "extend", "element")))
+        if mutation == "flip" and data:
+            data[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
+        elif mutation == "truncate":
+            del data[draw(st.integers(0, len(data))) :]
+        elif mutation == "extend":
+            data += draw(st.binary(min_size=1, max_size=70))
+        elif mutation == "element" and len(data) > HEADER_SIZE:
+            position = draw(st.integers(HEADER_SIZE, min(HEADER_SIZE + 2, len(data) - 1)))
+            data[position] = draw(st.sampled_from(ELEMENT_HEADER_BYTES))
+    return bytes(data)
+
+
+class TestReferenceOracle:
+    """decode_frame against the rule-by-rule reference decoder in frame_reference.py."""
+
+    @given(data=st.binary(max_size=200))
+    @settings(max_examples=500, deadline=None)
+    def test_arbitrary_bytes_agree(self, data):
+        assert_agrees_with_reference(data)
+
+    @given(data=mutated_canonical())
+    @settings(max_examples=400, deadline=None)
+    def test_mutated_frames_agree(self, data):
+        assert_agrees_with_reference(data)
+
+    def test_every_element_header_byte_and_cut_agrees(self):
+        bases = [
+            encode_frame(element_frame()),
+            encode_frame(element_frame(token=bytes(range(16)))),
+            encode_frame(element_frame(commitment=bytes(range(64)))),
+        ]
+        for base in bases + [b"\x02" + base[1:] for base in bases]:
+            for size in range(len(base) + 1):
+                for tail in (b"", b"\x00", bytes([IE_ELEMENT_ID]), bytes(70)):
+                    assert_agrees_with_reference(base[:size] + tail)
+            for position in range(HEADER_SIZE, len(base)):
+                for value in ELEMENT_HEADER_BYTES:
+                    mutated = bytearray(base)
+                    mutated[position] = value
+                    assert_agrees_with_reference(bytes(mutated))
+
+    def test_addresses_follow_each_frame_not_the_last_one(self):
+        x, y, z = SRC, DST, MacAddress.parse("02:00:00:00:00:03")
+        walk = [(x, y, 3), (y, x, 8), (x, z, 1), (x, z, 0xFFFF)]
+        frames = []
+        for number, (src, dst, reason) in enumerate(walk):
+            sent = ManagementFrame(
+                FrameSubtype.DEAUTHENTICATION, src, dst, reason, token=bytes([number]) * 16
+            )
+            frame = decode_frame(encode_frame(sent))
+            assert frame == sent
+            assert (frame.subtype, frame.status_or_reason) == (sent.subtype, reason)
+            assert (frame.src, frame.dst) == (src, dst), (number, str(frame.src), str(frame.dst))
+            assert (frame.commitment, frame.token) == (None, sent.token)
+            assert type(frame.src) is type(frame.dst) is MacAddress
+            frames.append(frame)
+        # The last frame repeats both addresses of the one before: no new objects.
+        assert frames[3].src is frames[2].src and frames[3].dst is frames[2].dst
