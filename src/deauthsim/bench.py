@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .tokens import generate_token, hash_token
 
@@ -39,27 +39,12 @@ class BenchReport:
     hash_percentiles_s: dict[int, float]
 
     def to_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "token_mean_s": self.token_mean_s,
-            "hash_mean_s": self.hash_mean_s,
-            "total_mean_s": self.total_mean_s,
-            "token_percentiles_s": {
-                f"p{p}": v for p, v in sorted(self.token_percentiles_s.items())
-            },
-            "hash_percentiles_s": {
-                f"p{p}": v for p, v in sorted(self.hash_percentiles_s.items())
-            },
-            "reference": [
-                {
-                    "platform": name,
-                    "token_mean_s": tok,
-                    "hash_mean_s": sha,
-                    "total_mean_s": total,
-                }
-                for name, tok, sha, total in REFERENCE_ROWS
-            ],
-        }
+        data = asdict(self)
+        for key in ("token_percentiles_s", "hash_percentiles_s"):
+            data[key] = {f"p{p}": v for p, v in sorted(data[key].items())}
+        fields = ("platform", "token_mean_s", "hash_mean_s", "total_mean_s")
+        data["reference"] = [dict(zip(fields, row)) for row in REFERENCE_ROWS]
+        return data
 
 
 def _percentiles(samples: list[float]) -> dict[int, float]:

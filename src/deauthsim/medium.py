@@ -1,10 +1,13 @@
 """Deterministic broadcast medium.
 
 Single-threaded, tick-based: a frame sent during tick N is processed at
-tick N+1, in submission order.  One ``send`` call may carry many frames,
-as a whole attack step does: the call is one queue entry holding one
-tuple of frames, processed in order in the same tick, and each frame
-counts in ``frames_sent`` and in the ``TickLimitExceeded`` message.
+tick N+1, in submission order.  ``Medium.attach`` returns the endpoint
+itself, a ``Handle``: the one record the drain routes through, and the
+sender, because ``Handle.send`` queues frames on the medium that built
+it.  One ``send`` call may carry many frames, as a whole attack step
+does: the call is one queue entry holding one tuple of frames, processed
+in order in the same tick, and each frame counts in ``frames_sent`` and
+in the ``TickLimitExceeded`` message.
 ``run_until_idle`` drains an entry in one loop, reading the sender once
 per entry and the taps and the loss draw once per call; the per-frame
 events and loss draws below keep their order.
@@ -40,7 +43,9 @@ as they happen, so totals never need a pass over the log.
 
 An event's ``from`` is the sending endpoint's identifier, not the
 frame's source field: the log is the omniscient observer and always
-knows who really transmitted.  A receiver is called with that
+knows who really transmitted.  That holds for every ``Handle`` built
+by ``Medium.attach``, the only place one may be built; a hand-built
+``Handle`` is outside this contract.  A receiver is called with that
 identifier and the frame's bytes, ``receive(src, frame)``.
 """
 
@@ -67,10 +72,6 @@ class DuplicateEndpoint(MediumError):
     """Endpoint identifier or MAC already attached."""
 
 
-class Detached(MediumError):
-    """Send attempted through a handle the medium does not know."""
-
-
 class TickLimitExceeded(MediumError):
     """The tick budget ran out with frames still queued."""
 
@@ -95,22 +96,24 @@ def write_event_log(events: list[MediumEvent], stream: IO[str]) -> None:
         )
 
 
-@dataclass
-class _Endpoint:
+@dataclass(frozen=True, eq=False)
+class Handle:
+    """An attached endpoint, as returned by ``Medium.attach``; it sends.
+
+    Only ``Medium.attach`` builds a ``Handle``.  One built by hand is
+    outside the medium's contract: its frames are queued and logged under
+    an id the medium never attached, and nothing routes to it.
+    """
+
+    medium: "Medium"
     endpoint_id: str
     receive: Callable[[str, bytes], None] | None
     injector: bool
 
-
-@dataclass(frozen=True)
-class Handle:
-    """Send capability returned by ``Medium.attach``."""
-
-    medium: "Medium"
-    endpoint_id: str
-
     def send(self, *frames: bytes) -> None:
-        self.medium.send(self, *frames)
+        """Queue raw frames, in order, for processing at the next tick."""
+        if frames:
+            self.medium._pending.append((self, tuple(map(bytes, frames))))
 
 
 class Medium:
@@ -120,13 +123,13 @@ class Medium:
         self.events: list[MediumEvent] = []
         self.frames_sent = 0
         self.frames_dropped = 0
-        self._endpoints: dict[str, _Endpoint] = {}
+        self._endpoints: set[str] = set()
         # A MacAddress hashes and compares as its octets, so routing looks
         # a frame's raw destination bytes up here without building one.
-        self._mac_owner: dict[bytes, _Endpoint] = {}
-        self._taps: list[_Endpoint] = []
+        self._mac_owner: dict[bytes, Handle] = {}
+        self._taps: list[Handle] = []
         # One entry per send call: the sender and the frames it queued.
-        self._pending: list[tuple[_Endpoint, tuple[bytes, ...]]] = []
+        self._pending: list[tuple[Handle, tuple[bytes, ...]]] = []
         self._tick = 0
         self._loss_rng = Random(seed)
 
@@ -138,7 +141,7 @@ class Medium:
         *,
         injector: bool = False,
     ) -> Handle:
-        """Register an endpoint; identifiers and MACs must be unused.
+        """Register an endpoint and return it; identifiers and MACs must be unused.
 
         An injector is also a promiscuous tap: ``receive`` sees every
         frame sent, whatever its destination, and it is logged as
@@ -149,21 +152,13 @@ class Medium:
         if mac is not None and mac in self._mac_owner:
             owner = self._mac_owner[mac].endpoint_id
             raise DuplicateEndpoint(f"MAC {mac} already owned by {owner!r}")
-        endpoint = _Endpoint(endpoint_id, receive, injector)
-        self._endpoints[endpoint_id] = endpoint
+        endpoint = Handle(self, endpoint_id, receive, injector)
+        self._endpoints.add(endpoint_id)
         if mac is not None:
             self._mac_owner[mac] = endpoint
         if injector:
             self._taps.append(endpoint)
-        return Handle(self, endpoint_id)
-
-    def send(self, handle: Handle, *frames: bytes) -> None:
-        """Queue raw frames, in order, for processing at the next tick."""
-        sender = self._endpoints.get(handle.endpoint_id)
-        if handle.medium is not self or sender is None:
-            raise Detached(f"handle {handle.endpoint_id!r} is not attached here")
-        if frames:
-            self._pending.append((sender, tuple(map(bytes, frames))))
+        return endpoint
 
     def run_until_idle(self, max_ticks: int = DEFAULT_MAX_TICKS) -> list[MediumEvent]:
         """Advance ticks until no frames remain queued.

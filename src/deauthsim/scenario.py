@@ -328,6 +328,10 @@ def load_scenario_text(text: str) -> ScenarioConfig:
         raise ConfigError(f"scenario file is not valid YAML: {exc}") from None
     except RecursionError:
         raise ConfigError("scenario file is nested too deeply to parse") from None
+    except ValueError as exc:
+        # PyYAML's scalar constructors: a hex int with no digits, a date
+        # with month 13, an int past Python's digit limit.
+        raise ConfigError(f"scenario file has a value YAML cannot construct: {exc}") from None
     return config_from_dict(doc)
 
 

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from deauthsim.bench import BenchReport
 from deauthsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_TICK_LIMIT, main
 from deauthsim.scenario import MAX_SCENARIO_BYTES
 
@@ -228,6 +229,38 @@ class TestBench:
             "esp8266",
         }
         assert set(data["token_percentiles_s"]) == {"p50", "p90", "p99"}
+
+    def test_report_dict_is_pinned(self):
+        report = BenchReport(
+            iterations=100,
+            token_mean_s=0.25,
+            hash_mean_s=0.5,
+            total_mean_s=0.75,
+            token_percentiles_s={99: 3.0, 50: 1.0, 90: 2.0},
+            hash_percentiles_s={50: 4.0, 90: 5.0, 99: 6.0},
+        )
+        assert report.to_dict() == {
+            "iterations": 100,
+            "token_mean_s": 0.25,
+            "hash_mean_s": 0.5,
+            "total_mean_s": 0.75,
+            "token_percentiles_s": {"p50": 1.0, "p90": 2.0, "p99": 3.0},
+            "hash_percentiles_s": {"p50": 4.0, "p90": 5.0, "p99": 6.0},
+            "reference": [
+                {
+                    "platform": "raspberry-pi-3b",
+                    "token_mean_s": 0.076341,
+                    "hash_mean_s": 0.117223,
+                    "total_mean_s": 0.193564,
+                },
+                {
+                    "platform": "esp8266",
+                    "token_mean_s": 0.058025,
+                    "hash_mean_s": 0.123348,
+                    "total_mean_s": 0.181373,
+                },
+            ],
+        }
 
     def test_human_report_mentions_reference_hardware(self, capsys):
         assert main(["bench", "--iterations", "150"]) == EXIT_OK

@@ -14,7 +14,6 @@ from deauthsim.frames import (
     encode_frame,
 )
 from deauthsim.medium import (
-    Detached,
     DuplicateEndpoint,
     Handle,
     Medium,
@@ -59,14 +58,40 @@ class TestAttach:
         with pytest.raises(DuplicateEndpoint):
             medium.attach("b", MAC_A)
 
-    def test_send_through_foreign_handle_rejected(self):
+    def test_refused_mac_leaves_the_id_free(self):
         medium = Medium()
-        other = Medium()
-        handle = other.attach("a", MAC_A)
-        with pytest.raises(Detached):
-            medium.send(handle, b"\x00")
-        with pytest.raises(Detached):
-            Handle(medium, "ghost").send(b"\x00")
+        a = medium.attach("a", MAC_A)
+        with pytest.raises(DuplicateEndpoint, match="already owned by 'a'"):
+            medium.attach("b", MAC_A)
+        got_b = Collector()
+        medium.attach("b", MAC_B, got_b)
+        a.send(bare_frame(dst=MAC_B))
+        [(_, _, _, dst, _)] = medium.run_until_idle()
+        assert dst == "b"
+        assert got_b.events == [("a", bare_frame(dst=MAC_B))]
+
+    def test_refused_id_leaves_the_first_endpoint_routed(self):
+        medium = Medium()
+        got_a, got_dup = Collector(), Collector()
+        medium.attach("a", MAC_A, got_a)
+        with pytest.raises(DuplicateEndpoint, match="endpoint id 'a' already attached"):
+            medium.attach("a", MAC_B, got_dup)
+        sender = medium.attach("x", MacAddress.parse("02:00:00:00:00:0c"))
+        sender.send(bare_frame(dst=MAC_A), bare_frame(dst=MAC_B))
+        events = medium.run_until_idle()
+        assert [dst for _, _, _, dst, _ in events] == ["a", str(MAC_B)]
+        assert got_a.events == [("x", bare_frame(dst=MAC_A))]
+        assert got_dup.events == [], "the refused endpoint owns no MAC"
+
+    def test_attach_returns_the_endpoint_it_routes_through(self):
+        medium = Medium()
+        got = Collector()
+        a = medium.attach("a", MAC_A, got)
+        tap = medium.attach("tap", None, injector=True)
+        assert isinstance(a, Handle)
+        assert (a.medium, a.endpoint_id, a.receive, a.injector) == (medium, "a", got, False)
+        assert medium._mac_owner[MAC_A] is a
+        assert medium._taps == [tap]
 
 
 class TestDeliverySemantics:

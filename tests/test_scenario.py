@@ -143,6 +143,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             load_scenario_text("{unbalanced")
 
+    @pytest.mark.parametrize(
+        "line",
+        ["seed: 0x_", "name: 2024-13-45", "seed: " + "9" * 5000],
+        ids=["empty_hex_int", "impossible_date", "int_past_digit_limit"],
+    )
+    def test_value_yaml_cannot_construct_is_config_error(self, line):
+        # PyYAML's own constructors raise ValueError for these scalars.
+        text = line + "\n" + SCENARIO_TEXT.replace("seed: 1\n", "")
+        with pytest.raises(ConfigError, match="value YAML cannot construct"):
+            load_scenario_text(text)
+
     def test_missing_file_is_config_error(self):
         with pytest.raises(ConfigError):
             load_scenario("/no/such/file.yaml")
