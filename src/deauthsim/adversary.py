@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from functools import cached_property
 from random import Random
 
 from .frames import (
@@ -123,24 +123,36 @@ class Adversary:
         if replayed:
             self.captures.append(data)
 
+    @cached_property
+    def _deauth(self) -> bytes:
+        """This attack's deauthentication, encoded once.
+
+        A token guess's carries a placeholder token, which each guess
+        replaces.
+        """
+        cfg = self.cfg
+        token = bytes(TOKEN_PAYLOAD_SIZE) if cfg.kind is AttackKind.TOKEN_GUESS else None
+        return encode_frame(
+            ManagementFrame(
+                FrameSubtype.DEAUTHENTICATION, cfg.spoof_src, cfg.target, cfg.reason, token=token
+            )
+        )
+
     def frames(self) -> list[bytes]:
         """Build this attacker's frame sequence, ready to inject.
 
-        Forged deauths are one token-less frame, encoded once and repeated.
-        Token guesses each reveal one ``randbytes(16)`` from
-        ``Random(cfg.seed)``: the deauthentication is encoded once with a
-        placeholder token, and each guess is its bytes up to the token
-        followed by the draw, the same bytes as encoding each guess whole.
-        Replays re-send the capture verbatim.
+        Forged deauths are one token-less frame, encoded once per
+        attacker and repeated.  Token guesses each reveal one
+        ``randbytes(16)`` from ``Random(cfg.seed)``: each guess is the
+        deauthentication's bytes up to the placeholder token followed by
+        the draw, the same bytes as encoding each guess whole.  Replays
+        re-send the capture verbatim.
         """
         cfg = self.cfg
-        deauth = partial(
-            ManagementFrame, FrameSubtype.DEAUTHENTICATION, cfg.spoof_src, cfg.target, cfg.reason
-        )
         if cfg.kind is AttackKind.FORGED_DEAUTH:
-            return [encode_frame(deauth())] * cfg.frame_count
+            return [self._deauth] * cfg.frame_count
         if cfg.kind is AttackKind.TOKEN_GUESS:
-            prefix = encode_frame(deauth(token=bytes(TOKEN_PAYLOAD_SIZE)))[:-TOKEN_PAYLOAD_SIZE]
+            prefix = self._deauth[:-TOKEN_PAYLOAD_SIZE]
             randbytes = Random(cfg.seed).randbytes
             return [prefix + randbytes(TOKEN_PAYLOAD_SIZE) for _ in range(cfg.frame_count)]
         if not self.captures:

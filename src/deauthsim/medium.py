@@ -8,8 +8,8 @@ it.  One ``send`` call may carry many frames, as a whole attack step
 does: the call is one queue entry holding one tuple of frames, processed
 in order in the same tick, and each frame counts in ``frames_sent`` and
 in the ``TickLimitExceeded`` message.
-``run_until_idle`` drains an entry in one loop, reading the sender once
-per entry and the taps and the loss draw once per call; the per-frame
+``run_until_idle`` drains an entry in one loop, reading the sender and
+the taps once per entry and the loss draw once per call; the per-frame
 events and loss draws below keep their order.
 
 Processing a frame emits, in order, an ``injected`` event when the
@@ -30,16 +30,36 @@ looked up as raw bytes; the medium never inspects the source, which is
 what makes spoofing possible by construction.  The broadcast MAC
 ff:ff:ff:ff:ff:ff reaches every MAC-owning endpoint except the sender.
 
-``Medium.events`` keeps the whole log, each event a plain tuple
-``(tick, kind, from, to, frame)`` whose kind is its log word.  Every
-item is an atomic value, so the cyclic GC stops tracking an event at
-its first collection.  Each ``run_until_idle`` call returns only the
-events that call produced, so draining after every script step costs
-time linear in the events, not in the log so far.  ``write_event_log``
-formats each line directly, the same bytes as ``json.dumps`` with
-compact separators.
-``frames_sent`` and ``frames_dropped`` count processed and lost frames
-as they happen, so totals never need a pass over the log.
+``Medium.events`` is the whole log and each ``run_until_idle`` call
+returns its own part of it, both as an ``EventLog``: a read-only view
+whose iteration yields each event as a plain tuple ``(tick, kind, from,
+to, frame)``, kind being its log word, and whose ``len`` is a running
+count.  No event is stored.  The drain keeps one record per queue entry,
+``(tick, from, injector, tap ids, frames, first)``, where ``first`` is
+the ordinal of the entry's first frame, one destination label per frame
+in one flat list, and the ordinals of dropped frames in one set; the
+view rebuilds the events from those, so a flood costs two references
+per frame, and its records are tuples of atomic values that the cyclic
+GC stops tracking.  ``write_event_log`` formats each line straight from
+the records, the same bytes as ``json.dumps`` with compact separators.
+``frames_sent`` counts processed frames as they happen and
+``frames_dropped`` is the size of the dropped set, so totals never need
+a pass over the log.
+
+Because the log is kept per entry, three cases log differently from
+storing each event as it happens:
+
+* the taps that observe a queue entry are those attached when the
+  entry's processing starts, so a tap attached by a callback during a
+  drain observes (and is logged for) the next entry on, not the rest of
+  the current one;
+* when a callback raises, the interrupted entry keeps the frames that
+  reached their loss draw, each with all its events: a frame whose
+  delivery callback raised is kept whole, and one whose tap callback
+  raised is left out, with no ``injected`` or ``sniffed`` event;
+* the events of an entry join the log when the entry is done, so a
+  callback reading ``events`` during a drain does not see the entry it
+  is part of.
 
 An event's ``from`` is the sending endpoint's identifier, not the
 frame's source field: the log is the omniscient observer and always
@@ -51,8 +71,8 @@ identifier and the frame's bytes, ``receive(src, frame)``.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii as _quote
 from random import Random
 from typing import IO, Callable
 
@@ -80,20 +100,72 @@ class TickLimitExceeded(MediumError):
 # "sniffed", "delivered" or "dropped".
 MediumEvent = tuple[int, str, str, str, bytes]
 
+# One processed queue entry: (tick, from, injector, tap ids, frames,
+# ordinal of its first frame).
+_Record = tuple[int, str, bool, tuple[str, ...], tuple[bytes, ...], int]
 
-def write_event_log(events: list[MediumEvent], stream: IO[str]) -> None:
+
+class EventLog:
+    """A read-only view of a medium's event log, or of one drain's part of it.
+
+    Iterating yields every event as a plain tuple ``(tick, kind, from,
+    to, frame)``, in log order.  ``len`` costs nothing: the medium counts
+    events as it logs them.  The view covers the records that existed
+    when it was made and sees nothing logged later.
+    """
+
+    __slots__ = ("_medium", "_start", "_stop", "_len")
+
+    def __init__(self, medium: Medium, start: int, stop: int, length: int):
+        self._medium, self._start, self._stop, self._len = medium, start, stop, length
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[MediumEvent]:
+        labels, dropped = self._medium._labels, self._medium._dropped
+        for tick, src, injector, taps, frames, first in self._records():
+            for ordinal, data in enumerate(frames, first):
+                dst = labels[ordinal]
+                if injector:
+                    yield (tick, "injected", src, dst, data)
+                for tap in taps:
+                    yield (tick, "sniffed", src, tap, data)
+                yield (tick, "dropped" if ordinal in dropped else "delivered", src, dst, data)
+
+    def _records(self) -> list[_Record]:
+        return self._medium._records[self._start : self._stop]
+
+
+def write_event_log(events: EventLog, stream: IO[str]) -> None:
     """Serialize events as JSON Lines, one event per line.
 
     Each line is ``json.dumps`` of the event's mapping with ``(",", ":")``
     separators.  The tick is an int, the kind a fixed ASCII word and the
     frame hex, so only the two endpoint labels need JSON string quoting.
+    The lines are formatted from the log's records, not from its event
+    tuples: one ``hex()`` per frame and one quote per distinct label.
     """
+    # Imported here, so that importing the package does not load json.
+    from json.encoder import encode_basestring_ascii as quote
+
     write = stream.write
-    for tick, kind, src, dst, frame in events:
-        write(
-            f'{{"tick":{tick},"kind":"{kind}","from":{_quote(src)},'
-            f'"to":{_quote(dst)},"frame":"{frame.hex()}"}}\n'
-        )
+    labels, dropped = events._medium._labels, events._medium._dropped
+    quoted: dict[str, str] = {}
+    for tick, src, injector, taps, frames, first in events._records():
+        head = f'{{"tick":{tick},"kind":"'
+        sent = f'","from":{quoted.get(src) or quoted.setdefault(src, quote(src))},"to":'
+        for ordinal, data in enumerate(frames, first):
+            dst = labels[ordinal]
+            to = quoted.get(dst) or quoted.setdefault(dst, quote(dst))
+            tail = f',"frame":"{data.hex()}"}}\n'
+            if injector:
+                write(f"{head}injected{sent}{to}{tail}")
+            for tap in taps:
+                sniffer = quoted.get(tap) or quoted.setdefault(tap, quote(tap))
+                write(f"{head}sniffed{sent}{sniffer}{tail}")
+            kind = "dropped" if ordinal in dropped else "delivered"
+            write(f"{head}{kind}{sent}{to}{tail}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,18 +192,33 @@ class Medium:
     def __init__(self, *, loss_probability: float = 0.0, seed: int = 0):
         # Taken as given: ScenarioConfig refuses a probability outside [0, 1].
         self.loss_probability = loss_probability
-        self.events: list[MediumEvent] = []
         self.frames_sent = 0
-        self.frames_dropped = 0
+        self._records: list[_Record] = []
+        # One destination label per logged frame, indexed by its ordinal.
+        self._labels: list[str] = []
+        self._dropped: set[int] = set()
+        self._event_count = 0
         self._endpoints: set[str] = set()
         # A MacAddress hashes and compares as its octets, so routing looks
         # a frame's raw destination bytes up here without building one.
         self._mac_owner: dict[bytes, Handle] = {}
-        self._taps: list[Handle] = []
+        # Replaced, never mutated, by attach: a drain reads them once per entry.
+        self._tap_ids: tuple[str, ...] = ()
+        self._tap_receivers: tuple[Callable[[str, bytes], None], ...] = ()
         # One entry per send call: the sender and the frames it queued.
         self._pending: list[tuple[Handle, tuple[bytes, ...]]] = []
         self._tick = 0
         self._loss_rng = Random(seed)
+
+    @property
+    def events(self) -> EventLog:
+        """The whole log so far."""
+        return EventLog(self, 0, len(self._records), self._event_count)
+
+    @property
+    def frames_dropped(self) -> int:
+        """How many processed frames the loss draw dropped."""
+        return len(self._dropped)
 
     def attach(
         self,
@@ -157,21 +244,24 @@ class Medium:
         if mac is not None:
             self._mac_owner[mac] = endpoint
         if injector:
-            self._taps.append(endpoint)
+            self._tap_ids += (endpoint_id,)
+            if receive is not None:
+                self._tap_receivers += (receive,)
         return endpoint
 
-    def run_until_idle(self, max_ticks: int = DEFAULT_MAX_TICKS) -> list[MediumEvent]:
+    def run_until_idle(self, max_ticks: int = DEFAULT_MAX_TICKS) -> EventLog:
         """Advance ticks until no frames remain queued.
 
         ``max_ticks`` bounds this call; an endpoint loop that keeps the
         queue busy past the budget raises ``TickLimitExceeded``.
-        Returns the events this call produced, in log order; the whole
-        log stays in ``events``.
+        Returns a view of the events this call produced, in log order;
+        ``events`` holds the whole log.
         """
-        start = len(self.events)
-        log = self.events.append
+        labels = self._labels
+        start, counted = len(self._records), self._event_count
+        keep, label, drop = self._records.append, labels.append, self._dropped.add
         draw, loss = self._loss_rng.random, self.loss_probability
-        taps, mac_owner = self._taps, self._mac_owner
+        mac_owner = self._mac_owner
         budget = max_ticks
         while self._pending:
             if budget <= 0:
@@ -182,30 +272,36 @@ class Medium:
             batch, self._pending = self._pending, []
             for sender, frames in batch:
                 self.frames_sent += len(frames)
-                src, is_injector = sender.endpoint_id, sender.injector
-                for data in frames:
-                    # Short of the destination field when the frame is short.
-                    dst = data[_DST_OFFSET:_DST_END]
-                    owner = mac_owner.get(dst)
-                    if owner is not None:
-                        dst_label = owner.endpoint_id
-                    else:
-                        dst_label = str(MacAddress(dst)) if len(dst) == 6 else "?"
-                    if is_injector:
-                        log((tick, "injected", src, dst_label, data))
-                    for tap in taps:
-                        log((tick, "sniffed", src, tap.endpoint_id, data))
-                        if tap.receive is not None:
-                            tap.receive(src, data)
-                    if draw() < loss:
-                        self.frames_dropped += 1
-                        log((tick, "dropped", src, dst_label, data))
-                        continue
-                    log((tick, "delivered", src, dst_label, data))
-                    if dst == BROADCAST:
-                        for endpoint in mac_owner.values():
-                            if endpoint.endpoint_id != src and endpoint.receive is not None:
-                                endpoint.receive(src, data)
-                    elif owner is not None and owner.receive is not None:
-                        owner.receive(src, data)
-        return self.events[start:]
+                src, injector = sender.endpoint_id, sender.injector
+                tap_ids, tap_receivers = self._tap_ids, self._tap_receivers
+                first = len(labels)
+                try:
+                    for data in frames:
+                        # Short of the destination field when the frame is short.
+                        dst = data[_DST_OFFSET:_DST_END]
+                        owner = mac_owner.get(dst)
+                        if owner is not None:
+                            dst_label = owner.endpoint_id
+                        else:
+                            dst_label = str(MacAddress(dst)) if len(dst) == 6 else "?"
+                        for receive in tap_receivers:
+                            receive(src, data)
+                        label(dst_label)
+                        if draw() < loss:
+                            drop(len(labels) - 1)
+                            continue
+                        if dst == BROADCAST:
+                            for endpoint in mac_owner.values():
+                                if endpoint.endpoint_id != src and endpoint.receive is not None:
+                                    endpoint.receive(src, data)
+                        elif owner is not None and owner.receive is not None:
+                            owner.receive(src, data)
+                finally:
+                    # The frames that reached their loss draw: all of them
+                    # unless a callback raised.
+                    if len(labels) - first < len(frames):
+                        frames = frames[: len(labels) - first]
+                    if frames:
+                        keep((tick, src, injector, tap_ids, frames, first))
+                        self._event_count += len(frames) * (injector + len(tap_ids) + 1)
+        return EventLog(self, start, len(self._records), self._event_count - counted)

@@ -71,7 +71,7 @@ import yaml
 
 from .adversary import REPLAY_KINDS, Adversary, AttackerConfig
 from .frames import TEARDOWN_SUBTYPES, FrameSubtype, MacAddress
-from .medium import DEFAULT_MAX_TICKS, Medium, MediumEvent
+from .medium import DEFAULT_MAX_TICKS, EventLog, Medium
 from .stations import (
     AccessPoint,
     ClientStation,
@@ -87,6 +87,8 @@ MAX_SCENARIO_BYTES = 16 * 1024 * 1024
 
 # Subtypes whose verdicts the outcome tallies.
 COUNTED_SUBTYPES = TEARDOWN_SUBTYPES | {FrameSubtype.ASSOC_REQUEST}
+# How ``final_states`` names each state.
+_STATE_NAMES = {state: state.name.lower() for state in LifecycleState}
 
 
 class ConfigError(Exception):
@@ -463,7 +465,7 @@ class ScenarioRun:
             # The whole step is one send call: one queue entry, one tick.
             self.attack_handles[action.index].send(*self.adversaries[action.index].frames())
 
-    def execute(self) -> tuple[ScenarioOutcome, list[MediumEvent]]:
+    def execute(self) -> tuple[ScenarioOutcome, EventLog]:
         """Run the script; return the outcome and the medium's whole event log."""
         for action in self.cfg.script:
             self._perform(action)
@@ -484,16 +486,16 @@ class ScenarioRun:
             legit_disconnect_success=self.teardown_accepts == self.expected_teardowns,
         )
 
-        for mac, station in self.stations.items():
+        for station in self.stations.values():
             peers = station.sessions.keys() | station.authenticated
             state = max(map(station.state_toward, peers), default=LifecycleState.UNAUTH_UNASSOC)
-            outcome.final_states[str(mac)] = state.name.lower()
+            outcome.final_states[station.name] = _STATE_NAMES[state]
         return outcome
 
 
 def run_scenario(
     cfg: ScenarioConfig, seed: int | None = None
-) -> tuple[ScenarioOutcome, list[MediumEvent]]:
+) -> tuple[ScenarioOutcome, EventLog]:
     """Run one scenario to completion; ``seed`` overrides the config's."""
     if seed is not None:
         cfg = replace(cfg, seed=seed)

@@ -5,6 +5,7 @@ import json
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deauthsim.frames import (
     BROADCAST,
@@ -22,6 +23,7 @@ from deauthsim.medium import (
 )
 from deauthsim.stations import AccessPoint, ClientStation
 from helpers import AP_MAC, CLIENT_MAC
+from medium_reference import ReferenceMedium, reference_write_event_log
 
 MAC_A = MacAddress.parse("02:00:00:00:00:0a")
 MAC_B = MacAddress.parse("02:00:00:00:00:0b")
@@ -29,6 +31,11 @@ MAC_B = MacAddress.parse("02:00:00:00:00:0b")
 
 def bare_frame(src=None, dst=None, subtype=FrameSubtype.AUTH_REQUEST):
     return encode_frame(ManagementFrame(subtype, src or MAC_A, dst or MAC_B, 0))
+
+
+def distinct_frames(count):
+    """``count`` frames to MAC_B that differ in their claimed source."""
+    return [bare_frame(src=MacAddress(bytes([2, 0, 0, 0, 0, i]))) for i in range(1, count + 1)]
 
 
 def kinds(events):
@@ -43,6 +50,61 @@ class Collector:
 
     def __call__(self, src, frame):
         self.events.append((src, frame))
+
+
+STATION_MACS = [MacAddress(bytes([2, 0, 0, 0, 0x10, i])) for i in range(3)]
+UNOWNED_MAC = MacAddress.parse("02:99:99:99:99:99")
+PING, PONG = 0x10, 0x11
+
+
+def build_topology(medium, stations, taps):
+    """Attach ``stations`` (reply flags) and ``taps`` (callback flags); return handles and a trace.
+
+    A replying station answers every ``PING`` frame with one ``PONG`` to
+    the frame's claimed source, so drains span several ticks.
+    """
+    seen = []
+    handles = []
+
+    def station(i, replies):
+        def receive(src, frame):
+            seen.append((i, src, frame))
+            if replies and frame[:1] == bytes([PING]):
+                handles[i].send(bytes([PONG]) + STATION_MACS[i] + frame[1:7] + bytes(2))
+
+        return receive
+
+    def tap(j):
+        return lambda src, frame: seen.append((f"tap{j}", src, frame))
+
+    for i, replies in enumerate(stations):
+        receive = None if replies is None else station(i, replies)
+        handles.append(medium.attach(f"station\"{i}", STATION_MACS[i], receive))
+    for j, observes in enumerate(taps):
+        handles.append(medium.attach(f"tap {j}", None, tap(j) if observes else None, injector=True))
+    return handles, seen
+
+
+@st.composite
+def traffic_strategy(draw):
+    """Loss, seed, station reply flags (None: no callback), tap flags, and drains of sends."""
+    macs = st.sampled_from(STATION_MACS + [BROADCAST, UNOWNED_MAC])
+    whole = st.builds(
+        lambda code, src, dst, tail: bytes([code]) + src + dst + bytes(2) + tail,
+        st.sampled_from([PING, PONG, 0x0C]),
+        macs,
+        macs,
+        st.binary(max_size=3),
+    )
+    frame = st.one_of(whole, st.binary(max_size=12))
+    send = st.tuples(st.integers(0, 4), st.lists(frame, min_size=1, max_size=5))
+    return (
+        draw(st.sampled_from([0.0, 0.3, 1.0])),
+        draw(st.integers(0, 2**32)),
+        draw(st.lists(st.sampled_from([None, False, True]), min_size=1, max_size=3)),
+        draw(st.lists(st.booleans(), max_size=2)),
+        draw(st.lists(st.lists(send, max_size=4), min_size=1, max_size=4)),
+    )
 
 
 class TestAttach:
@@ -91,7 +153,7 @@ class TestAttach:
         assert isinstance(a, Handle)
         assert (a.medium, a.endpoint_id, a.receive, a.injector) == (medium, "a", got, False)
         assert medium._mac_owner[MAC_A] is a
-        assert medium._taps == [tap]
+        assert medium._tap_ids == ("tap",)
 
 
 class TestDeliverySemantics:
@@ -359,11 +421,25 @@ class TestEventLog:
 
     def test_labels_are_quoted_exactly_like_json_dumps(self):
         label = 'q"uote \\back caf\u00e9 \u2603 \U0001f600 \n'
+        medium = Medium()
+        sender = medium.attach(label, MAC_A, injector=True)
+        medium.attach("to " + label, MAC_B)
+        sender.send(bare_frame())
+        medium.run_until_idle()
         stream = io.StringIO()
-        write_event_log([(7, "sniffed", label, "to " + label, b"\x01\xff")], stream)
-        expected = {"tick": 7, "kind": "sniffed", "from": label, "to": "to " + label}
-        assert stream.getvalue() == (
-            json.dumps(dict(expected, frame="01ff"), separators=(",", ":")) + "\n"
+        write_event_log(medium.events, stream)
+        events = list(medium.events)
+        assert {(src, dst) for _, _, src, dst, _ in events} == {
+            (label, "to " + label),
+            (label, label),
+        }, "the odd label is both a sender and a destination"
+        assert stream.getvalue() == "".join(
+            json.dumps(
+                {"tick": tick, "kind": kind, "from": src, "to": dst, "frame": frame.hex()},
+                separators=(",", ":"),
+            )
+            + "\n"
+            for tick, kind, src, dst, frame in events
         )
 
     def test_events_are_immutable_and_hashable(self):
@@ -387,12 +463,128 @@ class TestDrainResult:
         a.send(bare_frame())
         a.send(bare_frame())
         second = medium.run_until_idle()
-        assert [tick for tick, _, _, _, _ in first] == [1]
+        assert [tick for tick, _, _, _, _ in first] == [1], "a view does not grow with the log"
         assert [tick for tick, _, _, _, _ in second] == [2, 2]
-        assert medium.events == first + second, "the medium still keeps the whole log"
-        assert medium.run_until_idle() == [], "an idle drain produces nothing"
-        second.clear()
-        assert len(medium.events) == 3, "a drain result is a copy, not the log"
+        assert (len(first), len(second), len(medium.events)) == (1, 2, 3)
+        assert list(medium.events) == list(first) + list(second), (
+            "the medium still keeps the whole log"
+        )
+        idle = medium.run_until_idle()
+        assert len(idle) == 0 and list(idle) == [], "an idle drain produces nothing"
+
+
+class TestCallbacksDuringADrain:
+    """Where the record-per-entry log differs from storing one event at a time."""
+
+    def test_a_tap_attached_mid_entry_observes_from_the_next_entry(self):
+        medium = Medium()
+        late = Collector()
+        a = medium.attach("a", MAC_A)
+
+        def attach_late(src, frame):
+            if not attached:
+                attached.append(medium.attach("late", None, late, injector=True))
+
+        attached = []
+
+        medium.attach("b", MAC_B, attach_late)
+        first, second, third = distinct_frames(3)
+        a.send(first, second)
+        a.send(third)
+        events = list(medium.run_until_idle())
+        assert [(kind, frame) for _, kind, _, _, frame in events] == [
+            ("delivered", first),
+            ("delivered", second),
+            ("sniffed", third),
+            ("delivered", third),
+        ], "the tap misses the rest of the entry it was attached in"
+        assert late.events == [("a", third)], "its callback sees what its log lines show"
+
+    def test_a_delivery_callback_that_raises_keeps_its_frame_whole(self):
+        medium = Medium()
+        tap = Collector()
+        a = medium.attach("a", MAC_A)
+        medium.attach("spy", None, tap, injector=True)
+        frames = distinct_frames(3)
+
+        def refuse_second(src, frame):
+            if frame == frames[1]:
+                raise RuntimeError("receiver failed")
+
+        medium.attach("b", MAC_B, refuse_second)
+        a.send(*frames)
+        with pytest.raises(RuntimeError, match="receiver failed"):
+            medium.run_until_idle()
+        events = list(medium.events)
+        assert [(kind, frame) for _, kind, _, _, frame in events] == [
+            ("sniffed", frames[0]),
+            ("delivered", frames[0]),
+            ("sniffed", frames[1]),
+            ("delivered", frames[1]),
+        ], "the same log as storing each event as it happens"
+        assert len(medium.events) == 4
+        assert medium.frames_sent == 3, "the whole entry was counted when it started"
+
+    def test_a_tap_callback_that_raises_leaves_its_frame_out(self):
+        medium = Medium()
+        frames = distinct_frames(3)
+
+        def refuse_second(src, frame):
+            if frame == frames[1]:
+                raise RuntimeError("tap failed")
+
+        attacker = medium.attach("attacker", None, refuse_second, injector=True)
+        medium.attach("b", MAC_B)
+        attacker.send(*frames)
+        with pytest.raises(RuntimeError, match="tap failed"):
+            medium.run_until_idle()
+        # Storing each event as it happened would also have kept the second
+        # frame's injected and sniffed events, with no outcome.
+        assert kinds(medium.events) == ["injected", "sniffed", "delivered"]
+        assert [frame for *_, frame in medium.events] == [frames[0]] * 3
+        assert len(medium.events) == 3
+
+
+class TestAgainstReference:
+    """The record-per-entry log against the event-per-tuple drain in medium_reference.py."""
+
+    @given(traffic=traffic_strategy())
+    @settings(max_examples=150, deadline=None)
+    def test_same_events_drains_bytes_and_callbacks(self, traffic):
+        loss, seed, stations, taps, drains = traffic
+        results = []
+        for medium in (
+            Medium(loss_probability=loss, seed=seed),
+            ReferenceMedium(loss_probability=loss, seed=seed),
+        ):
+            handles, seen = build_topology(medium, stations, taps)
+            drained = []
+            for sends in drains:
+                for sender, frames in sends:
+                    handles[sender % len(handles)].send(*frames)
+                drained.append(medium.run_until_idle())
+            results.append((medium, drained, seen))
+        (medium, drained, seen), (reference, ref_drained, ref_seen) = results
+
+        assert list(medium.events) == reference.events
+        assert len(medium.events) == len(reference.events)
+        assert [list(view) for view in drained] == ref_drained
+        assert [len(view) for view in drained] == [len(events) for events in ref_drained]
+        assert all(type(event) is tuple for event in medium.events)
+        stream, ref_stream = io.StringIO(), io.StringIO()
+        write_event_log(medium.events, stream)
+        reference_write_event_log(reference.events, ref_stream)
+        assert stream.getvalue() == ref_stream.getvalue()
+        for view, ref_events in zip(drained, ref_drained):
+            stream, ref_stream = io.StringIO(), io.StringIO()
+            write_event_log(view, stream)
+            reference_write_event_log(ref_events, ref_stream)
+            assert stream.getvalue() == ref_stream.getvalue()
+        assert seen == ref_seen
+        assert (medium.frames_sent, medium.frames_dropped) == (
+            reference.frames_sent,
+            reference.frames_dropped,
+        )
 
 
 class TestTickLimit:
