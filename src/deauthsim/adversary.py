@@ -8,7 +8,9 @@ touch station internals.  Four attacks are modeled:
   classic token-less disconnect flood.
 * ``TOKEN_GUESS``: teardown frames carrying uniformly random 16-byte
   tokens; with 122 secret bits per real token, the per-frame hit
-  probability is negligible.
+  probability is negligible.  Each attacker draws its guesses from one
+  ``Random(cfg.seed)``, so a second attack step continues the stream
+  and never repeats the first step's guesses.
 * ``ASSOC_REPLAY``: re-emits a sniffed association request verbatim,
   trying to ride an old hash commitment past the AP.
 * ``DEAUTH_REPLAY``: re-emits a sniffed token-revealing teardown
@@ -46,8 +48,11 @@ from .frames import (
 
 DEFAULT_REASON = 3
 
-# Every attack builds its whole frame list up front, so the count is
-# capped: a one-line config must not exhaust memory.
+# An attack step is one tuple, built whole before it is sent and kept
+# as is by the log, so the count is capped: a one-line config must not
+# exhaust memory.  At the cap a forged step's log costs 16 MB (a
+# reference and a label per frame); a token guess's distinct 34-byte
+# frames add about 70 MB.
 MAX_FRAME_COUNT = 1_000_000
 
 
@@ -138,25 +143,30 @@ class Adversary:
             )
         )
 
-    def frames(self) -> list[bytes]:
-        """Build this attacker's frame sequence, ready to inject.
+    @cached_property
+    def _randbytes(self):
+        """This attacker's guess stream: one ``Random(cfg.seed)`` for all its steps."""
+        return Random(self.cfg.seed).randbytes
+
+    def frames(self) -> tuple[bytes, ...]:
+        """Build one attack step, a tuple of ``bytes`` ready to inject as is.
 
         Forged deauths are one token-less frame, encoded once per
-        attacker and repeated.  Token guesses each reveal one
-        ``randbytes(16)`` from ``Random(cfg.seed)``: each guess is the
-        deauthentication's bytes up to the placeholder token followed by
-        the draw, the same bytes as encoding each guess whole.  Replays
-        re-send the capture verbatim.
+        attacker and repeated.  Token guesses each reveal the next
+        ``randbytes(16)`` of this attacker's ``Random(cfg.seed)``, which
+        each call continues: each guess is the deauthentication's bytes
+        up to the placeholder token followed by the draw, the same bytes
+        as encoding each guess whole.  Replays re-send the capture
+        verbatim.
         """
         cfg = self.cfg
         if cfg.kind is AttackKind.FORGED_DEAUTH:
-            return [self._deauth] * cfg.frame_count
+            return (self._deauth,) * cfg.frame_count
         if cfg.kind is AttackKind.TOKEN_GUESS:
-            prefix = self._deauth[:-TOKEN_PAYLOAD_SIZE]
-            randbytes = Random(cfg.seed).randbytes
-            return [prefix + randbytes(TOKEN_PAYLOAD_SIZE) for _ in range(cfg.frame_count)]
+            prefix, randbytes = self._deauth[:-TOKEN_PAYLOAD_SIZE], self._randbytes
+            return tuple(prefix + randbytes(TOKEN_PAYLOAD_SIZE) for _ in range(cfg.frame_count))
         if not self.captures:
             if cfg.kind is AttackKind.ASSOC_REPLAY:
                 raise NoCapturedAssoc("no association request was sniffed")
             raise NoCapturedDeauth("no token-bearing teardown was sniffed")
-        return self.captures * cfg.frame_count
+        return tuple(self.captures) * cfg.frame_count

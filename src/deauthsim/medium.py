@@ -4,10 +4,14 @@ Single-threaded, tick-based: a frame sent during tick N is processed at
 tick N+1, in submission order.  ``Medium.attach`` returns the endpoint
 itself, a ``Handle``: the one record the drain routes through, and the
 sender, because ``Handle.send`` queues frames on the medium that built
-it.  One ``send`` call may carry many frames, as a whole attack step
-does: the call is one queue entry holding one tuple of frames, processed
-in order in the same tick, and each frame counts in ``frames_sent`` and
-in the ``TickLimitExceeded`` message.
+it.  One ``send`` call may carry many frames: the call is one queue
+entry holding one tuple of frames, processed in order in the same tick,
+and each frame counts in ``frames_sent`` and in the
+``TickLimitExceeded`` message.  ``send`` copies its arguments into that
+tuple as ``bytes``; ``Handle.send_step`` queues a tuple of ``bytes``
+that the caller built, such as a whole attack step, as is: the entry,
+and then the log record, hold that same tuple object, so a step is
+never copied between the attacker and the log.
 ``run_until_idle`` drains an entry in one loop, reading the sender and
 the taps once per entry and the loss draw once per call; the per-frame
 events and loss draws below keep their order.
@@ -37,14 +41,16 @@ to, frame)``, kind being its log word, and whose ``len`` is a running
 count.  No event is stored.  The drain keeps one record per queue entry,
 ``(tick, from, injector, tap ids, frames, first)``, where ``first`` is
 the ordinal of the entry's first frame, one destination label per frame
-in one flat list, and the ordinals of dropped frames in one set; the
-view rebuilds the events from those, so a flood costs two references
-per frame, and its records are tuples of atomic values that the cyclic
-GC stops tracking.  ``write_event_log`` formats each line straight from
-the records, the same bytes as ``json.dumps`` with compact separators.
-``frames_sent`` counts processed frames as they happen and
-``frames_dropped`` is the size of the dropped set, so totals never need
-a pass over the log.
+in one flat list, and the ordinal of each dropped frame, in increasing
+order, in one ``array('q')``; the view rebuilds the events from those,
+walking the dropped ordinals alongside its frames from a ``bisect`` to
+its first one.  So a flood costs two references per frame and a dropped
+frame 8 bytes more, and the records are tuples of atomic values that
+the cyclic GC stops tracking.  ``write_event_log`` formats each line
+straight from the records, the same bytes as ``json.dumps`` with compact
+separators.  ``frames_sent`` counts processed frames as they happen and
+``frames_dropped`` is the length of the dropped array, so totals never
+need a pass over the log.
 
 Because the log is kept per entry, three cases log differently from
 storing each event as it happens:
@@ -71,8 +77,11 @@ identifier and the frame's bytes, ``receive(src, frame)``.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 from random import Random
 from typing import IO, Callable
 
@@ -123,18 +132,28 @@ class EventLog:
         return self._len
 
     def __iter__(self) -> Iterator[MediumEvent]:
-        labels, dropped = self._medium._labels, self._medium._dropped
-        for tick, src, injector, taps, frames, first in self._records():
+        labels = self._medium._labels
+        records, drops = self._records()
+        drop = next(drops, -1)
+        for tick, src, injector, taps, frames, first in records:
             for ordinal, data in enumerate(frames, first):
                 dst = labels[ordinal]
                 if injector:
                     yield (tick, "injected", src, dst, data)
                 for tap in taps:
                     yield (tick, "sniffed", src, tap, data)
-                yield (tick, "dropped" if ordinal in dropped else "delivered", src, dst, data)
+                if ordinal == drop:
+                    drop = next(drops, -1)
+                    yield (tick, "dropped", src, dst, data)
+                else:
+                    yield (tick, "delivered", src, dst, data)
 
-    def _records(self) -> list[_Record]:
-        return self._medium._records[self._start : self._stop]
+    def _records(self) -> tuple[list[_Record], Iterator[int]]:
+        """The view's records, and the dropped ordinals from its first frame on."""
+        medium = self._medium
+        records = medium._records[self._start : self._stop]
+        first = records[0][5] if records else 0
+        return records, islice(medium._dropped, bisect_left(medium._dropped, first), None)
 
 
 def write_event_log(events: EventLog, stream: IO[str]) -> None:
@@ -150,9 +169,11 @@ def write_event_log(events: EventLog, stream: IO[str]) -> None:
     from json.encoder import encode_basestring_ascii as quote
 
     write = stream.write
-    labels, dropped = events._medium._labels, events._medium._dropped
+    labels = events._medium._labels
+    records, drops = events._records()
+    drop = next(drops, -1)
     quoted: dict[str, str] = {}
-    for tick, src, injector, taps, frames, first in events._records():
+    for tick, src, injector, taps, frames, first in records:
         head = f'{{"tick":{tick},"kind":"'
         sent = f'","from":{quoted.get(src) or quoted.setdefault(src, quote(src))},"to":'
         for ordinal, data in enumerate(frames, first):
@@ -164,8 +185,11 @@ def write_event_log(events: EventLog, stream: IO[str]) -> None:
             for tap in taps:
                 sniffer = quoted.get(tap) or quoted.setdefault(tap, quote(tap))
                 write(f"{head}sniffed{sent}{sniffer}{tail}")
-            kind = "dropped" if ordinal in dropped else "delivered"
-            write(f"{head}{kind}{sent}{to}{tail}")
+            if ordinal == drop:
+                drop = next(drops, -1)
+                write(f"{head}dropped{sent}{to}{tail}")
+            else:
+                write(f"{head}delivered{sent}{to}{tail}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,9 +207,17 @@ class Handle:
     injector: bool
 
     def send(self, *frames: bytes) -> None:
-        """Queue raw frames, in order, for processing at the next tick."""
+        """Queue raw frames, in order, for processing at the next tick.
+
+        Each frame is copied to ``bytes`` here, so a caller may reuse a
+        buffer once ``send`` returns.
+        """
+        self.send_step(tuple(map(bytes, frames)))
+
+    def send_step(self, frames: tuple[bytes, ...]) -> None:
+        """Queue a tuple of ``bytes`` as one entry, kept as is; empty queues nothing."""
         if frames:
-            self.medium._pending.append((self, tuple(map(bytes, frames))))
+            self.medium._pending.append((self, frames))
 
 
 class Medium:
@@ -196,7 +228,8 @@ class Medium:
         self._records: list[_Record] = []
         # One destination label per logged frame, indexed by its ordinal.
         self._labels: list[str] = []
-        self._dropped: set[int] = set()
+        # The ordinal of each dropped frame, in increasing order.
+        self._dropped = array("q")
         self._event_count = 0
         self._endpoints: set[str] = set()
         # A MacAddress hashes and compares as its octets, so routing looks
@@ -259,7 +292,7 @@ class Medium:
         """
         labels = self._labels
         start, counted = len(self._records), self._event_count
-        keep, label, drop = self._records.append, labels.append, self._dropped.add
+        keep, label, drop = self._records.append, labels.append, self._dropped.append
         draw, loss = self._loss_rng.random, self.loss_probability
         mac_owner = self._mac_owner
         budget = max_ticks

@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from collections.abc import Hashable
+from collections.abc import Callable, Hashable
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from importlib import resources
@@ -87,6 +87,7 @@ MAX_SCENARIO_BYTES = 16 * 1024 * 1024
 
 # Subtypes whose verdicts the outcome tallies.
 COUNTED_SUBTYPES = TEARDOWN_SUBTYPES | {FrameSubtype.ASSOC_REQUEST}
+_ACCEPT = Action.ACCEPT
 # How ``final_states`` names each state.
 _STATE_NAMES = {state: state.name.lower() for state in LifecycleState}
 
@@ -387,11 +388,13 @@ def load_scenario(ref: str | Path) -> ScenarioConfig:
 class ScenarioRun:
     """Wires stations, adversaries and medium for one config.
 
-    The medium calls ``_deliver`` (stations) and ``_sniff`` (replay
-    attackers) with the true sender's endpoint id and the frame's bytes.
-    Verdicts are tallied as they happen and not kept: per-cause counts
-    for the subtypes in ``COUNTED_SUBTYPES``, accepted frames injected by
-    an adversary, and accepted teardowns sent by stations.
+    The medium calls each station's ``deliver`` closure and ``_sniff``
+    (replay attackers) with the true sender's endpoint id and the frame's
+    bytes.  Verdicts are tallied as they happen and not kept: per-cause
+    counts for the subtypes in ``COUNTED_SUBTYPES``, accepted frames
+    injected by an adversary, and accepted teardowns sent by stations.
+    An attack step goes from ``Adversary.frames`` to ``Handle.send_step``
+    as one tuple, uncopied.
     """
 
     def __init__(self, cfg: ScenarioConfig):
@@ -413,14 +416,34 @@ class ScenarioRun:
         self.medium = Medium(loss_probability=cfg.loss_probability, seed=medium_seed)
 
         protected = cfg.mode is Mode.PROTECTED
+
+        # The medium's callback per station: a plain function, not a
+        # ``functools.partial`` of a method, so that each delivery is a
+        # Python-to-Python call.  Defined here, every callback shares this
+        # frame's cell for ``self`` and has one of its own, for its station:
+        # each cell costs memory per station.
+        def deliverer(station: Station) -> Callable[[str, bytes], None]:
+            def deliver(src: str, data: bytes) -> None:
+                result = station.receive_frame(data)
+                if result is None:
+                    return
+                frame, verdict = result
+                if frame.subtype in COUNTED_SUBTYPES:
+                    self.verdict_counts[verdict.cause] += 1
+                if verdict.action is _ACCEPT:
+                    if src in self.adversary_ids:
+                        self.attack_success_count += 1
+                    elif frame.subtype in TEARDOWN_SUBTYPES:
+                        self.teardown_accepts += 1
+
+            return deliver
+
         self.stations: dict[MacAddress, Station] = {}
         for spec, seed in zip(cfg.stations, station_seeds):
             cls = AccessPoint if spec.role is Role.AP else ClientStation
             station = cls(spec.mac, protected=protected, rng=Random(seed))
             self.stations[spec.mac] = station
-            handle = self.medium.attach(
-                station.name, spec.mac, functools.partial(self._deliver, station)
-            )
+            handle = self.medium.attach(station.name, spec.mac, deliverer(station))
             station.bind_transmit(handle.send)
 
         # Indexed like ``adversaries``.
@@ -440,19 +463,6 @@ class ScenarioRun:
         if src not in self.adversary_ids:
             adversary.on_sniffed(data)
 
-    def _deliver(self, station: Station, src: str, data: bytes) -> None:
-        result = station.receive_frame(data)
-        if result is None:
-            return
-        frame, verdict = result
-        if frame.subtype in COUNTED_SUBTYPES:
-            self.verdict_counts[verdict.cause] += 1
-        if verdict.action is Action.ACCEPT:
-            if src in self.adversary_ids:
-                self.attack_success_count += 1
-            elif frame.subtype in TEARDOWN_SUBTYPES:
-                self.teardown_accepts += 1
-
     def _perform(self, action: ScriptAction) -> None:
         if isinstance(action, AssociateAction):
             client = self.stations[action.client]
@@ -462,8 +472,8 @@ class ScenarioRun:
             initiator = self.stations[action.initiator]
             self.expected_teardowns += len(initiator.teardown_all(action.reason))
         else:
-            # The whole step is one send call: one queue entry, one tick.
-            self.attack_handles[action.index].send(*self.adversaries[action.index].frames())
+            # The whole step is one queue entry, one tick.
+            self.attack_handles[action.index].send_step(self.adversaries[action.index].frames())
 
     def execute(self) -> tuple[ScenarioOutcome, EventLog]:
         """Run the script; return the outcome and the medium's whole event log."""

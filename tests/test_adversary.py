@@ -109,7 +109,7 @@ class TestTokenGuess:
             AttackKind.TOKEN_GUESS, spoof_src, target, frame_count=40, reason=reason, seed=seed
         )
         rng = Random(seed)
-        expected = [
+        expected = tuple(
             encode_frame(
                 ManagementFrame(
                     FrameSubtype.DEAUTHENTICATION,
@@ -120,8 +120,19 @@ class TestTokenGuess:
                 )
             )
             for _ in range(40)
-        ]
+        )
         assert adversary(cfg).frames() == expected
+
+    def test_each_step_continues_the_guess_stream(self):
+        seed, count = 0x5EED, 30
+        cfg = AttackerConfig(
+            AttackKind.TOKEN_GUESS, CLIENT_MAC, AP_MAC, frame_count=count, seed=seed
+        )
+        adv = adversary(cfg)
+        steps = adv.frames() + adv.frames()
+        rng = Random(seed)
+        assert [frame[-16:] for frame in steps] == [rng.randbytes(16) for _ in range(2 * count)]
+        assert len(set(steps)) == 2 * count, "a second step repeats no guess"
 
     def test_random_guesses_never_verify(self):
         client, ap = make_pair()
@@ -156,7 +167,7 @@ class TestAssocReplay:
             AttackKind.ASSOC_REPLAY, CLIENT_MAC, AP_MAC, frame_count=4
         )
         frames = adversary(cfg, noise, raw).frames()
-        assert frames == [raw] * 4, "bytes are re-emitted untouched"
+        assert frames == (raw,) * 4, "bytes are re-emitted untouched"
 
     def test_garbage_captures_are_skipped(self):
         cfg = AttackerConfig(AttackKind.ASSOC_REPLAY, CLIENT_MAC, AP_MAC)
@@ -164,7 +175,7 @@ class TestAssocReplay:
             ManagementFrame(FrameSubtype.ASSOC_REQUEST, CLIENT_MAC, AP_MAC, 0)
         )
         frames = adversary(cfg, b"\xff\x00", raw).frames()
-        assert frames == [raw]
+        assert frames == (raw,)
 
     def test_nothing_captured_raises(self):
         cfg = AttackerConfig(AttackKind.ASSOC_REPLAY, CLIENT_MAC, AP_MAC)
@@ -186,7 +197,7 @@ class TestDeauthReplay:
             AttackKind.DEAUTH_REPLAY, CLIENT_MAC, AP_MAC, frame_count=2
         )
         frames = adversary(cfg, bare, legit).frames()
-        assert frames == [legit] * 2, "token-less frames are not worth replaying"
+        assert frames == (legit,) * 2, "token-less frames are not worth replaying"
 
     def test_nothing_captured_raises(self):
         cfg = AttackerConfig(AttackKind.DEAUTH_REPLAY, CLIENT_MAC, AP_MAC)
@@ -211,7 +222,7 @@ class TestAdversaryShell:
             "attacker:0",
         )
         adv.on_sniffed(encode_frame(request))
-        assert adv.frames() == [encode_frame(request)] * 2
+        assert adv.frames() == (encode_frame(request),) * 2
 
     @pytest.mark.parametrize(
         "kind, keeps",

@@ -87,7 +87,10 @@ def build_topology(medium, stations, taps):
 
 @st.composite
 def traffic_strategy(draw):
-    """Loss, seed, station reply flags (None: no callback), tap flags, and drains of sends."""
+    """Loss, seed, station reply flags (None: no callback), tap flags, and drains of sends.
+
+    A send is a sender index, its frames and whether it is queued as a step.
+    """
     macs = st.sampled_from(STATION_MACS + [BROADCAST, UNOWNED_MAC])
     whole = st.builds(
         lambda code, src, dst, tail: bytes([code]) + src + dst + bytes(2) + tail,
@@ -97,7 +100,7 @@ def traffic_strategy(draw):
         st.binary(max_size=3),
     )
     frame = st.one_of(whole, st.binary(max_size=12))
-    send = st.tuples(st.integers(0, 4), st.lists(frame, min_size=1, max_size=5))
+    send = st.tuples(st.integers(0, 4), st.lists(frame, min_size=1, max_size=5), st.booleans())
     return (
         draw(st.sampled_from([0.0, 0.3, 1.0])),
         draw(st.integers(0, 2**32)),
@@ -472,6 +475,17 @@ class TestDrainResult:
         idle = medium.run_until_idle()
         assert len(idle) == 0 and list(idle) == [], "an idle drain produces nothing"
 
+    def test_a_step_is_logged_as_the_tuple_it_was_queued_as(self):
+        medium = Medium()
+        a = medium.attach("a", MAC_A)
+        medium.attach("b", MAC_B)
+        step = (bare_frame(),) * 3
+        a.send_step(step)
+        a.send_step(())
+        assert len(medium.run_until_idle()) == 3, "an empty step queues nothing"
+        [(tick, _, _, _, frames, _)] = medium._records
+        assert (tick, frames) == (1, step) and frames is step, "kept as is, not copied"
+
 
 class TestCallbacksDuringADrain:
     """Where the record-per-entry log differs from storing one event at a time."""
@@ -560,8 +574,12 @@ class TestAgainstReference:
             handles, seen = build_topology(medium, stations, taps)
             drained = []
             for sends in drains:
-                for sender, frames in sends:
-                    handles[sender % len(handles)].send(*frames)
+                for sender, frames, step in sends:
+                    handle = handles[sender % len(handles)]
+                    if step:
+                        handle.send_step(tuple(frames))
+                    else:
+                        handle.send(*frames)
                 drained.append(medium.run_until_idle())
             results.append((medium, drained, seen))
         (medium, drained, seen), (reference, ref_drained, ref_seen) = results

@@ -2,6 +2,7 @@
 
 import gc
 import io
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -538,6 +539,47 @@ class TestOutcomeAccounting:
         # each event as a tuple costs about 40 collections more.
         assert large[0] - small[0] < 100, "GC-tracked objects retained"
         assert large[1] - small[1] <= 1, "collections during execute"
+
+    @staticmethod
+    def traced_execute(name, frame_count):
+        """Run bundled ``name`` with its attacker scaled to ``frame_count``.
+
+        Returns the bytes the run keeps once done and the peak bytes
+        during ``execute()``, both per frame sent and counted from before
+        the run was built (tracemalloc).
+        """
+        base = load_bundled_scenario(name)
+        attacker = replace(base.attackers[0], frame_count=frame_count)
+        cfg = replace(base, attackers=[attacker])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run = ScenarioRun(cfg)
+            tracemalloc.reset_peak()
+            run.execute()
+            gc.collect()
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        frames = run.medium.frames_sent
+        return (kept - before) / frames, (peak - before) / frames
+
+    @pytest.mark.parametrize(
+        "name, frame_count",
+        [("protected_forged_deauth", 100_000), ("protected_token_guess", 10_000)],
+    )
+    def test_an_attack_step_reaches_the_log_uncopied(self, name, frame_count):
+        # The step built by the attacker is the tuple the log keeps: a copy
+        # on the way, even one of references, would cost 8 bytes per frame.
+        kept, peak = self.traced_execute(name, frame_count)
+        assert peak - kept <= 1.0, f"peak {peak:.1f} B per frame, {kept:.1f} kept"
+
+    def test_a_dropped_frame_costs_its_ordinal_only(self):
+        # A quarter of the frames drop: 8 bytes for each one's ordinal, on
+        # top of one frame reference and one label per frame.
+        kept, _ = self.traced_execute("lossy_protected_flood", 100_000)
+        assert kept <= 20.0, f"{kept:.1f} B kept per frame"
 
     def test_outcome_dict_is_json_shaped(self):
         outcome, _ = run_scenario(load_bundled_scenario("protected_legit_teardown"))
