@@ -4,14 +4,11 @@ Single-threaded, tick-based: a frame sent during tick N is processed at
 tick N+1, in submission order.  ``Medium.attach`` returns the endpoint
 itself, a ``Handle``: the one record the drain routes through, and the
 sender, because ``Handle.send`` queues frames on the medium that built
-it.  One ``send`` call may carry many frames: the call is one queue
-entry holding one tuple of frames, processed in order in the same tick,
-and each frame counts in ``frames_sent`` and in the
-``TickLimitExceeded`` message.  ``send`` copies its arguments into that
-tuple as ``bytes``; ``Handle.send_step`` queues a tuple of ``bytes``
-that the caller built, such as a whole attack step, as is: the entry,
-and then the log record, hold that same tuple object, so a step is
-never copied between the attacker and the log.
+it.  ``send`` takes one tuple of ``bytes``, a station's one frame or a
+whole attack step, and queues it as one entry, processed in order in
+the same tick; each of its frames counts in the ``TickLimitExceeded``
+message.  The entry, and then the log record, hold the caller's tuple
+object, so a step is never copied between the attacker and the log.
 ``run_until_idle`` drains an entry in one loop, reading the sender and
 the taps once per entry and the loss draw once per call; the per-frame
 events and loss draws below keep their order.
@@ -37,23 +34,28 @@ ff:ff:ff:ff:ff:ff reaches every MAC-owning endpoint except the sender.
 ``Medium.events`` is the whole log and each ``run_until_idle`` call
 returns its own part of it, both as an ``EventLog``: a read-only view
 whose iteration yields each event as a plain tuple ``(tick, kind, from,
-to, frame)``, kind being its log word, and whose ``len`` is a running
-count.  No event is stored.  The drain keeps one record per queue entry,
-``(tick, from, injector, tap ids, frames, first)``, where ``first`` is
-the ordinal of the entry's first frame, one destination label per frame
-in one flat list, and the ordinal of each dropped frame, in increasing
-order, in one ``array('q')``; the view rebuilds the events from those,
-walking the dropped ordinals alongside its frames from a ``bisect`` to
-its first one.  So a flood costs two references per frame and a dropped
+to, frame)``, kind being its log word.  No event is stored.  The drain
+keeps one record per queue entry, ``(tick, from, injector, tap ids,
+frames, first)``, where ``first`` is the ordinal of the entry's first
+frame, one destination label per frame in one flat list, and the
+ordinal of each dropped frame, in increasing order, in one
+``array('q')``; the view rebuilds the events from those, walking the
+dropped ordinals alongside its frames from a ``bisect`` to its first
+one.  So a flood costs two references per frame and a dropped
 frame 8 bytes more, and the records are tuples of atomic values that
 the cyclic GC stops tracking.  ``write_event_log`` formats each line
 straight from the records, the same bytes as ``json.dumps`` with compact
-separators.  ``frames_sent`` counts processed frames as they happen and
-``frames_dropped`` is the length of the dropped array, so totals never
-need a pass over the log.
+separators.
 
-Because the log is kept per entry, three cases log differently from
-storing each event as it happens:
+Totals are read from the log, not counted beside it: ``frames_sent`` is
+the number of labels, one per frame that reached its loss draw, so it
+always equals delivered plus dropped; ``frames_dropped`` is the length
+of the dropped array; and a view's ``len`` adds up, per record, its
+frames times the events each frame leaves, one step per record.
+
+Four cases are worth knowing when a callback acts during a drain.  The
+first three are where keeping the log per entry differs from storing
+each event as it happens:
 
 * the taps that observe a queue entry are those attached when the
   entry's processing starts, so a tap attached by a callback during a
@@ -65,7 +67,9 @@ storing each event as it happens:
   raised is left out, with no ``injected`` or ``sniffed`` event;
 * the events of an entry join the log when the entry is done, so a
   callback reading ``events`` during a drain does not see the entry it
-  is part of.
+  is part of;
+* when a callback raises, the rest of that tick's batch, the entries
+  queued after the interrupted one, is neither logged nor re-queued.
 
 An event's ``from`` is the sending endpoint's identifier, not the
 frame's source field: the log is the omniscient observer and always
@@ -118,18 +122,21 @@ class EventLog:
     """A read-only view of a medium's event log, or of one drain's part of it.
 
     Iterating yields every event as a plain tuple ``(tick, kind, from,
-    to, frame)``, in log order.  ``len`` costs nothing: the medium counts
-    events as it logs them.  The view covers the records that existed
-    when it was made and sees nothing logged later.
+    to, frame)``, in log order.  ``len`` is read from the records, one
+    step per record, not per event.  The view covers the records that
+    existed when it was made and sees nothing logged later.
     """
 
-    __slots__ = ("_medium", "_start", "_stop", "_len")
+    __slots__ = ("_medium", "_start", "_stop")
 
-    def __init__(self, medium: Medium, start: int, stop: int, length: int):
-        self._medium, self._start, self._stop, self._len = medium, start, stop, length
+    def __init__(self, medium: Medium, start: int, stop: int):
+        self._medium, self._start, self._stop = medium, start, stop
 
     def __len__(self) -> int:
-        return self._len
+        # Indexed, not islice'd: islice steps through every record before
+        # the view, and a drain's view starts at the end of the whole log.
+        records = map(self._medium._records.__getitem__, range(self._start, self._stop))
+        return sum(len(frames) * (inj + len(taps) + 1) for _, _, inj, taps, frames, _ in records)
 
     def __iter__(self) -> Iterator[MediumEvent]:
         labels = self._medium._labels
@@ -206,16 +213,12 @@ class Handle:
     receive: Callable[[str, bytes], None] | None
     injector: bool
 
-    def send(self, *frames: bytes) -> None:
-        """Queue raw frames, in order, for processing at the next tick.
+    def send(self, frames: tuple[bytes, ...]) -> None:
+        """Queue a tuple of raw frames as one entry, for the next tick, in order.
 
-        Each frame is copied to ``bytes`` here, so a caller may reuse a
-        buffer once ``send`` returns.
+        The tuple is kept as is, not copied, so its frames must be
+        ``bytes``.  An empty tuple queues nothing.
         """
-        self.send_step(tuple(map(bytes, frames)))
-
-    def send_step(self, frames: tuple[bytes, ...]) -> None:
-        """Queue a tuple of ``bytes`` as one entry, kept as is; empty queues nothing."""
         if frames:
             self.medium._pending.append((self, frames))
 
@@ -224,13 +227,11 @@ class Medium:
     def __init__(self, *, loss_probability: float = 0.0, seed: int = 0):
         # Taken as given: ScenarioConfig refuses a probability outside [0, 1].
         self.loss_probability = loss_probability
-        self.frames_sent = 0
         self._records: list[_Record] = []
         # One destination label per logged frame, indexed by its ordinal.
         self._labels: list[str] = []
         # The ordinal of each dropped frame, in increasing order.
         self._dropped = array("q")
-        self._event_count = 0
         self._endpoints: set[str] = set()
         # A MacAddress hashes and compares as its octets, so routing looks
         # a frame's raw destination bytes up here without building one.
@@ -246,7 +247,12 @@ class Medium:
     @property
     def events(self) -> EventLog:
         """The whole log so far."""
-        return EventLog(self, 0, len(self._records), self._event_count)
+        return EventLog(self, 0, len(self._records))
+
+    @property
+    def frames_sent(self) -> int:
+        """How many frames reached their loss draw: delivered plus dropped."""
+        return len(self._labels)
 
     @property
     def frames_dropped(self) -> int:
@@ -291,7 +297,7 @@ class Medium:
         ``events`` holds the whole log.
         """
         labels = self._labels
-        start, counted = len(self._records), self._event_count
+        start = len(self._records)
         keep, label, drop = self._records.append, labels.append, self._dropped.append
         draw, loss = self._loss_rng.random, self.loss_probability
         mac_owner = self._mac_owner
@@ -304,7 +310,6 @@ class Medium:
             self._tick = tick = self._tick + 1
             batch, self._pending = self._pending, []
             for sender, frames in batch:
-                self.frames_sent += len(frames)
                 src, injector = sender.endpoint_id, sender.injector
                 tap_ids, tap_receivers = self._tap_ids, self._tap_receivers
                 first = len(labels)
@@ -336,5 +341,4 @@ class Medium:
                         frames = frames[: len(labels) - first]
                     if frames:
                         keep((tick, src, injector, tap_ids, frames, first))
-                        self._event_count += len(frames) * (injector + len(tap_ids) + 1)
-        return EventLog(self, start, len(self._records), self._event_count - counted)
+        return EventLog(self, start, len(self._records))

@@ -67,8 +67,6 @@ from pathlib import Path
 from random import Random
 from typing import get_args, get_origin, get_type_hints
 
-import yaml
-
 from .adversary import REPLAY_KINDS, Adversary, AttackerConfig
 from .frames import TEARDOWN_SUBTYPES, FrameSubtype, MacAddress
 from .medium import DEFAULT_MAX_TICKS, EventLog, Medium
@@ -300,33 +298,43 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
     return _record(ScenarioConfig, values, "scenario", ("schema",))
 
 
-class _UniqueKeyLoader(yaml.SafeLoader):
-    """``SafeLoader`` that refuses a mapping naming the same key twice.
+@functools.cache
+def _unique_key_loader() -> type:
+    """The YAML loader for scenario files, built on first use."""
+    import yaml
 
-    Plain YAML keeps the last value, so a repeated ``loss_probability``
-    would silently override the first.  Merge keys (``<<``) keep their
-    override meaning.
-    """
+    class _UniqueKeyLoader(yaml.SafeLoader):
+        """``SafeLoader`` that refuses a mapping naming the same key twice.
 
-    def construct_mapping(self, node, deep=False):
-        seen = set()
-        for key_node, _ in node.value:
-            if key_node.tag == "tag:yaml.org,2002:merge":
-                continue
-            key = self.construct_object(key_node, deep=deep)
-            if not isinstance(key, Hashable):
-                continue  # the base class reports unhashable keys
-            if key in seen:
-                raise ConfigError(
-                    f"scenario: duplicate key {key!r} on line {key_node.start_mark.line + 1}"
-                )
-            seen.add(key)
-        return super().construct_mapping(node, deep=deep)
+        Plain YAML keeps the last value, so a repeated ``loss_probability``
+        would silently override the first.  Merge keys (``<<``) keep their
+        override meaning.
+        """
+
+        def construct_mapping(self, node, deep=False):
+            seen = set()
+            for key_node, _ in node.value:
+                if key_node.tag == "tag:yaml.org,2002:merge":
+                    continue
+                key = self.construct_object(key_node, deep=deep)
+                if not isinstance(key, Hashable):
+                    continue  # the base class reports unhashable keys
+                if key in seen:
+                    raise ConfigError(
+                        f"scenario: duplicate key {key!r} on line {key_node.start_mark.line + 1}"
+                    )
+                seen.add(key)
+            return super().construct_mapping(node, deep=deep)
+
+    return _UniqueKeyLoader
 
 
 def load_scenario_text(text: str) -> ScenarioConfig:
+    # Imported here, so that importing the package does not load PyYAML.
+    import yaml
+
     try:
-        doc = yaml.load(text, Loader=_UniqueKeyLoader)
+        doc = yaml.load(text, Loader=_unique_key_loader())
     except yaml.YAMLError as exc:
         raise ConfigError(f"scenario file is not valid YAML: {exc}") from None
     except RecursionError:
@@ -393,8 +401,9 @@ class ScenarioRun:
     bytes.  Verdicts are tallied as they happen and not kept: per-cause
     counts for the subtypes in ``COUNTED_SUBTYPES``, accepted frames
     injected by an adversary, and accepted teardowns sent by stations.
-    An attack step goes from ``Adversary.frames`` to ``Handle.send_step``
-    as one tuple, uncopied.
+    Stations and attackers queue through the same ``Handle.send``: a
+    station one frame at a time, an attack step as the tuple
+    ``Adversary.frames`` returns, uncopied.
     """
 
     def __init__(self, cfg: ScenarioConfig):
@@ -473,7 +482,7 @@ class ScenarioRun:
             self.expected_teardowns += len(initiator.teardown_all(action.reason))
         else:
             # The whole step is one queue entry, one tick.
-            self.attack_handles[action.index].send_step(self.adversaries[action.index].frames())
+            self.attack_handles[action.index].send(self.adversaries[action.index].frames())
 
     def execute(self) -> tuple[ScenarioOutcome, EventLog]:
         """Run the script; return the outcome and the medium's whole event log."""

@@ -57,9 +57,6 @@ from .tokens import generate_token, hash_token
 
 # Reason codes on which a verified teardown is legitimate.
 TEARDOWN_REASONS = frozenset({3, 4, 5, 8})
-# Reason codes asserting the sender was never authenticated/associated.
-UNAUTH_SENDER_REASONS = frozenset({2, 6, 7, 9})
-REJECT_REASONS = frozenset({1})
 
 STATUS_SUCCESS = 0
 STATUS_REFUSED = 1
@@ -117,6 +114,12 @@ _ACCEPT_LEGACY_ASSOC = Verdict(Action.ACCEPT, "legacy_assoc")
 _REJECT_REPLAYED_HASH = Verdict(Action.REJECT, "replayed_hash")
 _ACCEPT_HASH_RECORDED = Verdict(Action.ACCEPT, "hash_recorded")
 
+# The protected-mode verdict on each reason that is not a teardown
+# reason; every code missing here is reserved.
+_NON_TEARDOWN_VERDICTS = {1: _REJECT_UNSPECIFIED_REASON}
+# The sender claims it was never authenticated or associated.
+_NON_TEARDOWN_VERDICTS.update(dict.fromkeys((2, 6, 7, 9), _IGNORE_UNAUTHENTICATED_SENDER))
+
 
 @dataclass
 class SessionRecord:
@@ -145,17 +148,17 @@ class Station:
         self.sessions: dict[MacAddress, SessionRecord] = {}
         # Peers that authenticated; those with a session are associated too.
         self.authenticated: set[MacAddress] = set()
-        self._transmit: Callable[[bytes], None] | None = None
+        self._transmit: Callable[[tuple[bytes, ...]], None] | None = None
 
     # -- wiring ------------------------------------------------------
 
-    def bind_transmit(self, transmit: Callable[[bytes], None]) -> None:
-        """Attach the callable used to put encoded frames on the air."""
+    def bind_transmit(self, transmit: Callable[[tuple[bytes, ...]], None]) -> None:
+        """Attach the callable that puts encoded frames on the air, as a tuple."""
         self._transmit = transmit
 
     def _send(self, frame: ManagementFrame) -> None:
         if self._transmit is not None:
-            self._transmit(encode_frame(frame))
+            self._transmit((encode_frame(frame),))
 
     # -- lifecycle ---------------------------------------------------
 
@@ -225,12 +228,8 @@ class Station:
             self._delete_session(frame.src, frame.subtype)
             return _ACCEPT_LEGACY_NO_CHECK
         reason = frame.status_or_reason
-        if reason in REJECT_REASONS:
-            return _REJECT_UNSPECIFIED_REASON
-        if reason in UNAUTH_SENDER_REASONS:
-            return _IGNORE_UNAUTHENTICATED_SENDER
         if reason not in TEARDOWN_REASONS:
-            return _IGNORE_RESERVED_CODE
+            return _NON_TEARDOWN_VERDICTS.get(reason, _IGNORE_RESERVED_CODE)
 
         record = self.sessions.get(frame.src)
         if record is None:

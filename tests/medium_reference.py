@@ -54,7 +54,6 @@ class ReferenceMedium:
             self._tick += 1
             batch, self._pending = self._pending, []
             for sender, frames in batch:
-                self.frames_sent += len(frames)
                 for data in frames:
                     self._process(sender, data, log)
         return self.events[start:]
@@ -75,6 +74,7 @@ class ReferenceMedium:
             log((tick, "sniffed", src, tap.endpoint_id, data))
             if tap.receive is not None:
                 tap.receive(src, data)
+        self.frames_sent += 1
         if self._loss_rng.random() < self.loss_probability:
             self.frames_dropped += 1
             log((tick, "dropped", src, dst_label, data))

@@ -134,7 +134,7 @@ class TestHandshake:
         # them must not grow the AP's per-peer state.
         _, ap = make_pair()
         sent = []
-        ap.bind_transmit(sent.append)
+        ap.bind_transmit(sent.extend)
         for i in range(1000):
             spoofed = MacAddress(bytes([2, 0, 0, 0, i >> 8, i & 0xFF]))
             ap.receive_frame(
@@ -573,7 +573,7 @@ class TestHostileBytes:
         station, peer = (client, ap) if is_request else (ap, client)
         commitment = b"\x42" * 64 if subtype.name.startswith("ASSOC") else None
         sent = []
-        station.bind_transmit(sent.append)
+        station.bind_transmit(sent.extend)
         before = _station_fingerprint(station)
         frame = ManagementFrame(subtype, peer.mac, station.mac, 0, commitment)
         assert station.receive_frame(encode_frame(frame)) is None
