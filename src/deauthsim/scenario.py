@@ -400,7 +400,8 @@ class ScenarioRun:
     (replay attackers) with the true sender's endpoint id and the frame's
     bytes.  Verdicts are tallied as they happen and not kept: per-cause
     counts for the subtypes in ``COUNTED_SUBTYPES``, accepted frames
-    injected by an adversary, and accepted teardowns sent by stations.
+    injected by an adversary, and the teardowns that ``deauth`` steps sent
+    and no receiver has accepted yet.
     Stations and attackers queue through the same ``Handle.send``: a
     station one frame at a time, an attack step as the tuple
     ``Adversary.frames`` returns, uncopied.
@@ -410,8 +411,7 @@ class ScenarioRun:
         self.cfg = cfg
         self.verdict_counts: Counter[str] = Counter()
         self.attack_success_count = 0
-        self.teardown_accepts = 0
-        self.expected_teardowns = 0
+        self.unaccepted_teardowns = 0
 
         master = Random(cfg.seed)
         medium_seed = master.getrandbits(64)
@@ -443,7 +443,7 @@ class ScenarioRun:
                     if src in self.adversary_ids:
                         self.attack_success_count += 1
                     elif frame.subtype in TEARDOWN_SUBTYPES:
-                        self.teardown_accepts += 1
+                        self.unaccepted_teardowns -= 1
 
             return deliver
 
@@ -452,7 +452,7 @@ class ScenarioRun:
             cls = AccessPoint if spec.role is Role.AP else ClientStation
             station = cls(spec.mac, protected=protected, rng=Random(seed))
             self.stations[spec.mac] = station
-            handle = self.medium.attach(station.name, spec.mac, deliverer(station))
+            handle = self.medium.attach(str(spec.mac), spec.mac, deliverer(station))
             station.bind_transmit(handle.send)
 
         # Indexed like ``adversaries``.
@@ -479,7 +479,7 @@ class ScenarioRun:
             client.start_join(action.ap)
         elif isinstance(action, DeauthAction):
             initiator = self.stations[action.initiator]
-            self.expected_teardowns += len(initiator.teardown_all(action.reason))
+            self.unaccepted_teardowns += len(initiator.teardown_all(action.reason))
         else:
             # The whole step is one queue entry, one tick.
             self.attack_handles[action.index].send(self.adversaries[action.index].frames())
@@ -502,13 +502,13 @@ class ScenarioRun:
             frames_dropped=medium.frames_dropped,
             verdicts=dict(self.verdict_counts),
             attack_success_count=self.attack_success_count,
-            legit_disconnect_success=self.teardown_accepts == self.expected_teardowns,
+            legit_disconnect_success=self.unaccepted_teardowns == 0,
         )
 
         for station in self.stations.values():
             peers = station.sessions.keys() | station.authenticated
             state = max(map(station.state_toward, peers), default=LifecycleState.UNAUTH_UNASSOC)
-            outcome.final_states[station.name] = _STATE_NAMES[state]
+            outcome.final_states[str(station.mac)] = _STATE_NAMES[state]
         return outcome
 
 

@@ -144,7 +144,6 @@ class Station:
         self.mac = mac
         self.protected = protected
         self.rng = rng
-        self.name = str(mac)
         self.sessions: dict[MacAddress, SessionRecord] = {}
         # Peers that authenticated; those with a session are associated too.
         self.authenticated: set[MacAddress] = set()
@@ -169,10 +168,15 @@ class Station:
             return LifecycleState.AUTH_UNASSOC
         return LifecycleState.UNAUTH_UNASSOC
 
-    def _new_session(self, peer_hash: bytes | None) -> SessionRecord:
-        """Draw this side's token and commit to it."""
+    def _new_session(self, peer_hash: bytes | None) -> tuple[SessionRecord, bytes | None]:
+        """Draw this side's token and commit to it.
+
+        Returns the record and the commitment this side sends: the
+        token's digest in protected mode, ``None`` in legacy mode.
+        """
         token = generate_token(self.rng)
-        return SessionRecord(token, hash_token(token), peer_hash)
+        record = SessionRecord(token, hash_token(token), peer_hash)
+        return record, record.own_hash if self.protected else None
 
     def _delete_session(self, peer: MacAddress, subtype: FrameSubtype) -> None:
         del self.sessions[peer]
@@ -273,14 +277,14 @@ class ClientStation(Station):
     def start_join(self, ap: MacAddress) -> None:
         """Kick off the full join handshake toward ``ap``.
 
-        Sends the authentication request; the association request
-        follows automatically once the AP's answer arrives.  A client
-        still authenticated (AUTH_UNASSOC) sends the association request
-        at once; one already associated raises ``WrongState``.
+        Sends the authentication request; once the AP's answer arrives,
+        ``_dispatch`` resumes the join by calling ``start_join`` again.
+        A client still authenticated (AUTH_UNASSOC) sends the association
+        request at once; no other method sends it.  One already
+        associated raises ``WrongState``.
         """
         if self.state_toward(ap) >= LifecycleState.AUTH_UNASSOC:
-            frame, _ = self.begin_association(ap)
-            self._send(frame)
+            self._send(self.begin_association(ap)[0])
             return
         self._join_targets.add(ap)
         self._send(
@@ -301,9 +305,8 @@ class ClientStation(Station):
             raise WrongState(
                 f"{self.mac} cannot associate with {ap} from {state.name}, need AUTH_UNASSOC"
             )
-        record = self._new_session(None)
+        record, commitment = self._new_session(None)
         self.pending[ap] = record
-        commitment = record.own_hash if self.protected else None
         frame = ManagementFrame(
             FrameSubtype.ASSOC_REQUEST, self.mac, ap, STATUS_SUCCESS, commitment
         )
@@ -331,8 +334,7 @@ class ClientStation(Station):
                 self.authenticated.add(frame.src)
                 if frame.src in self._join_targets:
                     self._join_targets.discard(frame.src)
-                    assoc, _ = self.begin_association(frame.src)
-                    self._send(assoc)
+                    self.start_join(frame.src)
             return None
         if frame.subtype is FrameSubtype.ASSOC_RESPONSE:
             try:
@@ -375,8 +377,7 @@ class AccessPoint(Station):
             self.seen_hashes.add(peer_hash)
 
         self.authenticated.add(src)
-        record = self.sessions[src] = self._new_session(peer_hash)
-        commitment = record.own_hash if self.protected else None
+        self.sessions[src], commitment = self._new_session(peer_hash)
         response = ManagementFrame(
             FrameSubtype.ASSOC_RESPONSE, self.mac, src, STATUS_SUCCESS, commitment
         )

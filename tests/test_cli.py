@@ -38,6 +38,21 @@ class TestRun:
         assert data["attack_success_count"] == 1
         assert data["final_states"]["02:00:00:00:00:02"] == "unauth_unassoc"
 
+    def test_a_run_with_no_verdicts_says_none(self, tmp_path, capsys):
+        path = tmp_path / "idle.yaml"
+        path.write_text(
+            """
+            schema: 1
+            name: idle
+            mode: protected
+            stations:
+              - {role: ap, mac: "02:00:00:00:00:01"}
+            script: []
+            """
+        )
+        assert main(["run", str(path), "--format", "human"]) == EXIT_OK
+        assert "verdicts:\n  (none)\nfinal_states:" in capsys.readouterr().out
+
     def test_scenario_file_path(self, tmp_path, capsys):
         path = tmp_path / "mini.yaml"
         path.write_text(

@@ -559,6 +559,36 @@ class TestCallbacksDuringADrain:
         assert medium.frames_sent == 1, "the second frame never reached its loss draw"
 
 
+class TestReactiveTap:
+    """A tap sees a frame before the station it is addressed to."""
+
+    def test_a_taps_answer_is_delivered_before_the_receivers_reply(self):
+        medium = Medium()
+        inbox = Collector()
+        request = bare_frame(src=MAC_A, dst=MAC_B)
+        reply = bare_frame(src=MAC_B, dst=MAC_A, subtype=FrameSubtype.AUTH_RESPONSE)
+        forged = bare_frame(src=MAC_B, dst=MAC_A, subtype=FrameSubtype.ASSOC_RESPONSE)
+
+        def answer(src, frame):
+            if frame == request:
+                b.send((reply,))
+
+        def race(src, frame):
+            if frame == request:
+                tap.send((forged,))
+
+        a = medium.attach("a", MAC_A, inbox)
+        b = medium.attach("b", MAC_B, answer)
+        tap = medium.attach("tap", None, race, injector=True)
+        a.send((request,))
+        events = medium.run_until_idle()
+        delivered = [(tick, src, frame) for tick, kind, src, _, frame in events if kind == "delivered"]
+        assert delivered == [(1, "a", request), (2, "tap", forged), (2, "b", reply)], (
+            "the tap's callback runs before delivery, so its answer is queued first"
+        )
+        assert inbox.events == [("tap", forged), ("b", reply)]
+
+
 class TestAgainstReference:
     """The record-per-entry log against the event-per-tuple drain in medium_reference.py."""
 

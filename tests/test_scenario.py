@@ -643,3 +643,13 @@ class TestProgrammaticConfig:
         )
         injected = [src for _, kind, src, _, _ in events if kind == "injected"]
         assert injected == ["attacker:0"]
+
+    def test_a_script_entry_that_is_not_an_action_is_refused(self):
+        with pytest.raises(ConfigError, match="unknown script action"):
+            ScenarioConfig(
+                name="bad_script",
+                mode=Mode.PROTECTED,
+                seed=5,
+                stations=(StationSpec(Role.AP, MacAddress.parse(AP)),),
+                script=({"associate": {}},),
+            )

@@ -1,5 +1,8 @@
 """Print the size of ``src/deauthsim``: ``wc -l`` lines and AST code lines.
 
+Two total lines come first, then one ``name: wc -l / AST`` line per
+module, so a change's log shows which module its lines moved in.
+
 A line is a code line when some AST node spans it, it is not part of a
 docstring, and it is neither blank nor a comment.  Standard library only.
 """
@@ -44,10 +47,14 @@ def code_lines(source: str) -> int:
 
 
 def main() -> None:
-    texts = [path.read_text() for path in sorted(ROOT.glob("*.py"))]
-    newlines = sum(text.count("\n") for text in texts)
-    print(f"wc -l lines: {newlines}")
-    print(f"AST code lines: {sum(code_lines(text) for text in texts)}")
+    sizes = {}
+    for path in sorted(ROOT.glob("*.py")):
+        text = path.read_text()
+        sizes[path.name] = (text.count("\n"), code_lines(text))
+    print(f"wc -l lines: {sum(newlines for newlines, _ in sizes.values())}")
+    print(f"AST code lines: {sum(code for _, code in sizes.values())}")
+    for name, (newlines, code) in sizes.items():
+        print(f"  {name}: {newlines} / {code}")
 
 
 if __name__ == "__main__":
