@@ -56,9 +56,12 @@ from typing import NamedTuple
 
 from .tokens import DIGEST_SIZE, TOKEN_SIZE
 
-HEADER_SIZE = 15
 HEADER_FORMAT = "<B6s6sH"
 _HEADER = struct.Struct(HEADER_FORMAT)
+HEADER_SIZE = _HEADER.size
+# The destination MAC's bytes, after the subtype code and the source MAC.
+DST_OFFSET = struct.calcsize("<B6s")
+DST_END = DST_OFFSET + 6
 
 IE_ELEMENT_ID = 0xDD
 PAYLOAD_HASH = 0x01
@@ -71,8 +74,14 @@ TOKEN_PAYLOAD_SIZE = TOKEN_SIZE
 _HASH_ELEMENT_HEADER = bytes((IE_ELEMENT_ID, HASH_PAYLOAD_SIZE + 1, PAYLOAD_HASH))
 _TOKEN_ELEMENT_HEADER = bytes((IE_ELEMENT_ID, TOKEN_PAYLOAD_SIZE + 1, PAYLOAD_TOKEN))
 
+# The two element-bearing sizes, each read whole by one struct.
+_TOKEN_FRAME = struct.Struct(f"{HEADER_FORMAT}3s{TOKEN_PAYLOAD_SIZE}s")
+_HASH_FRAME = struct.Struct(f"{HEADER_FORMAT}3s{HASH_PAYLOAD_SIZE}s")
+_TOKEN_FRAME_SIZE = _TOKEN_FRAME.size
+_HASH_FRAME_SIZE = _HASH_FRAME.size
+
 # The only sizes encode_frame can emit: bare, with hash, with token.
-CANONICAL_FRAME_SIZES = frozenset({15, 82, 34})
+CANONICAL_FRAME_SIZES = frozenset({HEADER_SIZE, _HASH_FRAME_SIZE, _TOKEN_FRAME_SIZE})
 
 
 class DecodeError(ValueError):
@@ -118,6 +127,9 @@ _SUBTYPE_BY_CODE = {subtype.value: subtype for subtype in FrameSubtype}
 _CODE_BY_SUBTYPE = {subtype: subtype.value for subtype in FrameSubtype}
 
 
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
+
 class MacAddress(bytes):
     """A 6-octet hardware address: the octets themselves, shown as colon hex."""
 
@@ -133,13 +145,11 @@ class MacAddress(bytes):
 
     @classmethod
     def parse(cls, text: str) -> "MacAddress":
+        """Read six colon-separated octets, each exactly two ASCII hex digits."""
         parts = text.strip().split(":")
-        if len(parts) != 6 or not all(len(p) == 2 for p in parts):
+        if len(parts) != 6 or not all(len(p) == 2 and _HEX_DIGITS.issuperset(p) for p in parts):
             raise ValueError(f"malformed MAC address {text!r}")
-        try:
-            return cls(bytes(int(p, 16) for p in parts))
-        except ValueError as exc:
-            raise ValueError(f"malformed MAC address {text!r}") from exc
+        return cls(bytes.fromhex("".join(parts)))
 
     def __str__(self) -> str:
         return self.hex(":")
@@ -200,13 +210,6 @@ def encode_frame(frame: ManagementFrame) -> bytes:
     if frame.token is not None:
         return header + _TOKEN_ELEMENT_HEADER + frame.token
     return header
-
-
-# The two element-bearing sizes, each read whole by one struct.
-_TOKEN_FRAME = struct.Struct(f"{HEADER_FORMAT}3s{TOKEN_PAYLOAD_SIZE}s")
-_HASH_FRAME = struct.Struct(f"{HEADER_FORMAT}3s{HASH_PAYLOAD_SIZE}s")
-_TOKEN_FRAME_SIZE = _TOKEN_FRAME.size
-_HASH_FRAME_SIZE = _HASH_FRAME.size
 
 
 def _refusal(data: bytes) -> DecodeError:

@@ -26,26 +26,27 @@ Loss is a per-frame Bernoulli draw from ``random.Random(seed)``: one
 below ``loss_probability``.  The generator is touched for nothing else,
 so the delivered/dropped pattern can be replayed independently.
 
-Routing uses only the destination MAC at bytes 7-13 of the raw frame,
-looked up as raw bytes; the medium never inspects the source, which is
-what makes spoofing possible by construction.  The broadcast MAC
-ff:ff:ff:ff:ff:ff reaches every MAC-owning endpoint except the sender.
+Routing uses only the destination MAC, bytes ``frames.DST_OFFSET`` to
+``frames.DST_END`` (7-13) of the raw frame, looked up as raw bytes; the
+medium never inspects the source, which is what makes spoofing possible
+by construction.  The broadcast MAC ff:ff:ff:ff:ff:ff reaches every
+MAC-owning endpoint except the sender.
 
 ``Medium.events`` is the whole log and each ``run_until_idle`` call
 returns its own part of it, both as an ``EventLog``: a read-only view
-whose iteration yields each event as a plain tuple ``(tick, kind, from,
-to, frame)``, kind being its log word.  No event is stored.  The drain
-keeps one record per queue entry, ``(tick, from, injector, tap ids,
-frames, first)``, where ``first`` is the ordinal of the entry's first
-frame, one destination label per frame in one flat list, and the
-ordinal of each dropped frame, in increasing order, in one
-``array('q')``; the view rebuilds the events from those, walking the
-dropped ordinals alongside its frames from a ``bisect`` to its first
-one.  So a flood costs two references per frame and a dropped
-frame 8 bytes more, and the records are tuples of atomic values that
-the cyclic GC stops tracking.  ``write_event_log`` formats each line
-straight from the records, the same bytes as ``json.dumps`` with compact
-separators.
+that has a ``len`` and that ``write_event_log`` writes, one JSON line
+per event ``(tick, kind, from, to, frame)``, kind being its log word.
+No event is stored.  The drain keeps one record per queue entry,
+``(tick, from, injector, tap ids, frames, first)``, where ``first`` is
+the ordinal of the entry's first frame, one destination label per frame
+in one flat list, and the ordinal of each dropped frame, in increasing
+order, in one ``array('q')``.  So a flood costs two references per
+frame and a dropped frame 8 bytes more, and the records are tuples of
+atomic values that the cyclic GC stops tracking.  ``write_event_log`` is
+the one reader that expands the records into events: it walks the
+dropped ordinals alongside the frames from a ``bisect`` to the view's
+first one and formats each line straight from the records, the same
+bytes as ``json.dumps`` with compact separators.
 
 Totals are read from the log, not counted beside it: ``frames_sent`` is
 the number of labels, one per frame that reached its loss draw, so it
@@ -61,15 +62,20 @@ each event as it happens:
   entry's processing starts, so a tap attached by a callback during a
   drain observes (and is logged for) the next entry on, not the rest of
   the current one;
-* when a callback raises, the interrupted entry keeps the frames that
+* when a callback raises, the interrupted entry logs the frames that
   reached their loss draw, each with all its events: a frame whose
-  delivery callback raised is kept whole, and one whose tap callback
-  raised is left out, with no ``injected`` or ``sniffed`` event;
+  delivery callback raised is logged whole, and one whose tap callback
+  raised is not logged at all, with no ``injected`` or ``sniffed``
+  event;
 * the events of an entry join the log when the entry is done, so a
   callback reading ``events`` during a drain does not see the entry it
   is part of;
-* when a callback raises, the rest of that tick's batch, the entries
-  queued after the interrupted one, is neither logged nor re-queued.
+* when a callback raises, every frame that had not reached its loss draw
+  stays queued, in order: the rest of the interrupted entry, then the
+  entries of that tick's batch not yet begun, all ahead of the frames
+  that callbacks queued during the tick.  The next ``run_until_idle``
+  processes them, so a frame whose tap callback raised is shown again
+  to the taps before that one.
 
 An event's ``from`` is the sending endpoint's identifier, not the
 frame's source field: the log is the omniscient observer and always
@@ -83,18 +89,14 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import islice
 from random import Random
 from typing import IO, Callable
 
-from .frames import BROADCAST, MacAddress
+from .frames import BROADCAST, DST_END, DST_OFFSET, MacAddress
 
 DEFAULT_MAX_TICKS = 10_000
-
-_DST_OFFSET = 7
-_DST_END = 13
 
 
 class MediumError(Exception):
@@ -109,10 +111,6 @@ class TickLimitExceeded(MediumError):
     """The tick budget ran out with frames still queued."""
 
 
-# One log line: (tick, kind, from, to, frame); kind is "injected",
-# "sniffed", "delivered" or "dropped".
-MediumEvent = tuple[int, str, str, str, bytes]
-
 # One processed queue entry: (tick, from, injector, tap ids, frames,
 # ordinal of its first frame).
 _Record = tuple[int, str, bool, tuple[str, ...], tuple[bytes, ...], int]
@@ -121,10 +119,10 @@ _Record = tuple[int, str, bool, tuple[str, ...], tuple[bytes, ...], int]
 class EventLog:
     """A read-only view of a medium's event log, or of one drain's part of it.
 
-    Iterating yields every event as a plain tuple ``(tick, kind, from,
-    to, frame)``, in log order.  ``len`` is read from the records, one
-    step per record, not per event.  The view covers the records that
-    existed when it was made and sees nothing logged later.
+    ``len`` counts its events, read from the records, one step per
+    record, not per event; ``write_event_log`` writes them.  The view
+    covers the records that existed when it was made and sees nothing
+    logged later.
     """
 
     __slots__ = ("_medium", "_start", "_stop")
@@ -138,46 +136,26 @@ class EventLog:
         records = map(self._medium._records.__getitem__, range(self._start, self._stop))
         return sum(len(frames) * (inj + len(taps) + 1) for _, _, inj, taps, frames, _ in records)
 
-    def __iter__(self) -> Iterator[MediumEvent]:
-        labels = self._medium._labels
-        records, drops = self._records()
-        drop = next(drops, -1)
-        for tick, src, injector, taps, frames, first in records:
-            for ordinal, data in enumerate(frames, first):
-                dst = labels[ordinal]
-                if injector:
-                    yield (tick, "injected", src, dst, data)
-                for tap in taps:
-                    yield (tick, "sniffed", src, tap, data)
-                if ordinal == drop:
-                    drop = next(drops, -1)
-                    yield (tick, "dropped", src, dst, data)
-                else:
-                    yield (tick, "delivered", src, dst, data)
-
-    def _records(self) -> tuple[list[_Record], Iterator[int]]:
-        """The view's records, and the dropped ordinals from its first frame on."""
-        medium = self._medium
-        records = medium._records[self._start : self._stop]
-        first = records[0][5] if records else 0
-        return records, islice(medium._dropped, bisect_left(medium._dropped, first), None)
-
 
 def write_event_log(events: EventLog, stream: IO[str]) -> None:
-    """Serialize events as JSON Lines, one event per line.
+    """Serialize a view's events as JSON Lines, one event per line, in log order.
 
-    Each line is ``json.dumps`` of the event's mapping with ``(",", ":")``
+    This is the one place a record is expanded into its events.  Each
+    line is ``json.dumps`` of the event's mapping with ``(",", ":")``
     separators.  The tick is an int, the kind a fixed ASCII word and the
     frame hex, so only the two endpoint labels need JSON string quoting.
-    The lines are formatted from the log's records, not from its event
-    tuples: one ``hex()`` per frame and one quote per distinct label.
+    The lines are formatted straight from the log's records: one
+    ``hex()`` per frame and one quote per distinct label.
     """
     # Imported here, so that importing the package does not load json.
     from json.encoder import encode_basestring_ascii as quote
 
     write = stream.write
-    labels = events._medium._labels
-    records, drops = events._records()
+    medium = events._medium
+    labels, dropped = medium._labels, medium._dropped
+    records = medium._records[events._start : events._stop]
+    # The dropped ordinals from the view's first frame on.
+    drops = islice(dropped, bisect_left(dropped, records[0][5] if records else 0), None)
     drop = next(drops, -1)
     quoted: dict[str, str] = {}
     for tick, src, injector, taps, frames, first in records:
@@ -293,8 +271,10 @@ class Medium:
 
         ``max_ticks`` bounds this call; an endpoint loop that keeps the
         queue busy past the budget raises ``TickLimitExceeded``.
-        Returns a view of the events this call produced, in log order;
-        ``events`` holds the whole log.
+        Returns a view of the events this call produced, which has a
+        ``len`` and which ``write_event_log`` writes; ``events`` is the
+        whole log.  When a callback raises, the frames that had not
+        reached their loss draw stay queued, ahead of any queued later.
         """
         labels = self._labels
         start = len(self._records)
@@ -309,14 +289,16 @@ class Medium:
             budget -= 1
             self._tick = tick = self._tick + 1
             batch, self._pending = self._pending, []
-            for sender, frames in batch:
+            # An iterator, so that a raising callback finds the entries not yet begun.
+            entries = iter(batch)
+            for sender, frames in entries:
                 src, injector = sender.endpoint_id, sender.injector
                 tap_ids, tap_receivers = self._tap_ids, self._tap_receivers
                 first = len(labels)
                 try:
                     for data in frames:
                         # Short of the destination field when the frame is short.
-                        dst = data[_DST_OFFSET:_DST_END]
+                        dst = data[DST_OFFSET:DST_END]
                         owner = mac_owner.get(dst)
                         if owner is not None:
                             dst_label = owner.endpoint_id
@@ -334,11 +316,14 @@ class Medium:
                                     endpoint.receive(src, data)
                         elif owner is not None and owner.receive is not None:
                             owner.receive(src, data)
-                finally:
-                    # The frames that reached their loss draw: all of them
-                    # unless a callback raised.
-                    if len(labels) - first < len(frames):
-                        frames = frames[: len(labels) - first]
-                    if frames:
-                        keep((tick, src, injector, tap_ids, frames, first))
+                except BaseException:
+                    # Log the frames that reached their loss draw; queue the
+                    # rest, and the entries not yet begun, ahead of any later.
+                    done = len(labels) - first
+                    if done:
+                        keep((tick, src, injector, tap_ids, frames[:done], first))
+                    rest = [(sender, frames[done:])] if done < len(frames) else []
+                    self._pending[:0] = [*rest, *entries]
+                    raise
+                keep((tick, src, injector, tap_ids, frames, first))
         return EventLog(self, start, len(self._records))

@@ -33,7 +33,8 @@ misspelt or repeated ``loss_probability`` must not silently run
 loss-free).  Values are never coerced: a MAC comes only from a string,
 an integer never from a string, float or boolean, and ``name`` must be a
 string.  ``stations``, ``attackers`` and ``script`` must be lists, and
-``frame_count`` is capped at ``adversary.MAX_FRAME_COUNT``.  A file
+``frame_count`` is capped at ``adversary.MAX_FRAME_COUNT``, as is the
+sum of the script's attack steps' frame counts.  A file
 longer than ``MAX_SCENARIO_BYTES`` is refused.  Station MACs are unique
 unicast addresses (I/G bit clear); an attacker's ``target`` and
 ``spoof_src`` may be group addresses: a broadcast deauth is a real
@@ -67,7 +68,7 @@ from pathlib import Path
 from random import Random
 from typing import get_args, get_origin, get_type_hints
 
-from .adversary import REPLAY_KINDS, Adversary, AttackerConfig
+from .adversary import MAX_FRAME_COUNT, REPLAY_KINDS, Adversary, AttackerConfig
 from .frames import TEARDOWN_SUBTYPES, FrameSubtype, MacAddress
 from .medium import DEFAULT_MAX_TICKS, EventLog, Medium
 from .stations import (
@@ -157,6 +158,7 @@ class ScenarioConfig:
         if self.max_ticks < 1:
             raise ConfigError(f"max_ticks must be positive, got {self.max_ticks}")
         roles = {spec.mac: spec.role for spec in self.stations}
+        attack_frames = 0
         for action in self.script:
             if isinstance(action, AssociateAction):
                 if roles.get(action.client) is not Role.CLIENT:
@@ -173,8 +175,15 @@ class ScenarioConfig:
             elif isinstance(action, AttackAction):
                 if not 0 <= action.index < len(self.attackers):
                     raise ConfigError(f"attack: no attacker at index {action.index}")
+                # A replay keeps one capture, so every kind sends frame_count.
+                attack_frames += self.attackers[action.index].frame_count
             else:
                 raise ConfigError(f"unknown script action {action!r}")
+        if attack_frames > MAX_FRAME_COUNT:
+            raise ConfigError(
+                f"script's attack steps send {attack_frames} frames in total,"
+                f" more than the cap of {MAX_FRAME_COUNT}"
+            )
 
 
 @dataclass

@@ -1,8 +1,11 @@
-"""Shared builders for protocol-level tests (no medium involved)."""
+"""Shared test helpers: station builders with no medium, and the log reader."""
 
+import io
+import json
 from random import Random
 
 from deauthsim.frames import FrameSubtype, MacAddress, ManagementFrame, encode_frame
+from deauthsim.medium import write_event_log
 from deauthsim.stations import AccessPoint, ClientStation
 
 AP_MAC = MacAddress.parse("02:00:00:00:00:01")
@@ -38,3 +41,18 @@ def complete_handshake(client: ClientStation, ap: AccessPoint):
     response, _verdict = ap.handle_assoc_request(request)
     client.handle_assoc_response(response)
     return request, response
+
+
+def read_events(view):
+    """A medium log view's events, read back from the JSON Lines it writes.
+
+    Each event is the tuple ``(tick, kind, from, to, frame)``, the frame
+    as ``bytes``, in log order.
+    """
+    stream = io.StringIO()
+    write_event_log(view, stream)
+    stream.seek(0)
+    return [
+        (doc["tick"], doc["kind"], doc["from"], doc["to"], bytes.fromhex(doc["frame"]))
+        for doc in map(json.loads, stream)
+    ]

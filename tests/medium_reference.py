@@ -6,9 +6,11 @@ writer formats one line per stored tuple.  The library's ``Medium``
 stores one record per queue entry and one label per frame, and rebuilds
 the events from them; for the same traffic, both must log the same
 events in the same order, return the same events from each drain, write
-the same bytes and call the same receivers with the same arguments.  It
-shares ``Handle`` with the library, so that the same endpoint code can
-send on either, but none of its draining or logging code.
+the same bytes and call the same receivers with the same arguments.
+When a callback raises, both leave queued the frames that had not
+reached their loss draw.  It shares ``Handle`` with the library, so
+that the same endpoint code can send on either, but none of its
+draining or logging code.
 """
 
 import json
@@ -52,10 +54,18 @@ class ReferenceMedium:
                 raise TickLimitExceeded(f"{queued} frames still queued after {max_ticks} ticks")
             budget -= 1
             self._tick += 1
-            batch, self._pending = self._pending, []
-            for sender, frames in batch:
-                for data in frames:
+            queue = [(sender, data) for sender, frames in self._pending for data in frames]
+            self._pending = []
+            for n, (sender, data) in enumerate(queue):
+                sent = self.frames_sent
+                try:
                     self._process(sender, data, log)
+                except BaseException:
+                    # Queue again, one frame per entry, each frame that had
+                    # not reached its loss draw, ahead of those sent since.
+                    rest = queue[n + (self.frames_sent > sent) :]
+                    self._pending[:0] = [(sender, (data,)) for sender, data in rest]
+                    raise
         return self.events[start:]
 
     def _process(self, sender, data, log):

