@@ -30,14 +30,14 @@ Authentication is modeled as a single opaque request/response pair, so
 the subtype byte uses two synthetic codes (0x10/0x11) that do not clash
 with the association and teardown codes.
 
-``decode_frame`` never raises anything but ``DecodeError`` subclasses,
-no matter how hostile the input: adversaries inject arbitrary bytes and
-receivers must shrug them off.  Each canonical size is read whole by one
-precompiled ``struct``, and a frame of that size is accepted exactly when
-its subtype code is known and its 3-byte element header is the one for
-that size (none, on the bare frame); the layout rules accept nothing
-else.  So the rules themselves run only on refused input: ``_refusal``
-walks them in order and returns the error for the first one broken.
+``decode_frame`` never raises anything but ``DecodeError``, no matter
+how hostile the input: adversaries inject arbitrary bytes and receivers
+must shrug them off.  Each canonical size is read whole by one
+precompiled ``struct``, and the layout rules come down to three checks,
+made in this order: the size is 15, 34 or 82 bytes, the subtype code is
+known, and the 3-byte element header is the one for that size (none, on
+the bare frame).  Input that fails one raises a plain ``DecodeError``
+whose message names that check.
 
 It remembers the one frame it decoded last, with its bytes, because a
 flood repeats one frame: each copy after the first costs an equality
@@ -88,22 +88,6 @@ class DecodeError(ValueError):
     """Raised when a byte string is not a well-formed frame."""
 
 
-class TooShort(DecodeError):
-    """Fewer bytes than the fixed 15-byte header."""
-
-
-class UnknownSubtype(DecodeError):
-    """Byte 0 is not one of the defined subtype codes."""
-
-
-class BadIeLength(DecodeError):
-    """Information element truncated, mis-declared, or wrong for its kind."""
-
-
-class TrailingBytes(DecodeError):
-    """Extra bytes beyond the frame that do not form an information element."""
-
-
 class FrameSubtype(Enum):
     """Wire codes for the management frame subtypes the simulator models."""
 
@@ -146,7 +130,7 @@ class MacAddress(bytes):
     @classmethod
     def parse(cls, text: str) -> "MacAddress":
         """Read six colon-separated octets, each exactly two ASCII hex digits."""
-        parts = text.strip().split(":")
+        parts = text.split(":")
         if len(parts) != 6 or not all(len(p) == 2 and _HEX_DIGITS.issuperset(p) for p in parts):
             raise ValueError(f"malformed MAC address {text!r}")
         return cls(bytes.fromhex("".join(parts)))
@@ -212,37 +196,6 @@ def encode_frame(frame: ManagementFrame) -> bytes:
     return header
 
 
-def _refusal(data: bytes) -> DecodeError:
-    """The error naming the first layout rule ``data`` breaks.
-
-    Called only on input ``decode_frame`` refused, so if every rule up to
-    the payload kind holds, the kind does not match the payload size.
-    """
-    if len(data) < HEADER_SIZE:
-        return TooShort(f"{len(data)} bytes is shorter than the {HEADER_SIZE}-byte header")
-    code = data[0]
-    if code not in _SUBTYPE_BY_CODE:
-        return UnknownSubtype(f"unknown subtype code 0x{code:02x}")
-    if data[HEADER_SIZE] != IE_ELEMENT_ID:
-        return TrailingBytes(
-            f"byte {HEADER_SIZE} is 0x{data[HEADER_SIZE]:02x}, not an information element"
-        )
-    if len(data) < HEADER_SIZE + 3:
-        return BadIeLength("information element header truncated")
-    declared = data[HEADER_SIZE + 1]
-    kind = data[HEADER_SIZE + 2]
-    payload_size = len(data) - HEADER_SIZE - 3
-    if declared < 1:
-        return BadIeLength("declared element length must cover the kind byte")
-    if payload_size < declared - 1:
-        return BadIeLength(
-            f"element declares {declared - 1} payload bytes, only {payload_size} present"
-        )
-    if payload_size > declared - 1:
-        return TrailingBytes(f"{payload_size - (declared - 1)} bytes after the element")
-    return BadIeLength(f"no payload kind 0x{kind:02x} has {payload_size} bytes")
-
-
 # Last (bytes, frame) decoded, read and replaced as one tuple; see the module
 # docstring.  The placeholder frame only lends its addresses to the first decode.
 _last_decoded: tuple[bytes | None, ManagementFrame] = (
@@ -252,12 +205,7 @@ _last_decoded: tuple[bytes | None, ManagementFrame] = (
 
 
 def decode_frame(data: bytes) -> ManagementFrame:
-    """Parse bytes into a frame, rejecting anything malformed.
-
-    Raises the ``DecodeError`` subclass naming the first violated
-    layout rule: ``TooShort``, ``UnknownSubtype``, ``BadIeLength`` or
-    ``TrailingBytes``.
-    """
+    """Parse bytes into a frame, raising ``DecodeError`` on anything malformed."""
     global _last_decoded
     if type(data) is not bytes:
         data = bytes(data)
@@ -278,10 +226,12 @@ def decode_frame(data: bytes) -> ManagementFrame:
         token = None
         valid = element == _HASH_ELEMENT_HEADER
     else:
-        raise _refusal(data)
+        raise DecodeError(f"{size} bytes is not a frame size (15, 34 or 82)")
     subtype = _SUBTYPE_BY_CODE.get(code)
-    if subtype is None or not valid:
-        raise _refusal(data)
+    if subtype is None:
+        raise DecodeError(f"unknown subtype code 0x{code:02x}")
+    if not valid:
+        raise DecodeError(f"element header {element.hex()} is not the one for {size} bytes")
 
     # struct and the checks above fixed every size and range, so the
     # values are built without running their constructors' checks again;

@@ -99,15 +99,11 @@ from .frames import BROADCAST, DST_END, DST_OFFSET, MacAddress
 DEFAULT_MAX_TICKS = 10_000
 
 
-class MediumError(Exception):
-    """Base for medium bookkeeping errors."""
-
-
-class DuplicateEndpoint(MediumError):
+class DuplicateEndpoint(Exception):
     """Endpoint identifier or MAC already attached."""
 
 
-class TickLimitExceeded(MediumError):
+class TickLimitExceeded(Exception):
     """The tick budget ran out with frames still queued."""
 
 

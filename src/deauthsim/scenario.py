@@ -362,13 +362,13 @@ def bundled_scenario_names() -> list[str]:
 
 
 def load_bundled_scenario(name: str) -> ScenarioConfig:
-    root = resources.files(__package__) / "scenarios"
-    candidate = root / f"{name}.yaml"
-    if not candidate.is_file():
-        raise ConfigError(
-            f"unknown bundled scenario {name!r}; available: {', '.join(bundled_scenario_names())}"
-        )
-    return load_scenario_text(candidate.read_text())
+    """Load the bundled scenario ``name``: only a listed name, read like any file."""
+    names = bundled_scenario_names()
+    if name not in names:
+        raise ConfigError(f"unknown bundled scenario {name!r}; available: {', '.join(names)}")
+    return load_scenario_text(
+        _read_capped(resources.files(__package__) / "scenarios" / f"{name}.yaml")
+    )
 
 
 def _read_capped(path: Path) -> str:

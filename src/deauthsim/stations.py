@@ -62,19 +62,15 @@ STATUS_SUCCESS = 0
 STATUS_REFUSED = 1
 
 
-class ProtocolError(Exception):
-    """Base for station-level protocol misuse."""
-
-
-class WrongState(ProtocolError):
+class WrongState(Exception):
     """Operation not valid in the peer's current lifecycle state."""
 
 
-class NoPendingSession(ProtocolError):
+class NoPendingSession(Exception):
     """Association response arrived with no request in flight."""
 
 
-class MalformedFrame(ProtocolError):
+class MalformedFrame(Exception):
     """Handler was fed a frame of the wrong subtype."""
 
 

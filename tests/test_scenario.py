@@ -164,6 +164,9 @@ class TestConfigValidation:
     def test_unknown_bundled_name_is_config_error(self):
         with pytest.raises(ConfigError):
             load_scenario("no_such_scenario")
+        # A name that leaves the scenarios directory is not a listed one.
+        with pytest.raises(ConfigError, match="unknown bundled scenario"):
+            load_bundled_scenario("../scenarios/protected_forged_deauth")
 
 
 SCENARIO_TEXT = f"""\

@@ -4,7 +4,8 @@ The traffic is what the package is run for, never its tests:
 
 * every bundled scenario, run and its log written with ``write_event_log``;
 * the CLI: ``run`` on every bundled scenario, in both formats and with
-  ``--log``, ``list-scenarios``, and ``bench --iterations 100`` in both
+  ``--log``, ``run`` on one bundled scenario's ``.yaml`` file by its
+  path, ``list-scenarios``, and ``bench --iterations 100`` in both
   formats;
 * each ``perfbench/workloads.py`` workload, built at scale 0.01, run,
   its log written and the run checked against its predictions.
@@ -58,6 +59,7 @@ def traffic() -> list[str]:
         for name in names:
             for fmt in ("human", "json"):
                 deauthsim("run", name, "--format", fmt, "--log", f"{tmp}/{name}.jsonl")
+    deauthsim("run", str(PACKAGE / "scenarios" / f"{names[0]}.yaml"), "--format", "json")
     deauthsim("list-scenarios")
     for fmt in ("human", "json"):
         deauthsim("bench", "--iterations", "100", "--format", fmt)
