@@ -144,9 +144,9 @@ class Adversary:
         )
 
     @cached_property
-    def _randbytes(self):
+    def _getrandbits(self):
         """This attacker's guess stream: one ``Random(cfg.seed)`` for all its steps."""
-        return Random(self.cfg.seed).randbytes
+        return Random(self.cfg.seed).getrandbits
 
     def frames(self) -> tuple[bytes, ...]:
         """Build one attack step, a tuple of ``bytes`` ready to inject as is.
@@ -154,7 +154,9 @@ class Adversary:
         Forged deauths are one token-less frame, encoded once per
         attacker and repeated.  Token guesses each reveal the next
         ``randbytes(16)`` of this attacker's ``Random(cfg.seed)``, which
-        each call continues: each guess is the deauthentication's bytes
+        each call continues.  The bytes are drawn as ``randbytes`` draws
+        them, ``getrandbits(128).to_bytes(16, "little")``, without its
+        Python-level call.  Each guess is the deauthentication's bytes
         up to the placeholder token followed by the draw, the same bytes
         as encoding each guess whole.  Replays re-send the capture
         verbatim.
@@ -163,8 +165,12 @@ class Adversary:
         if cfg.kind is AttackKind.FORGED_DEAUTH:
             return (self._deauth,) * cfg.frame_count
         if cfg.kind is AttackKind.TOKEN_GUESS:
-            prefix, randbytes = self._deauth[:-TOKEN_PAYLOAD_SIZE], self._randbytes
-            return tuple(prefix + randbytes(TOKEN_PAYLOAD_SIZE) for _ in range(cfg.frame_count))
+            prefix, getrandbits = self._deauth[:-TOKEN_PAYLOAD_SIZE], self._getrandbits
+            nbits = 8 * TOKEN_PAYLOAD_SIZE
+            return tuple(
+                prefix + getrandbits(nbits).to_bytes(TOKEN_PAYLOAD_SIZE, "little")
+                for _ in range(cfg.frame_count)
+            )
         if not self.captures:
             if cfg.kind is AttackKind.ASSOC_REPLAY:
                 raise NoCapturedAssoc("no association request was sniffed")

@@ -10,13 +10,28 @@ far too many to guess within any session's lifetime.
 Hashing always covers the 16 raw token bytes, never the hyphenated text
 form, so a digest commits to exactly the bytes later revealed on the
 wire.
+
+The digest is the interpreter's built-in SHA-512, found the way
+``random`` finds it: ``_sha512`` (3.10, 3.11), then ``_sha2`` (3.12+),
+then ``hashlib`` where neither is built.  The verifier pays one hash per
+token-bearing teardown, forged or not, and for a 16-byte input the
+built-in function skips the per-call set-up of ``hashlib``'s OpenSSL
+object, so it is the cheaper one.  It is the same function: every
+digest is unchanged, and importing the package loads no ``hashlib``.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 from random import Random
+
+try:
+    from _sha512 import sha512 as _sha512
+except ImportError:
+    try:
+        from _sha2 import sha512 as _sha512
+    except ImportError:
+        from hashlib import sha512 as _sha512
 
 TOKEN_SIZE = 16
 DIGEST_SIZE = 64
@@ -30,12 +45,14 @@ def generate_token(rng: Random | None = None) -> bytes:
     yields the same tokens in the same order.
     """
     if rng is None:
-        raw = bytearray(os.urandom(TOKEN_SIZE))
+        bits = int.from_bytes(os.urandom(TOKEN_SIZE), "big")
     else:
-        raw = bytearray(rng.getrandbits(8 * TOKEN_SIZE).to_bytes(TOKEN_SIZE, "big"))
-    raw[6] = raw[6] & 0x0F | 0x40  # version 4
-    raw[8] = raw[8] & 0x3F | 0x80  # RFC 4122 variant
-    return bytes(raw)
+        bits = rng.getrandbits(8 * TOKEN_SIZE)
+    # Byte 6's high nibble is the version (4), byte 8's top two bits the
+    # RFC 4122 variant (10), set on the integer as uuid.UUID(version=4)
+    # sets them; the masks fold to constants at compile time.
+    bits = bits & ~(0xF000 << 64 | 0xC000 << 48) | (0x4000 << 64 | 0x8000 << 48)
+    return bits.to_bytes(TOKEN_SIZE, "big")
 
 
 def hash_token(token: bytes) -> bytes:
@@ -45,4 +62,4 @@ def hash_token(token: bytes) -> bytes:
     validating its version bits (an attacker's guess need not be a
     well-formed UUID to be hashed and compared).
     """
-    return hashlib.sha512(token).digest()
+    return _sha512(token).digest()

@@ -1,9 +1,15 @@
-"""Shared test helpers: station builders with no medium, and the log reader."""
+"""Shared test helpers: station builders with no medium, the log reader,
+and a fresh interpreter."""
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
+import deauthsim
 from deauthsim.frames import FrameSubtype, MacAddress, ManagementFrame, encode_frame
 from deauthsim.medium import write_event_log
 from deauthsim.stations import AccessPoint, ClientStation
@@ -56,3 +62,18 @@ def read_events(view):
         (doc["tick"], doc["kind"], doc["from"], doc["to"], bytes.fromhex(doc["frame"]))
         for doc in map(json.loads, stream)
     ]
+
+
+def run_fresh(code: str, stdin: str = "") -> str:
+    """Run ``code`` in a fresh interpreter that imports this deauthsim; return its stdout."""
+    src = str(Path(deauthsim.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout

@@ -1,11 +1,7 @@
 """The package root's public names, and what importing it loads."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import deauthsim
+from helpers import run_fresh
 
 
 def test_every_exported_name_resolves():
@@ -13,17 +9,20 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
+def loaded_by_import(names: set[str]) -> list[str]:
+    """Which of ``names`` a fresh interpreter has loaded after ``import deauthsim``.
+
+    A fresh interpreter, because this one has loaded them already.
+    """
+    code = f"import sys, deauthsim; print(*{sorted(names)!r} & sys.modules.keys())"
+    return run_fresh(code).split()
+
+
 def test_import_leaves_yaml_statistics_and_json_unloaded():
-    # A fresh interpreter: this one has loaded them already.  The modules
-    # that use them import them when first called.
-    code = "import sys, deauthsim; print(*{'yaml', 'statistics', 'json'} & sys.modules.keys())"
-    src = str(Path(deauthsim.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == []
+    # The modules that use them import them when first called.
+    assert loaded_by_import({"yaml", "statistics", "json"}) == []
+
+
+def test_import_leaves_hashlib_and_openssl_unloaded():
+    # Tokens hash with the interpreter's built-in SHA-512.
+    assert loaded_by_import({"hashlib", "_hashlib"}) == []

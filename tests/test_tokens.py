@@ -12,6 +12,7 @@ from deauthsim.tokens import (
     generate_token,
     hash_token,
 )
+from helpers import run_fresh
 from sha512_reference import sha512_reference
 
 UUID_TEXT = re.compile(r"^[0-9a-f]{8}-[0-9a-f]{4}-4[0-9a-f]{3}-[89ab][0-9a-f]{3}-[0-9a-f]{12}$")
@@ -104,3 +105,23 @@ class TestHashing:
         assert hash_token(raw) == sha512_reference(raw), (
             "library digest must agree with the independent implementation"
         )
+
+
+class TestHashlibFallback:
+    def test_without_a_built_in_sha512_hashlib_gives_the_same_digests(self):
+        # A fresh interpreter in which neither built-in module imports, so
+        # tokens.py takes its last branch.
+        code = (
+            "import sys\n"
+            "sys.modules['_sha512'] = sys.modules['_sha2'] = None\n"
+            "import hashlib\n"
+            "from deauthsim import tokens\n"
+            "assert tokens._sha512 is hashlib.sha512, tokens._sha512\n"
+            "for line in sys.stdin:\n"
+            "    print(tokens.hash_token(bytes.fromhex(line)).hex())\n"
+        )
+        token_list = [bytes(TOKEN_SIZE), bytes(range(TOKEN_SIZE)), b"\xff" * TOKEN_SIZE]
+        token_list += [generate_token(Random(seed)) for seed in range(3)]
+        out = run_fresh(code, "".join(token.hex() + "\n" for token in token_list))
+        digests = [bytes.fromhex(line) for line in out.split()]
+        assert digests == [sha512_reference(token) for token in token_list]

@@ -5,16 +5,17 @@ The traffic is what the package is run for, never its tests:
 * every bundled scenario, run and its log written with ``write_event_log``;
 * the CLI: ``run`` on every bundled scenario, in both formats and with
   ``--log``, ``run`` on one bundled scenario's ``.yaml`` file by its
-  path, ``list-scenarios``, and ``bench --iterations 100`` in both
-  formats;
+  path, ``run`` on one bundled scenario with ``--seed 7``,
+  ``list-scenarios``, and ``bench --iterations 100`` in both formats;
 * each ``perfbench/workloads.py`` workload, built at scale 0.01, run,
   its log written and the run checked against its predictions.
 
 All of it runs under ``trace``.  For each module, the lines where a
 statement starts that never ran are printed with their text: features
 only the tests use, and guards that no real input reaches, which are
-the first candidates for deletion.  It only reports: a failed workload
-check is printed, and the exit status is 0.
+the first candidates for deletion.  It only reports: a CLI run that
+exits non-zero and a failed workload check are printed, and the exit
+status is 0.
 
 Standard library only, no arguments: ``python tools/traffic_lines.py``.
 """
@@ -37,15 +38,23 @@ PACKAGE = ROOT / "src" / "deauthsim"
 WORKLOAD_SCALE = 0.01
 
 
-def deauthsim(*argv: str) -> None:
-    """Run the command line as ``python -m deauthsim`` would, output discarded."""
+def deauthsim(*argv: str) -> list[str]:
+    """Run the command line as ``python -m deauthsim`` would, output discarded.
+
+    Returns the failure to report, if the run exits non-zero.
+    """
     sys.argv = ["deauthsim", *argv]
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
-        runpy.run_module("deauthsim", run_name="__main__")
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            runpy.run_module("deauthsim", run_name="__main__")
+    except SystemExit as exc:
+        if exc.code not in (None, 0):
+            return [f"CLI run failed: deauthsim {' '.join(argv)} exited {exc.code}"]
+    return []
 
 
 def traffic() -> list[str]:
-    """Run the traffic; return the workload checks' violations."""
+    """Run the traffic; return the failed CLI runs and workload checks."""
     # Imported here, under the tracer, so that module-level lines count.
     scenario = importlib.import_module("deauthsim.scenario")
     medium = importlib.import_module("deauthsim.medium")
@@ -55,20 +64,25 @@ def traffic() -> list[str]:
     for name in names:
         _, events = scenario.run_scenario(scenario.load_bundled_scenario(name))
         medium.write_event_log(events, io.StringIO())
+    problems = []
     with tempfile.TemporaryDirectory() as tmp:
         for name in names:
             for fmt in ("human", "json"):
-                deauthsim("run", name, "--format", fmt, "--log", f"{tmp}/{name}.jsonl")
-    deauthsim("run", str(PACKAGE / "scenarios" / f"{names[0]}.yaml"), "--format", "json")
-    deauthsim("list-scenarios")
+                problems += deauthsim("run", name, "--format", fmt, "--log", f"{tmp}/{name}.jsonl")
+    path = PACKAGE / "scenarios" / f"{names[0]}.yaml"
+    problems += deauthsim("run", str(path), "--format", "json")
+    problems += deauthsim("run", names[0], "--seed", "7")
+    problems += deauthsim("list-scenarios")
     for fmt in ("human", "json"):
-        deauthsim("bench", "--iterations", "100", "--format", fmt)
-    problems = []
+        problems += deauthsim("bench", "--iterations", "100", "--format", fmt)
     for name in workloads.WORKLOADS:
         workload = workloads.build(name, seed=1, scale=WORKLOAD_SCALE)
         outcome, events = scenario.run_scenario(workload.config)
         log_text = workloads.write_log(events)
-        problems += [f"{name}: {p}" for p in workloads.check(workload, outcome, events, log_text)]
+        problems += [
+            f"workload check failed: {name}: {p}"
+            for p in workloads.check(workload, outcome, events, log_text)
+        ]
     return problems
 
 
@@ -105,7 +119,7 @@ def main() -> None:
             for line in lines:
                 print(f"    {line}: {text[line - 1].strip()}")
     for problem in problems:
-        print(f"workload check failed: {problem}")
+        print(problem)
 
 
 if __name__ == "__main__":
