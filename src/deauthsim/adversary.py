@@ -7,10 +7,12 @@ touch station internals.  Four attacks are modeled:
 * ``FORGED_DEAUTH``: bare teardown frames with a spoofed source, the
   classic token-less disconnect flood.
 * ``TOKEN_GUESS``: teardown frames carrying uniformly random 16-byte
-  tokens; with 122 secret bits per real token, the per-frame hit
-  probability is negligible.  Each attacker draws its guesses from one
-  ``Random(cfg.seed)``, so a second attack step continues the stream
-  and never repeats the first step's guesses.
+  tokens; with 122 secret bits per real token, a blind guess's hit
+  probability is negligible.  It is not for an attacker who uses the
+  tokens a seeded station reveals: 156 of them predict its MT19937
+  stream, an attack not modelled here.  Each attacker draws its guesses
+  from one ``Random(cfg.seed)``, so a second attack step continues the
+  stream and never repeats the first step's guesses.
 * ``ASSOC_REPLAY``: re-emits a sniffed association request verbatim,
   trying to ride an old hash commitment past the AP.
 * ``DEAUTH_REPLAY``: re-emits a sniffed token-revealing teardown

@@ -11,7 +11,13 @@ message.  The entry, and then the log record, hold the caller's tuple
 object, so a step is never copied between the attacker and the log.
 ``run_until_idle`` drains an entry in one loop, reading the sender and
 the taps once per entry and the loss draw once per call; the per-frame
-events and loss draws below keep their order.
+events and loss draws below keep their order.  Routing is done once for
+each run of one frame object while its owner stands: an attack step
+repeats one ``bytes`` object, and while the next frame ``is`` the one
+last routed to an owner, its label, the owner's ``receive`` and the
+broadcast test are reused.  Owners are never replaced, so that routing
+cannot go stale; a lookup that found no owner is made again for the
+next copy, since a callback may attach the MAC in between.
 
 Processing a frame emits, in order, an ``injected`` event when the
 sender was attached as an injector, one ``sniffed`` event per injector
@@ -30,7 +36,8 @@ Routing uses only the destination MAC, bytes ``frames.DST_OFFSET`` to
 ``frames.DST_END`` (7-13) of the raw frame, looked up as raw bytes; the
 medium never inspects the source, which is what makes spoofing possible
 by construction.  The broadcast MAC ff:ff:ff:ff:ff:ff reaches every
-MAC-owning endpoint except the sender.
+MAC-owning endpoint except the sender: the owners that existed when
+that frame's delivery began, so a receiver may attach an endpoint.
 
 ``Medium.events`` is the whole log and each ``run_until_idle`` call
 returns its own part of it, both as an ``EventLog``: a read-only view
@@ -271,6 +278,9 @@ class Medium:
         ``len`` and which ``write_event_log`` writes; ``events`` is the
         whole log.  When a callback raises, the frames that had not
         reached their loss draw stay queued, ahead of any queued later.
+        A run of one frame object is routed once while its owner stands;
+        taps, the label, the loss draw and the broadcast receivers are
+        still per frame.
         """
         labels = self._labels
         start = len(self._records)
@@ -291,27 +301,36 @@ class Medium:
                 src, injector = sender.endpoint_id, sender.injector
                 tap_ids, tap_receivers = self._tap_ids, self._tap_receivers
                 first = len(labels)
+                # The frame object whose routing below is still good, if any.
+                routed = None
                 try:
                     for data in frames:
-                        # Short of the destination field when the frame is short.
-                        dst = data[DST_OFFSET:DST_END]
-                        owner = mac_owner.get(dst)
-                        if owner is not None:
-                            dst_label = owner.endpoint_id
-                        else:
-                            dst_label = str(MacAddress(dst)) if len(dst) == 6 else "?"
+                        if data is not routed:
+                            # Short of the destination field when the frame is short.
+                            dst = data[DST_OFFSET:DST_END]
+                            broadcast = dst == BROADCAST
+                            owner = mac_owner.get(dst)
+                            if owner is not None:
+                                # Owners are never replaced, so a flood's next
+                                # copies of this object are routed the same way.
+                                dst_label, deliver, routed = owner.endpoint_id, owner.receive, data
+                            else:
+                                # A callback may yet attach this MAC: look again.
+                                dst_label = str(MacAddress(dst)) if len(dst) == 6 else "?"
+                                deliver = routed = None
                         for receive in tap_receivers:
                             receive(src, data)
                         label(dst_label)
                         if draw() < loss:
                             drop(len(labels) - 1)
                             continue
-                        if dst == BROADCAST:
-                            for endpoint in mac_owner.values():
+                        if broadcast:
+                            # A snapshot: a receiver may attach an endpoint.
+                            for endpoint in tuple(mac_owner.values()):
                                 if endpoint.endpoint_id != src and endpoint.receive is not None:
                                     endpoint.receive(src, data)
-                        elif owner is not None and owner.receive is not None:
-                            owner.receive(src, data)
+                        elif deliver is not None:
+                            deliver(src, data)
                 except BaseException:
                     # Log the frames that reached their loss draw; queue the
                     # rest, and the entries not yet begun, ahead of any later.

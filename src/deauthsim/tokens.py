@@ -5,7 +5,11 @@ token at association time (sending only its SHA-512 digest) and
 revealing the raw token inside the teardown frame.  A token is 16 raw
 bytes laid out as an RFC 4122 version-4 UUID: the version nibble and
 variant bits are pinned, leaving 122 random bits (about 5.3e36 values),
-far too many to guess within any session's lifetime.
+far too many to guess blindly within any session's lifetime.  That holds
+only against an attacker who ignores the tokens a station reveals: a
+seeded station draws from ``random.Random``, which is MT19937, and its
+next token can be predicted from 156 revealed ones.  OS entropy
+(``rng=None``) has no such stream.
 
 Hashing always covers the 16 raw token bytes, never the hyphenated text
 form, so a digest commits to exactly the bytes later revealed on the

@@ -42,6 +42,11 @@ def kinds(events):
     return [kind for _, kind, _, _, _ in events]
 
 
+def logged(medium):
+    """The whole log of a library or reference medium, as event tuples."""
+    return read_events(medium.events) if isinstance(medium, Medium) else medium.events
+
+
 class Collector:
     """Minimal endpoint: records every ``(src, frame)`` it is handed."""
 
@@ -89,7 +94,8 @@ def build_topology(medium, stations, taps):
 def traffic_strategy(draw):
     """Loss, seed, station reply flags (None: no callback), tap flags, and drains of sends.
 
-    A send is a sender index and its frames.
+    A send is a sender index and its frames, some of them one object
+    repeated.
     """
     macs = st.sampled_from(STATION_MACS + [BROADCAST, UNOWNED_MAC])
     whole = st.builds(
@@ -100,7 +106,13 @@ def traffic_strategy(draw):
         st.binary(max_size=3),
     )
     frame = st.one_of(whole, st.binary(max_size=12))
-    send = st.tuples(st.integers(0, 4), st.lists(frame, min_size=1, max_size=5))
+    # Also sends that repeat frame objects, as a flood does: a pool of one
+    # gives ``[frame] * k``, a pool of two interleaves two objects.
+    repeats = st.lists(frame, min_size=1, max_size=2).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=2, max_size=5)
+    )
+    frames = st.one_of(st.lists(frame, min_size=1, max_size=5), repeats)
+    send = st.tuples(st.integers(0, 4), frames)
     return (
         draw(st.sampled_from([0.0, 0.3, 1.0])),
         draw(st.integers(0, 2**32)),
@@ -580,6 +592,53 @@ class TestCallbacksDuringADrain:
             "every frame is handled once, in order, ahead of the reply queued after it"
         )
         assert medium.frames_sent == 5
+
+    @pytest.mark.parametrize(
+        "medium_class", [Medium, ReferenceMedium], ids=["library", "reference"]
+    )
+    def test_a_broadcast_receiver_may_attach_an_endpoint(self, medium_class):
+        medium = medium_class()
+        got_b, got_d, got_late = Collector(), Collector(), Collector()
+
+        def attach_late(src, frame):
+            got_b(src, frame)
+            medium.attach("late", MacAddress.parse("02:00:00:00:00:0e"), got_late)
+
+        a = medium.attach("a", MAC_A)
+        medium.attach("b", MAC_B, attach_late)
+        medium.attach("d", MacAddress.parse("02:00:00:00:00:0d"), got_d)
+        a.send((bare_frame(dst=BROADCAST),))
+        medium.run_until_idle()
+        assert got_b.events == got_d.events == [("a", bare_frame(dst=BROADCAST))], (
+            "the owners that existed when delivery began each get the frame"
+        )
+        assert got_late.events == [], "the new endpoint hears the next frame on"
+
+    @pytest.mark.parametrize(
+        "medium_class", [Medium, ReferenceMedium], ids=["library", "reference"]
+    )
+    def test_a_repeated_frame_is_routed_again_until_its_mac_is_owned(self, medium_class):
+        medium = medium_class()
+        mac_c = MacAddress.parse("02:00:00:00:00:0c")
+        got_c = Collector()
+        frame = bare_frame(dst=mac_c)
+
+        def attach_c(src, data):
+            if not attached:
+                attached.append(medium.attach("c", mac_c, got_c))
+
+        attached = []
+        a = medium.attach("a", MAC_A)
+        medium.attach("tap", None, attach_c, injector=True)
+        # One object three times, as a flood sends it.
+        a.send((frame,) * 3)
+        medium.run_until_idle()
+        assert [(kind, to) for _, kind, _, to, _ in logged(medium) if kind != "sniffed"] == [
+            ("delivered", "02:00:00:00:00:0c"),
+            ("delivered", "c"),
+            ("delivered", "c"),
+        ], "the first copy was routed before the tap attached its MAC"
+        assert got_c.events == [("a", frame)] * 2
 
 
 class TestReactiveTap:

@@ -3,6 +3,8 @@
 The traffic is what the package is run for, never its tests:
 
 * every bundled scenario, run and its log written with ``write_event_log``;
+* ``protected_forged_deauth`` again with the attacker's ``target`` the
+  broadcast MAC, the one run whose frames have a group destination;
 * the CLI: ``run`` on every bundled scenario, in both formats and with
   ``--log``, ``run`` on one bundled scenario's ``.yaml`` file by its
   path, ``run`` on one bundled scenario with ``--seed 7``,
@@ -23,6 +25,7 @@ Standard library only, no arguments: ``python tools/traffic_lines.py``.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import dis
 import importlib
 import io
@@ -58,12 +61,17 @@ def traffic() -> list[str]:
     # Imported here, under the tracer, so that module-level lines count.
     scenario = importlib.import_module("deauthsim.scenario")
     medium = importlib.import_module("deauthsim.medium")
+    frames = importlib.import_module("deauthsim.frames")
     workloads = importlib.import_module("workloads")
 
     names = scenario.bundled_scenario_names()
     for name in names:
         _, events = scenario.run_scenario(scenario.load_bundled_scenario(name))
         medium.write_event_log(events, io.StringIO())
+    forged = scenario.load_bundled_scenario("protected_forged_deauth")
+    broadcast = dataclasses.replace(forged.attackers[0], target=frames.BROADCAST)
+    _, events = scenario.run_scenario(dataclasses.replace(forged, attackers=(broadcast,)))
+    medium.write_event_log(events, io.StringIO())
     problems = []
     with tempfile.TemporaryDirectory() as tmp:
         for name in names:
