@@ -18,9 +18,20 @@ touch station internals.  Four attacks are modeled:
 * ``DEAUTH_REPLAY``: re-emits a sniffed token-revealing teardown
   verbatim.
 
-A replay attacker keeps at most one capture: the first sniffed frame of
-the kind it replays, as raw bytes.  Every other sniffed frame is dropped
-as soon as it is seen.
+``REPLAYS`` is the one table of the kinds that sniff: for each replay
+kind, the rule that picks the frames it keeps and the words naming what
+it needs.  Adding a kind is one enum value and, if it sniffs, one table
+entry.  A replay attacker keeps at most one capture: the first sniffed
+frame its rule picks, as raw bytes.  Every other sniffed frame is
+dropped as soon as it is seen.
+
+Each ``Adversary`` attaches itself to the medium as an injector and
+holds the ``Handle`` it gets, as a station does after
+``bind_transmit``; an attack step is sent through that handle.  Only a
+kind in ``REPLAYS`` is attached with a sniff callback, its bound
+``on_sniffed(src, data)``, which ignores every frame an attacker sent,
+its own included.  A tap sees every frame, so a flood attacker with a
+callback would pay one Python call per frame.
 
 Known limitation, by design: a revealed token is a bearer credential
 until the frame carrying it is accepted.  A replayed copy that races
@@ -32,6 +43,7 @@ not add sender authentication.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -47,6 +59,7 @@ from .frames import (
     decode_frame,
     encode_frame,
 )
+from .medium import Handle, Medium
 
 DEFAULT_REASON = 3
 
@@ -59,15 +72,7 @@ MAX_FRAME_COUNT = 1_000_000
 
 
 class AdversaryError(Exception):
-    """Base for attack generation failures."""
-
-
-class NoCapturedAssoc(AdversaryError):
-    """Replay requested but no association request was ever sniffed."""
-
-
-class NoCapturedDeauth(AdversaryError):
-    """Replay requested but no token-bearing teardown was ever sniffed."""
+    """An attack step could not be built: a replay with nothing captured."""
 
 
 class AttackKind(Enum):
@@ -77,8 +82,21 @@ class AttackKind(Enum):
     DEAUTH_REPLAY = "deauth_replay"
 
 
+# How a replay kind sniffs: ``keeps(frame)`` picks the frames it may
+# replay, and ``needs`` names them, for the error when it has none.
+Replay = namedtuple("Replay", "keeps needs")
+
 # The only kinds that build their frames from sniffed traffic.
-REPLAY_KINDS = frozenset({AttackKind.ASSOC_REPLAY, AttackKind.DEAUTH_REPLAY})
+REPLAYS = {
+    AttackKind.ASSOC_REPLAY: Replay(
+        lambda frame: frame.subtype is FrameSubtype.ASSOC_REQUEST, "association request"
+    ),
+    AttackKind.DEAUTH_REPLAY: Replay(
+        lambda frame: frame.subtype in TEARDOWN_SUBTYPES and frame.token is not None,
+        "token-bearing teardown",
+    ),
+}
+REPLAY_KINDS = frozenset(REPLAYS)
 
 
 @dataclass(frozen=True)
@@ -99,36 +117,48 @@ class AttackerConfig:
             )
         if not 0 <= self.reason <= 0xFFFF:
             raise ValueError(f"reason {self.reason} outside u16 range")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 class Adversary:
-    """One attacker: sniffs through its tap and builds the frames it injects.
+    """One attacker: attaches itself, sniffs through its tap, builds and sends its frames.
 
-    This is the only attack-frame builder.  A replay kind keeps at most
-    one capture, the first station frame it would replay; the other kinds
-    keep nothing.
+    This is the only attack-frame builder.  ``attach`` gives it its
+    ``handle`` and the endpoint ids of every attacker, whose frames it
+    never keeps.  A replay kind keeps at most one capture, the first
+    station frame its ``REPLAYS`` rule picks; the other kinds keep
+    nothing and are attached with no sniff callback.
     """
 
     def __init__(self, cfg: AttackerConfig, endpoint_id: str):
         self.cfg = cfg
         self.endpoint_id = endpoint_id
         self.captures: list[bytes] = []
+        self.attackers: frozenset[str] = frozenset()
+        self.handle: Handle | None = None
 
-    def on_sniffed(self, data: bytes) -> None:
-        """Keep a sniffed frame's bytes if it is the first one this kind replays."""
-        kind = self.cfg.kind
-        if self.captures or kind not in REPLAY_KINDS:
+    def attach(self, medium: Medium, attackers: frozenset[str]) -> None:
+        """Attach to ``medium`` as an injector; sniff only if this kind replays."""
+        self.attackers = attackers
+        sniff = self.on_sniffed if self.cfg.kind in REPLAY_KINDS else None
+        self.handle = medium.attach(self.endpoint_id, None, sniff, injector=True)
+
+    def on_sniffed(self, src: str, data: bytes) -> None:
+        """Keep the first frame a non-attacker ``src`` sent that this kind replays."""
+        replay = REPLAYS.get(self.cfg.kind)
+        if replay is None or self.captures or src in self.attackers:
             return
         try:
             frame = decode_frame(data)
         except DecodeError:
             return
-        if kind is AttackKind.ASSOC_REPLAY:
-            replayed = frame.subtype is FrameSubtype.ASSOC_REQUEST
-        else:
-            replayed = frame.subtype in TEARDOWN_SUBTYPES and frame.token is not None
-        if replayed:
+        if replay.keeps(frame):
             self.captures.append(data)
+
+    def attack(self) -> None:
+        """Send one attack step through this attacker's handle, as one queue entry."""
+        self.handle.send(self.frames())
 
     @cached_property
     def _deauth(self) -> bytes:
@@ -174,7 +204,5 @@ class Adversary:
                 for _ in range(cfg.frame_count)
             )
         if not self.captures:
-            if cfg.kind is AttackKind.ASSOC_REPLAY:
-                raise NoCapturedAssoc("no association request was sniffed")
-            raise NoCapturedDeauth("no token-bearing teardown was sniffed")
+            raise AdversaryError(f"no {REPLAYS[cfg.kind].needs} was sniffed")
         return tuple(self.captures) * cfg.frame_count

@@ -42,15 +42,19 @@ attack.
 
 Script actions run in order; the medium drains to idle after each one.
 An ``associate`` step for a client already associated with that AP
-raises ``WrongState``.  Every attacker is attached as an injector, which
-makes it a promiscuous tap too.  A replay attacker is shown only frames
-that stations sent and keeps the first one it replays; replaying with
-nothing captured raises ``AdversaryError``.
+raises ``WrongState``.  The stations are attached first, then the
+attackers in listing order, each attaching itself as an injector, which
+makes it a promiscuous tap too.  A replay attacker keeps the first frame
+a station sent that it replays, never one an attacker sent; replaying
+with nothing captured raises ``AdversaryError``.
 
 Randomness derivation is fixed: one master ``random.Random(seed)``
 yields a 64-bit sub-seed for the medium's loss stream and then one per
 station in listing order; attackers use their own explicit seeds.  Two
 runs of the same config therefore produce byte-identical event logs.
+Seeds, the scenario's and each attacker's, are non-negative: ``Random``
+seeds ``-s`` as it seeds ``s``, so a negative seed would silently repeat
+another seed's run.
 
 Reported ``final_states`` map each station's MAC to the highest
 lifecycle state it currently holds toward any peer.
@@ -68,7 +72,7 @@ from pathlib import Path
 from random import Random
 from typing import get_args, get_origin, get_type_hints
 
-from .adversary import MAX_FRAME_COUNT, REPLAY_KINDS, Adversary, AttackerConfig
+from .adversary import MAX_FRAME_COUNT, Adversary, AttackerConfig
 from .frames import TEARDOWN_SUBTYPES, FrameSubtype, MacAddress
 from .medium import DEFAULT_MAX_TICKS, EventLog, Medium
 from .stations import (
@@ -145,6 +149,8 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if not self.stations:
             raise ConfigError("scenario needs at least one station")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         macs = [spec.mac for spec in self.stations]
         if len(set(macs)) != len(macs):
             raise ConfigError("station MACs must be unique")
@@ -405,15 +411,16 @@ def load_scenario(ref: str | Path) -> ScenarioConfig:
 class ScenarioRun:
     """Wires stations, adversaries and medium for one config.
 
-    The medium calls each station's ``deliver`` closure and ``_sniff``
-    (replay attackers) with the true sender's endpoint id and the frame's
-    bytes.  Verdicts are tallied as they happen and not kept: per-cause
-    counts for the subtypes in ``COUNTED_SUBTYPES``, accepted frames
-    injected by an adversary, and the teardowns that ``deauth`` steps sent
-    and no receiver has accepted yet.
-    Stations and attackers queue through the same ``Handle.send``: a
-    station one frame at a time, an attack step as the tuple
-    ``Adversary.frames`` returns, uncopied.
+    The medium calls each station's ``deliver`` closure and each replay
+    attacker's ``Adversary.on_sniffed`` with the true sender's endpoint id
+    and the frame's bytes.  Verdicts are tallied as they happen and not
+    kept: per-cause counts for the subtypes in ``COUNTED_SUBTYPES``,
+    accepted frames injected by an adversary, and the teardowns that
+    ``deauth`` steps sent and no receiver has accepted yet.
+    Stations and attackers queue through the same ``Handle.send``, each
+    through its own handle: a station one frame at a time, an attack step
+    (``Adversary.attack``) as the tuple ``Adversary.frames`` returns,
+    uncopied.
     """
 
     def __init__(self, cfg: ScenarioConfig):
@@ -429,7 +436,7 @@ class ScenarioRun:
         self.adversaries = [
             Adversary(acfg, f"attacker:{i}") for i, acfg in enumerate(cfg.attackers)
         ]
-        self.adversary_ids = {adv.endpoint_id for adv in self.adversaries}
+        self.adversary_ids = frozenset(adv.endpoint_id for adv in self.adversaries)
 
         self.medium = Medium(loss_probability=cfg.loss_probability, seed=medium_seed)
 
@@ -464,22 +471,9 @@ class ScenarioRun:
             handle = self.medium.attach(str(spec.mac), spec.mac, deliverer(station))
             station.bind_transmit(handle.send)
 
-        # Indexed like ``adversaries``.
-        self.attack_handles = [
-            self.medium.attach(
-                adv.endpoint_id,
-                None,
-                # Only replays read what they sniff; the medium logs every
-                # tap's sniffed events whether it has a callback or not.
-                functools.partial(self._sniff, adv) if adv.cfg.kind in REPLAY_KINDS else None,
-                injector=True,
-            )
-            for adv in self.adversaries
-        ]
-
-    def _sniff(self, adversary: Adversary, src: str, data: bytes) -> None:
-        if src not in self.adversary_ids:
-            adversary.on_sniffed(data)
+        # After the stations, in listing order: the log records tap order.
+        for adv in self.adversaries:
+            adv.attach(self.medium, self.adversary_ids)
 
     def _perform(self, action: ScriptAction) -> None:
         if isinstance(action, AssociateAction):
@@ -491,7 +485,7 @@ class ScenarioRun:
             self.unaccepted_teardowns += len(initiator.teardown_all(action.reason))
         else:
             # The whole step is one queue entry, one tick.
-            self.attack_handles[action.index].send(self.adversaries[action.index].frames())
+            self.adversaries[action.index].attack()
 
     def execute(self) -> tuple[ScenarioOutcome, EventLog]:
         """Run the script; return the outcome and the medium's whole event log."""

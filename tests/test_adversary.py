@@ -5,13 +5,7 @@ from random import Random
 
 import pytest
 
-from deauthsim.adversary import (
-    Adversary,
-    AttackerConfig,
-    AttackKind,
-    NoCapturedAssoc,
-    NoCapturedDeauth,
-)
+from deauthsim.adversary import Adversary, AdversaryError, AttackerConfig, AttackKind
 from deauthsim.frames import (
     BROADCAST,
     FrameSubtype,
@@ -25,10 +19,10 @@ from helpers import AP_MAC, CLIENT_MAC, complete_handshake, make_pair
 
 
 def adversary(cfg: AttackerConfig, *frames: bytes) -> Adversary:
-    """An attacker for ``cfg`` that has sniffed ``frames`` in order."""
+    """An attacker for ``cfg`` that has sniffed ``frames`` in order, each sent by a station."""
     adv = Adversary(cfg, "attacker:0")
     for raw in frames:
-        adv.on_sniffed(raw)
+        adv.on_sniffed(str(CLIENT_MAC), raw)
     return adv
 
 
@@ -179,9 +173,9 @@ class TestAssocReplay:
 
     def test_nothing_captured_raises(self):
         cfg = AttackerConfig(AttackKind.ASSOC_REPLAY, CLIENT_MAC, AP_MAC)
-        with pytest.raises(NoCapturedAssoc):
+        with pytest.raises(AdversaryError, match="^no association request was sniffed$"):
             adversary(cfg).frames()
-        with pytest.raises(NoCapturedAssoc):
+        with pytest.raises(AdversaryError, match="^no association request was sniffed$"):
             adversary(cfg, b"junk").frames()
 
 
@@ -201,7 +195,7 @@ class TestDeauthReplay:
 
     def test_nothing_captured_raises(self):
         cfg = AttackerConfig(AttackKind.DEAUTH_REPLAY, CLIENT_MAC, AP_MAC)
-        with pytest.raises(NoCapturedDeauth):
+        with pytest.raises(AdversaryError, match="^no token-bearing teardown was sniffed$"):
             adversary(cfg).frames()
 
     def test_replay_after_acceptance_is_ignored(self):
@@ -221,8 +215,18 @@ class TestAdversaryShell:
             AttackerConfig(AttackKind.ASSOC_REPLAY, CLIENT_MAC, AP_MAC, frame_count=2),
             "attacker:0",
         )
-        adv.on_sniffed(encode_frame(request))
+        adv.on_sniffed(str(CLIENT_MAC), encode_frame(request))
         assert adv.frames() == (encode_frame(request),) * 2
+
+    def test_frames_an_attacker_sent_are_never_kept(self):
+        raw = encode_frame(ManagementFrame(FrameSubtype.ASSOC_REQUEST, CLIENT_MAC, AP_MAC, 0))
+        adv = Adversary(AttackerConfig(AttackKind.ASSOC_REPLAY, CLIENT_MAC, AP_MAC), "attacker:0")
+        adv.attackers = frozenset({"attacker:0", "attacker:1"})
+        adv.on_sniffed("attacker:1", raw)
+        adv.on_sniffed("attacker:0", raw)
+        assert adv.captures == [], "neither another attacker's frame nor its own"
+        adv.on_sniffed(str(CLIENT_MAC), raw)
+        assert adv.captures == [raw]
 
     @pytest.mark.parametrize(
         "kind, keeps",

@@ -75,6 +75,12 @@ class TestRun:
         assert main(["run", "protected_legit_teardown", "--seed", "123"]) == EXIT_OK
         assert "seed: 123" in capsys.readouterr().out
 
+    def test_negative_seed_override_exits_2(self, capsys):
+        # Random(-5) seeds as Random(5) does: the run would repeat seed 5's.
+        assert main(["run", "lossy_protected_flood", "--seed", "-5"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "error: seed must be non-negative, got -5\n"
+
     def test_event_log_written(self, tmp_path, capsys):
         log = tmp_path / "events.jsonl"
         assert main(["run", "protected_legit_teardown", "--log", str(log)]) == EXIT_OK

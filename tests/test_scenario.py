@@ -3,6 +3,7 @@
 import gc
 import io
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -26,7 +27,13 @@ from deauthsim.scenario import (
     load_scenario_text,
     run_scenario,
 )
-from deauthsim.adversary import MAX_FRAME_COUNT, AttackerConfig, AttackKind, NoCapturedDeauth
+from deauthsim.adversary import (
+    MAX_FRAME_COUNT,
+    Adversary,
+    AdversaryError,
+    AttackerConfig,
+    AttackKind,
+)
 from deauthsim.frames import MacAddress
 from helpers import read_events
 
@@ -274,6 +281,9 @@ class TestStrictFields:
                     }
                 ]
             },
+            # Random(-s) seeds as Random(s) does: the run would repeat seed s's.
+            {"seed": -1},
+            {"attackers": [attacker(seed=-1337)]},
         ],
     )
     def test_hostile_values_are_config_errors(self, overrides):
@@ -354,7 +364,7 @@ class TestReplayCaptures:
     """Replay attackers replay what stations sent, never other attackers' frames."""
 
     def test_other_attackers_frames_are_not_replayed(self):
-        with pytest.raises(NoCapturedDeauth):
+        with pytest.raises(AdversaryError, match="^no token-bearing teardown was sniffed$"):
             run_scenario(config_from_dict(guess_then_replay()))
 
     def test_station_teardown_replayed_past_earlier_guesses(self):
@@ -393,6 +403,77 @@ class TestReplayCaptures:
         assert frame.subtype is FrameSubtype.DEAUTHENTICATION
         assert str(frame.src) == clients[0]
         assert outcome.attack_success_count == 0
+
+
+class TestAttackerTaps:
+    """Each attacker attaches itself as a tap; only the kinds that replay read what they sniff."""
+
+    # Whether each kind's ``on_sniffed`` is attached; a new kind must say so here.
+    SNIFFS = {
+        AttackKind.FORGED_DEAUTH: False,
+        AttackKind.TOKEN_GUESS: False,
+        AttackKind.ASSOC_REPLAY: True,
+        AttackKind.DEAUTH_REPLAY: True,
+    }
+
+    @pytest.mark.parametrize("kind", list(AttackKind), ids=lambda kind: kind.value)
+    def test_only_the_kinds_that_replay_are_called_per_sniffed_frame(self, kind, monkeypatch):
+        calls = Counter()
+        on_sniffed = Adversary.on_sniffed
+
+        def counted(adv, src, data):
+            calls[adv.endpoint_id] += 1
+            on_sniffed(adv, src, data)
+
+        monkeypatch.setattr(Adversary, "on_sniffed", counted)
+        cfg = config_from_dict(
+            doc(
+                attackers=[attacker(kind=kind.value, spoof_src=CLIENT, target=AP, frame_count=3)],
+                script=[
+                    {"associate": {"client": CLIENT, "ap": AP}},
+                    {"deauth": {"initiator": CLIENT, "reason": 3}},
+                    {"attack": {"index": 0}},
+                ],
+            )
+        )
+        _, events = run_scenario(cfg)
+        # The medium logs every frame a tap sees, whether it has a callback or
+        # not: at least the 5 station frames and the 3 attack frames.
+        sniffed = sum(event == "sniffed" for _, event, _, _, _ in read_events(events))
+        assert sniffed >= 8
+        assert calls == (Counter({"attacker:0": sniffed}) if self.SNIFFS[kind] else Counter())
+
+    def test_an_attacker_may_send_from_its_sniff_callback(self, monkeypatch):
+        on_sniffed = Adversary.on_sniffed
+
+        def react(adv, src, data):
+            # The step goes out the moment the first capture is made.
+            had_capture = bool(adv.captures)
+            on_sniffed(adv, src, data)
+            if adv.captures and not had_capture:
+                adv.attack()
+
+        monkeypatch.setattr(Adversary, "on_sniffed", react)
+        cfg = load_bundled_scenario("protected_assoc_replay")
+        cfg = replace(cfg, script=cfg.script[:1])
+        assert isinstance(cfg.script[0], AssociateAction)
+        outcome, events = ScenarioRun(cfg).execute()
+        delivered = []
+        for tick, kind, src, _, data in read_events(events):
+            if kind == "delivered":
+                frame = decode_frame(data)
+                delivered.append((tick, src, frame.subtype, frame.status_or_reason))
+        assert delivered == [
+            (1, CLIENT, FrameSubtype.AUTH_REQUEST, 0),
+            (2, AP, FrameSubtype.AUTH_RESPONSE, 0),
+            (3, CLIENT, FrameSubtype.ASSOC_REQUEST, 0),
+            *[(4, "attacker:0", FrameSubtype.ASSOC_REQUEST, 0)] * 3,
+            (4, AP, FrameSubtype.ASSOC_RESPONSE, 0),
+            *[(5, AP, FrameSubtype.ASSOC_RESPONSE, 1)] * 3,
+        ], "the tap's answer is queued while the request is sniffed, ahead of the AP's reply"
+        assert outcome.verdicts == {"hash_recorded": 1, "replayed_hash": 3}
+        assert outcome.attack_success_count == 0
+        assert outcome.final_states[CLIENT] == "auth_assoc"
 
 
 class TestBundledScenarios:
