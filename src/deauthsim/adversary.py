@@ -51,7 +51,6 @@ from random import Random
 
 from .frames import (
     TEARDOWN_SUBTYPES,
-    TOKEN_PAYLOAD_SIZE,
     FrameSubtype,
     MacAddress,
     ManagementFrame,
@@ -60,6 +59,7 @@ from .frames import (
     encode_frame,
 )
 from .medium import Handle, Medium
+from .tokens import TOKEN_SIZE
 
 DEFAULT_REASON = 3
 
@@ -168,7 +168,7 @@ class Adversary:
         replaces.
         """
         cfg = self.cfg
-        token = bytes(TOKEN_PAYLOAD_SIZE) if cfg.kind is AttackKind.TOKEN_GUESS else None
+        token = bytes(TOKEN_SIZE) if cfg.kind is AttackKind.TOKEN_GUESS else None
         return encode_frame(
             ManagementFrame(
                 FrameSubtype.DEAUTHENTICATION, cfg.spoof_src, cfg.target, cfg.reason, token=token
@@ -197,10 +197,10 @@ class Adversary:
         if cfg.kind is AttackKind.FORGED_DEAUTH:
             return (self._deauth,) * cfg.frame_count
         if cfg.kind is AttackKind.TOKEN_GUESS:
-            prefix, getrandbits = self._deauth[:-TOKEN_PAYLOAD_SIZE], self._getrandbits
-            nbits = 8 * TOKEN_PAYLOAD_SIZE
+            prefix, getrandbits = self._deauth[:-TOKEN_SIZE], self._getrandbits
+            nbits = 8 * TOKEN_SIZE
             return tuple(
-                prefix + getrandbits(nbits).to_bytes(TOKEN_PAYLOAD_SIZE, "little")
+                prefix + getrandbits(nbits).to_bytes(TOKEN_SIZE, "little")
                 for _ in range(cfg.frame_count)
             )
         if not self.captures:

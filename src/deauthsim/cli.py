@@ -13,9 +13,11 @@ associated with that AP, a ``--log`` path that cannot be written and a
 bench ``--iterations`` outside 100 to 1,000,000; 3 tick limit exceeded.
 
 The ``--log`` file is opened (created or truncated) after the scenario
-loads and before it runs, so an unwritable path exits 2 without
-simulating anything.  The events are written once the run ends; a run
-that fails after the file is opened (exit 2 or 3) leaves it empty.
+loads and ``--seed`` is checked, and before the run, so an unwritable
+path exits 2 without simulating anything and a refused scenario or seed
+leaves an existing file untouched.  The events are written once the run
+ends; a run that fails after the file is opened (exit 2 or 3) leaves it
+empty.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import argparse
 import contextlib
 import json
 import sys
+from dataclasses import replace
 
 from .adversary import AdversaryError
 from .bench import DEFAULT_ITERATIONS, MAX_ITERATIONS, MIN_ITERATIONS, REFERENCE_ROWS
@@ -90,10 +93,13 @@ def _bench_human(report: BenchReport) -> str:
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
         cfg = load_scenario(args.scenario)
+        # Checked before the log is opened, so a refused seed keeps the file.
+        if args.seed is not None:
+            cfg = replace(cfg, seed=args.seed)
         # Opened before the run, so an unwritable path costs no simulation.
         log = open(args.log, "w") if args.log is not None else contextlib.nullcontext()
         with log as stream:
-            outcome, events = run_scenario(cfg, seed=args.seed)
+            outcome, events = run_scenario(cfg)
             if stream is not None:
                 write_event_log(events, stream)
     except (ConfigError, AdversaryError, WrongState) as exc:

@@ -67,16 +67,13 @@ IE_ELEMENT_ID = 0xDD
 PAYLOAD_HASH = 0x01
 PAYLOAD_TOKEN = 0x02
 
-HASH_PAYLOAD_SIZE = DIGEST_SIZE
-TOKEN_PAYLOAD_SIZE = TOKEN_SIZE
-
 # Element id, declared length (payload plus kind byte) and kind.
-_HASH_ELEMENT_HEADER = bytes((IE_ELEMENT_ID, HASH_PAYLOAD_SIZE + 1, PAYLOAD_HASH))
-_TOKEN_ELEMENT_HEADER = bytes((IE_ELEMENT_ID, TOKEN_PAYLOAD_SIZE + 1, PAYLOAD_TOKEN))
+_HASH_ELEMENT_HEADER = bytes((IE_ELEMENT_ID, DIGEST_SIZE + 1, PAYLOAD_HASH))
+_TOKEN_ELEMENT_HEADER = bytes((IE_ELEMENT_ID, TOKEN_SIZE + 1, PAYLOAD_TOKEN))
 
 # The two element-bearing sizes, each read whole by one struct.
-_TOKEN_FRAME = struct.Struct(f"{HEADER_FORMAT}3s{TOKEN_PAYLOAD_SIZE}s")
-_HASH_FRAME = struct.Struct(f"{HEADER_FORMAT}3s{HASH_PAYLOAD_SIZE}s")
+_TOKEN_FRAME = struct.Struct(f"{HEADER_FORMAT}3s{TOKEN_SIZE}s")
+_HASH_FRAME = struct.Struct(f"{HEADER_FORMAT}3s{DIGEST_SIZE}s")
 _TOKEN_FRAME_SIZE = _TOKEN_FRAME.size
 _HASH_FRAME_SIZE = _HASH_FRAME.size
 
@@ -171,12 +168,12 @@ class ManagementFrame(_FrameFields):
         if commitment is not None:
             if token is not None:
                 raise ValueError("a frame carries a commitment or a token, not both")
-            if len(commitment) != HASH_PAYLOAD_SIZE:
+            if len(commitment) != DIGEST_SIZE:
                 raise ValueError(
-                    f"commitment needs {HASH_PAYLOAD_SIZE} bytes, got {len(commitment)}"
+                    f"commitment needs {DIGEST_SIZE} bytes, got {len(commitment)}"
                 )
-        elif token is not None and len(token) != TOKEN_PAYLOAD_SIZE:
-            raise ValueError(f"token needs {TOKEN_PAYLOAD_SIZE} bytes, got {len(token)}")
+        elif token is not None and len(token) != TOKEN_SIZE:
+            raise ValueError(f"token needs {TOKEN_SIZE} bytes, got {len(token)}")
         return tuple.__new__(cls, (subtype, src, dst, status_or_reason, commitment, token))
 
     @classmethod

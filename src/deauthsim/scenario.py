@@ -40,7 +40,10 @@ unicast addresses (I/G bit clear); an attacker's ``target`` and
 ``spoof_src`` may be group addresses: a broadcast deauth is a real
 attack.
 
-Script actions run in order; the medium drains to idle after each one.
+Each script action's class holds its fields, its refusals (``check``,
+which returns the attack frames the action sends) and its step
+(``perform``).  Script actions run in order; the medium drains to idle
+after each one.
 An ``associate`` step for a client already associated with that AP
 raises ``WrongState``.  The stations are attached first, then the
 attackers in listing order, each attaching itself as an injector, which
@@ -63,7 +66,6 @@ lifecycle state it currently holds toward any peer.
 from __future__ import annotations
 
 import functools
-from collections import Counter
 from collections.abc import Callable, Hashable
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from enum import Enum
@@ -91,8 +93,6 @@ MAX_SCENARIO_BYTES = 16 * 1024 * 1024
 # Subtypes whose verdicts the outcome tallies.
 COUNTED_SUBTYPES = TEARDOWN_SUBTYPES | {FrameSubtype.ASSOC_REQUEST}
 _ACCEPT = Action.ACCEPT
-# How ``final_states`` names each state.
-_STATE_NAMES = {state: state.name.lower() for state in LifecycleState}
 
 
 class ConfigError(Exception):
@@ -120,16 +120,49 @@ class AssociateAction:
     client: MacAddress
     ap: MacAddress
 
+    def check(self, cfg: ScenarioConfig, roles: dict[MacAddress, Role]) -> int:
+        if roles.get(self.client) is not Role.CLIENT:
+            raise ConfigError(f"associate: {self.client} is not a client")
+        if roles.get(self.ap) is not Role.AP:
+            raise ConfigError(f"associate: {self.ap} is not an AP")
+        return 0
+
+    def perform(self, run: ScenarioRun) -> None:
+        client = run.stations[self.client]
+        assert isinstance(client, ClientStation)
+        client.start_join(self.ap)
+
 
 @dataclass(frozen=True)
 class DeauthAction:
     initiator: MacAddress
     reason: int
 
+    def check(self, cfg: ScenarioConfig, roles: dict[MacAddress, Role]) -> int:
+        if self.initiator not in roles:
+            raise ConfigError(f"deauth: unknown initiator {self.initiator}")
+        if self.reason not in TEARDOWN_REASONS:
+            raise ConfigError(f"deauth: reason {self.reason} is not a normal-disconnect code")
+        return 0
+
+    def perform(self, run: ScenarioRun) -> None:
+        initiator = run.stations[self.initiator]
+        run.unaccepted_teardowns += len(initiator.teardown_all(self.reason))
+
 
 @dataclass(frozen=True)
 class AttackAction:
     index: int
+
+    def check(self, cfg: ScenarioConfig, roles: dict[MacAddress, Role]) -> int:
+        if not 0 <= self.index < len(cfg.attackers):
+            raise ConfigError(f"attack: no attacker at index {self.index}")
+        # A replay keeps one capture, so every kind sends frame_count.
+        return cfg.attackers[self.index].frame_count
+
+    def perform(self, run: ScenarioRun) -> None:
+        # The whole step is one queue entry, one tick.
+        run.adversaries[self.index].attack()
 
 
 ScriptAction = AssociateAction | DeauthAction | AttackAction
@@ -166,25 +199,9 @@ class ScenarioConfig:
         roles = {spec.mac: spec.role for spec in self.stations}
         attack_frames = 0
         for action in self.script:
-            if isinstance(action, AssociateAction):
-                if roles.get(action.client) is not Role.CLIENT:
-                    raise ConfigError(f"associate: {action.client} is not a client")
-                if roles.get(action.ap) is not Role.AP:
-                    raise ConfigError(f"associate: {action.ap} is not an AP")
-            elif isinstance(action, DeauthAction):
-                if action.initiator not in roles:
-                    raise ConfigError(f"deauth: unknown initiator {action.initiator}")
-                if action.reason not in TEARDOWN_REASONS:
-                    raise ConfigError(
-                        f"deauth: reason {action.reason} is not a normal-disconnect code"
-                    )
-            elif isinstance(action, AttackAction):
-                if not 0 <= action.index < len(self.attackers):
-                    raise ConfigError(f"attack: no attacker at index {action.index}")
-                # A replay keeps one capture, so every kind sends frame_count.
-                attack_frames += self.attackers[action.index].frame_count
-            else:
+            if not isinstance(action, ScriptAction):
                 raise ConfigError(f"unknown script action {action!r}")
+            attack_frames += action.check(self, roles)
         if attack_frames > MAX_FRAME_COUNT:
             raise ConfigError(
                 f"script's attack steps send {attack_frames} frames in total,"
@@ -414,9 +431,13 @@ class ScenarioRun:
     The medium calls each station's ``deliver`` closure and each replay
     attacker's ``Adversary.on_sniffed`` with the true sender's endpoint id
     and the frame's bytes.  Verdicts are tallied as they happen and not
-    kept: per-cause counts for the subtypes in ``COUNTED_SUBTYPES``,
-    accepted frames injected by an adversary, and the teardowns that
-    ``deauth`` steps sent and no receiver has accepted yet.
+    kept.  ``deliver`` counts straight into ``outcome``, the run's one
+    ``ScenarioOutcome``: per-cause counts for the subtypes in
+    ``COUNTED_SUBTYPES`` and accepted frames injected by an adversary.
+    The run itself counts the teardowns that ``deauth`` steps sent and no
+    receiver has accepted yet.  ``execute`` performs each script action
+    and then fills in the rest of the outcome: the medium's totals,
+    ``legit_disconnect_success`` and ``final_states``.
     Stations and attackers queue through the same ``Handle.send``, each
     through its own handle: a station one frame at a time, an attack step
     (``Adversary.attack``) as the tuple ``Adversary.frames`` returns,
@@ -425,8 +446,8 @@ class ScenarioRun:
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
-        self.verdict_counts: Counter[str] = Counter()
-        self.attack_success_count = 0
+        self.outcome = outcome = ScenarioOutcome(cfg.name, cfg.mode, cfg.seed)
+        verdicts = outcome.verdicts
         self.unaccepted_teardowns = 0
 
         master = Random(cfg.seed)
@@ -445,8 +466,8 @@ class ScenarioRun:
         # The medium's callback per station: a plain function, not a
         # ``functools.partial`` of a method, so that each delivery is a
         # Python-to-Python call.  Defined here, every callback shares this
-        # frame's cell for ``self`` and has one of its own, for its station:
-        # each cell costs memory per station.
+        # frame's cells for ``self``, ``outcome`` and ``verdicts`` and has one
+        # of its own, for its station: each cell costs memory per station.
         def deliverer(station: Station) -> Callable[[str, bytes], None]:
             def deliver(src: str, data: bytes) -> None:
                 result = station.receive_frame(data)
@@ -454,10 +475,11 @@ class ScenarioRun:
                     return
                 frame, verdict = result
                 if frame.subtype in COUNTED_SUBTYPES:
-                    self.verdict_counts[verdict.cause] += 1
+                    cause = verdict.cause
+                    verdicts[cause] = verdicts.get(cause, 0) + 1
                 if verdict.action is _ACCEPT:
                     if src in self.adversary_ids:
-                        self.attack_success_count += 1
+                        outcome.attack_success_count += 1
                     elif frame.subtype in TEARDOWN_SUBTYPES:
                         self.unaccepted_teardowns -= 1
 
@@ -475,44 +497,21 @@ class ScenarioRun:
         for adv in self.adversaries:
             adv.attach(self.medium, self.adversary_ids)
 
-    def _perform(self, action: ScriptAction) -> None:
-        if isinstance(action, AssociateAction):
-            client = self.stations[action.client]
-            assert isinstance(client, ClientStation)
-            client.start_join(action.ap)
-        elif isinstance(action, DeauthAction):
-            initiator = self.stations[action.initiator]
-            self.unaccepted_teardowns += len(initiator.teardown_all(action.reason))
-        else:
-            # The whole step is one queue entry, one tick.
-            self.adversaries[action.index].attack()
-
     def execute(self) -> tuple[ScenarioOutcome, EventLog]:
         """Run the script; return the outcome and the medium's whole event log."""
+        medium, outcome = self.medium, self.outcome
         for action in self.cfg.script:
-            self._perform(action)
-            self.medium.run_until_idle(self.cfg.max_ticks)
-        return self._outcome(), self.medium.events
-
-    def _outcome(self) -> ScenarioOutcome:
-        medium = self.medium
-        outcome = ScenarioOutcome(
-            self.cfg.name,
-            self.cfg.mode,
-            self.cfg.seed,
-            frames_sent=medium.frames_sent,
-            frames_delivered=medium.frames_sent - medium.frames_dropped,
-            frames_dropped=medium.frames_dropped,
-            verdicts=dict(self.verdict_counts),
-            attack_success_count=self.attack_success_count,
-            legit_disconnect_success=self.unaccepted_teardowns == 0,
-        )
-
+            action.perform(self)
+            medium.run_until_idle(self.cfg.max_ticks)
+        outcome.frames_sent = medium.frames_sent
+        outcome.frames_delivered = medium.frames_sent - medium.frames_dropped
+        outcome.frames_dropped = medium.frames_dropped
+        outcome.legit_disconnect_success = self.unaccepted_teardowns == 0
         for station in self.stations.values():
             peers = station.sessions.keys() | station.authenticated
             state = max(map(station.state_toward, peers), default=LifecycleState.UNAUTH_UNASSOC)
-            outcome.final_states[str(station.mac)] = _STATE_NAMES[state]
-        return outcome
+            outcome.final_states[str(station.mac)] = state.name.lower()
+        return outcome, medium.events
 
 
 def run_scenario(

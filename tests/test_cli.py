@@ -81,6 +81,14 @@ class TestRun:
         err = capsys.readouterr().err
         assert err == "error: seed must be non-negative, got -5\n"
 
+    def test_refused_seed_leaves_an_existing_log_untouched(self, tmp_path, capsys):
+        log = tmp_path / "keep.jsonl"
+        log.write_bytes(b"old\n")
+        argv = ["run", "protected_legit_teardown", "--seed", "-5", "--log", str(log)]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: seed must be non-negative, got -5\n"
+        assert log.read_bytes() == b"old\n"
+
     def test_event_log_written(self, tmp_path, capsys):
         log = tmp_path / "events.jsonl"
         assert main(["run", "protected_legit_teardown", "--log", str(log)]) == EXIT_OK

@@ -8,12 +8,10 @@ from hypothesis import given, settings, strategies as st
 from deauthsim.frames import (
     BROADCAST,
     CANONICAL_FRAME_SIZES,
-    HASH_PAYLOAD_SIZE,
     HEADER_SIZE,
     IE_ELEMENT_ID,
     PAYLOAD_HASH,
     PAYLOAD_TOKEN,
-    TOKEN_PAYLOAD_SIZE,
     DecodeError,
     FrameSubtype,
     MacAddress,
@@ -21,6 +19,7 @@ from deauthsim.frames import (
     decode_frame,
     encode_frame,
 )
+from deauthsim.tokens import DIGEST_SIZE, TOKEN_SIZE
 from frame_reference import reference_decode
 
 SRC = MacAddress.parse("aa:bb:cc:dd:ee:ff")
@@ -81,12 +80,12 @@ def element_frame(**element):
 
 class TestInformationElement:
     def test_hash_payload_must_be_64_bytes(self):
-        assert len(element_frame(commitment=b"\x00" * 64).commitment) == HASH_PAYLOAD_SIZE
+        assert len(element_frame(commitment=b"\x00" * 64).commitment) == DIGEST_SIZE
         with pytest.raises(ValueError):
             element_frame(commitment=b"\x00" * 63)
 
     def test_token_payload_must_be_16_bytes(self):
-        assert len(element_frame(token=b"\x00" * 16).token) == TOKEN_PAYLOAD_SIZE
+        assert len(element_frame(token=b"\x00" * 16).token) == TOKEN_SIZE
         with pytest.raises(ValueError):
             element_frame(token=b"\x00" * 17)
 
@@ -427,7 +426,7 @@ def assert_agrees_with_reference(data):
 
 # A few addresses, so that consecutive decodes often share one.
 OFTEN = (SRC, DST, BROADCAST)
-ELEMENT_HEADER_BYTES = (IE_ELEMENT_ID, TOKEN_PAYLOAD_SIZE + 1, HASH_PAYLOAD_SIZE + 1, 1, 2)
+ELEMENT_HEADER_BYTES = (IE_ELEMENT_ID, TOKEN_SIZE + 1, DIGEST_SIZE + 1, 1, 2)
 
 
 @st.composite

@@ -597,6 +597,19 @@ class TestOutcomeAccounting:
         assert log_a.getvalue() == log_b.getvalue()
         assert outcome_a.to_dict() == outcome_b.to_dict()
 
+    def test_runs_share_no_tally(self):
+        # Both runs are built before either executes: an outcome shared
+        # through a default or a class attribute would count twice.  The
+        # expected dict is a copy taken first, so a shared tally cannot
+        # grow it along with the others.
+        cfg = load_bundled_scenario("protected_token_guess")
+        expected = run_scenario(cfg)[0].to_dict()
+        first, second = ScenarioRun(cfg), ScenarioRun(cfg)
+        outcome_a, _ = first.execute()
+        outcome_b, _ = second.execute()
+        assert outcome_a.to_dict() == outcome_b.to_dict() == expected
+        assert type(outcome_a.verdicts) is dict
+
     def test_seed_override_changes_the_traffic(self):
         cfg = load_bundled_scenario("protected_legit_teardown")
         _, events_a = run_scenario(cfg, seed=1)
