@@ -31,9 +31,14 @@ Reason code dispatch for protected-mode teardown frames:
 
 Accepting a teardown deletes the session record outright, so an exact
 replay of the same frame finds no session and is ignored: revealed
-tokens are single-use.  ``receive_frame`` hands every teardown addressed
-here straight to ``verify_deauth``; each role's ``_dispatch`` answers
-only its handshake frames.
+tokens are single-use.
+
+``receive_frame`` picks each frame's handler by subtype, once: every
+teardown addressed here goes straight to ``verify_deauth``, and each
+role's ``_dispatch`` hands its own association frames to its handler.
+No handler checks the subtype again.  Every frame a handler judges gets
+a verdict; an association response with no request in flight is
+ignored as ``no_request``.
 """
 
 from __future__ import annotations
@@ -64,14 +69,6 @@ STATUS_REFUSED = 1
 
 class WrongState(Exception):
     """Operation not valid in the peer's current lifecycle state."""
-
-
-class NoPendingSession(Exception):
-    """Association response arrived with no request in flight."""
-
-
-class MalformedFrame(Exception):
-    """Handler was fed a frame of the wrong subtype."""
 
 
 class LifecycleState(IntEnum):
@@ -106,6 +103,7 @@ _ACCEPT_LEGACY_NO_CHECK = Verdict(Action.ACCEPT, "legacy_no_check")
 _REJECT_ASSOC_REFUSED = Verdict(Action.REJECT, "assoc_refused")
 _REJECT_MISSING_HASH = Verdict(Action.REJECT, "missing_hash")
 _ACCEPT_ASSOC_CONFIRMED = Verdict(Action.ACCEPT, "assoc_confirmed")
+_IGNORE_NO_REQUEST = Verdict(Action.IGNORE, "no_request")
 _ACCEPT_LEGACY_ASSOC = Verdict(Action.ACCEPT, "legacy_assoc")
 _REJECT_REPLAYED_HASH = Verdict(Action.REJECT, "replayed_hash")
 _ACCEPT_HASH_RECORDED = Verdict(Action.ACCEPT, "hash_recorded")
@@ -211,7 +209,7 @@ class Station:
     # -- verification ------------------------------------------------
 
     def verify_deauth(self, frame: ManagementFrame) -> Verdict:
-        """Judge an inbound teardown frame; ``MalformedFrame`` for other subtypes.
+        """Judge an inbound teardown frame (a deauthentication or disassociation).
 
         Legacy mode honors any teardown from a peer with a session.
         Protected mode accepts only a normal-disconnect reason code
@@ -220,8 +218,6 @@ class Station:
         deletes the session.  Protected mode ignores everything else,
         except reason 1, which it rejects outright, token or no token.
         """
-        if frame.subtype not in TEARDOWN_SUBTYPES:
-            raise MalformedFrame(f"not a teardown frame: {frame.subtype.name}")
         if not self.protected:
             if frame.src not in self.sessions:
                 return _IGNORE_NO_SESSION
@@ -247,9 +243,10 @@ class Station:
     def receive_frame(self, data: bytes) -> tuple[ManagementFrame, Verdict] | None:
         """Decode and handle one frame off the air.
 
-        Returns the frame and the verdict it produced, or ``None`` for
-        frames that decode badly, are not addressed here, or carry a
-        subtype this station has no business answering.
+        Returns the frame and the verdict its handler gave, or ``None``
+        for frames that decode badly, are not addressed here, carry the
+        other role's handshake subtype, or are authentication frames,
+        which are answered without a verdict.
         """
         try:
             frame = decode_frame(data)
@@ -309,12 +306,17 @@ class ClientStation(Station):
         return frame, record
 
     def handle_assoc_response(self, frame: ManagementFrame) -> Verdict:
-        """Complete (or abandon) the association in flight with the sender."""
-        if frame.subtype is not FrameSubtype.ASSOC_RESPONSE:
-            raise MalformedFrame(f"not an association response: {frame.subtype.name}")
+        """Complete (or abandon) the association in flight with the sender.
+
+        A response with no request in flight to its sender is ignored
+        (``no_request``) and changes nothing.  Otherwise the request is
+        settled: a refusal is ``assoc_refused``, a protected success
+        without the AP's digest ``missing_hash``, and any other success
+        makes the session (``assoc_confirmed``).
+        """
         record = self.pending.pop(frame.src, None)
         if record is None:
-            raise NoPendingSession(f"no association in flight with {frame.src}")
+            return _IGNORE_NO_REQUEST
         if frame.status_or_reason != STATUS_SUCCESS:
             return _REJECT_ASSOC_REFUSED
         if self.protected:
@@ -333,10 +335,7 @@ class ClientStation(Station):
                     self.start_join(frame.src)
             return None
         if frame.subtype is FrameSubtype.ASSOC_RESPONSE:
-            try:
-                return frame, self.handle_assoc_response(frame)
-            except NoPendingSession:
-                return None
+            return frame, self.handle_assoc_response(frame)
         return None
 
 
@@ -359,8 +358,6 @@ class AccessPoint(Station):
         draws the AP's own token; a protected response carries its
         digest.
         """
-        if frame.subtype is not FrameSubtype.ASSOC_REQUEST:
-            raise MalformedFrame(f"not an association request: {frame.subtype.name}")
         src = frame.src
 
         peer_hash = None
