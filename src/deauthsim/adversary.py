@@ -46,7 +46,6 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from random import Random
 
 from .frames import (
@@ -65,9 +64,9 @@ DEFAULT_REASON = 3
 
 # An attack step is one tuple, built whole before it is sent and kept
 # as is by the log, so the count is capped: a one-line config must not
-# exhaust memory.  At the cap a forged step's log costs 16 MB (a
-# reference and a label per frame); a token guess's distinct 34-byte
-# frames add about 70 MB.
+# exhaust memory.  At the cap a forged step's log costs 16 MB, unicast
+# or broadcast (a reference to its frame and one to its shared label per
+# frame); a token guess's distinct 34-byte frames add about 70 MB.
 MAX_FRAME_COUNT = 1_000_000
 
 
@@ -137,6 +136,15 @@ class Adversary:
         self.captures: list[bytes] = []
         self.attackers: frozenset[str] = frozenset()
         self.handle: Handle | None = None
+        # This attack's deauthentication, encoded once; a token guess's
+        # carries a placeholder token, which each guess replaces.
+        token = bytes(TOKEN_SIZE) if cfg.kind is AttackKind.TOKEN_GUESS else None
+        deauth = ManagementFrame(
+            FrameSubtype.DEAUTHENTICATION, cfg.spoof_src, cfg.target, cfg.reason, token=token
+        )
+        self._deauth = encode_frame(deauth)
+        # This attacker's guess stream: one Random(cfg.seed) for all its steps.
+        self._getrandbits = Random(cfg.seed).getrandbits
 
     def attach(self, medium: Medium, attackers: frozenset[str]) -> None:
         """Attach to ``medium`` as an injector; sniff only if this kind replays."""
@@ -159,26 +167,6 @@ class Adversary:
     def attack(self) -> None:
         """Send one attack step through this attacker's handle, as one queue entry."""
         self.handle.send(self.frames())
-
-    @cached_property
-    def _deauth(self) -> bytes:
-        """This attack's deauthentication, encoded once.
-
-        A token guess's carries a placeholder token, which each guess
-        replaces.
-        """
-        cfg = self.cfg
-        token = bytes(TOKEN_SIZE) if cfg.kind is AttackKind.TOKEN_GUESS else None
-        return encode_frame(
-            ManagementFrame(
-                FrameSubtype.DEAUTHENTICATION, cfg.spoof_src, cfg.target, cfg.reason, token=token
-            )
-        )
-
-    @cached_property
-    def _getrandbits(self):
-        """This attacker's guess stream: one ``Random(cfg.seed)`` for all its steps."""
-        return Random(self.cfg.seed).getrandbits
 
     def frames(self) -> tuple[bytes, ...]:
         """Build one attack step, a tuple of ``bytes`` ready to inject as is.

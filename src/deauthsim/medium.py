@@ -12,12 +12,12 @@ object, so a step is never copied between the attacker and the log.
 ``run_until_idle`` drains an entry in one loop, reading the sender and
 the taps once per entry and the loss draw once per call; the per-frame
 events and loss draws below keep their order.  Routing is done once for
-each run of one frame object while its owner stands: an attack step
+each run of one frame object, whatever its destination: an attack step
 repeats one ``bytes`` object, and while the next frame ``is`` the one
-last routed to an owner, its label, the owner's ``receive`` and the
-broadcast test are reused.  Owners are never replaced, so that routing
-cannot go stale; a lookup that found no owner is made again for the
-next copy, since a callback may attach the MAC in between.
+last routed, its label, the owner's ``receive`` and the broadcast test
+are reused, so every copy shares one label string.  Owners are never
+replaced, so that routing cannot go stale; a copy is routed again only
+when its destination had no owner and a callback has since attached it.
 
 Processing a frame emits, in order, an ``injected`` event when the
 sender was attached as an injector, one ``sniffed`` event per injector
@@ -278,9 +278,9 @@ class Medium:
         ``len`` and which ``write_event_log`` writes; ``events`` is the
         whole log.  When a callback raises, the frames that had not
         reached their loss draw stay queued, ahead of any queued later.
-        A run of one frame object is routed once while its owner stands;
-        taps, the label, the loss draw and the broadcast receivers are
-        still per frame.
+        A run of one frame object is routed once, unless a callback
+        attaches its unowned destination; taps, the label reference, the
+        loss draw and the broadcast receivers are still per frame.
         """
         labels = self._labels
         start = len(self._records)
@@ -301,23 +301,22 @@ class Medium:
                 src, injector = sender.endpoint_id, sender.injector
                 tap_ids, tap_receivers = self._tap_ids, self._tap_receivers
                 first = len(labels)
-                # The frame object whose routing below is still good, if any.
-                routed = None
+                # The last frame object routed below, and its owner.
+                routed = owner = None
                 try:
                     for data in frames:
-                        if data is not routed:
+                        # Owners are never replaced, so a run of one object is
+                        # routed again only once a callback attaches its MAC.
+                        if data is not routed or (owner is None and dst in mac_owner):
                             # Short of the destination field when the frame is short.
                             dst = data[DST_OFFSET:DST_END]
                             broadcast = dst == BROADCAST
-                            owner = mac_owner.get(dst)
+                            owner, routed = mac_owner.get(dst), data
                             if owner is not None:
-                                # Owners are never replaced, so a flood's next
-                                # copies of this object are routed the same way.
-                                dst_label, deliver, routed = owner.endpoint_id, owner.receive, data
+                                dst_label, deliver = owner.endpoint_id, owner.receive
                             else:
-                                # A callback may yet attach this MAC: look again.
                                 dst_label = str(MacAddress(dst)) if len(dst) == 6 else "?"
-                                deliver = routed = None
+                                deliver = None
                         for receive in tap_receivers:
                             receive(src, data)
                         label(dst_label)

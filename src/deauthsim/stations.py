@@ -351,37 +351,31 @@ class AccessPoint(Station):
     ) -> tuple[ManagementFrame, Verdict]:
         """Judge an association request and build the response.
 
-        Protected mode refuses requests with no hash commitment and
-        requests replaying a commitment seen before, whether or not the
-        original session still exists, and records a fresh commitment
-        for the life of the AP.  An accepted request in either mode then
-        draws the AP's own token; a protected response carries its
-        digest.
+        The first matching rule decides: legacy mode accepts; protected
+        mode refuses a request with no hash commitment, then one
+        replaying a commitment seen before, whether or not the original
+        session still exists, and records any other commitment for the
+        life of the AP.  The response's status follows the verdict's
+        action.  Only an accepted request makes a session and draws the
+        AP's own token; a protected response carries its digest.
         """
-        src = frame.src
-
-        peer_hash = None
-        if self.protected:
-            peer_hash = frame.commitment
-            if peer_hash is None:
-                return self._refuse(src, _REJECT_MISSING_HASH)
-            if peer_hash in self.seen_hashes:
-                return self._refuse(src, _REJECT_REPLAYED_HASH)
+        src, peer_hash = frame.src, frame.commitment
+        if not self.protected:
+            verdict, peer_hash = _ACCEPT_LEGACY_ASSOC, None
+        elif peer_hash is None:
+            verdict = _REJECT_MISSING_HASH
+        elif peer_hash in self.seen_hashes:
+            verdict = _REJECT_REPLAYED_HASH
+        else:
+            verdict = _ACCEPT_HASH_RECORDED
             self.seen_hashes.add(peer_hash)
 
-        self.authenticated.add(src)
-        self.sessions[src], commitment = self._new_session(peer_hash)
-        response = ManagementFrame(
-            FrameSubtype.ASSOC_RESPONSE, self.mac, src, STATUS_SUCCESS, commitment
-        )
-        return response, _ACCEPT_HASH_RECORDED if self.protected else _ACCEPT_LEGACY_ASSOC
-
-    def _refuse(
-        self, peer: MacAddress, verdict: Verdict
-    ) -> tuple[ManagementFrame, Verdict]:
-        response = ManagementFrame(
-            FrameSubtype.ASSOC_RESPONSE, self.mac, peer, STATUS_REFUSED
-        )
+        status, commitment = STATUS_REFUSED, None
+        if verdict.action is Action.ACCEPT:
+            self.authenticated.add(src)
+            self.sessions[src], commitment = self._new_session(peer_hash)
+            status = STATUS_SUCCESS
+        response = ManagementFrame(FrameSubtype.ASSOC_RESPONSE, self.mac, src, status, commitment)
         return response, verdict
 
     def _dispatch(self, frame: ManagementFrame) -> tuple[ManagementFrame, Verdict] | None:

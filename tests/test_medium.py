@@ -617,6 +617,28 @@ class TestCallbacksDuringADrain:
     @pytest.mark.parametrize(
         "medium_class", [Medium, ReferenceMedium], ids=["library", "reference"]
     )
+    def test_a_repeated_broadcast_reaches_an_endpoint_attached_since(self, medium_class):
+        medium = medium_class()
+        got_late, late_mac = Collector(), MacAddress.parse("02:00:00:00:00:0e")
+        frame = bare_frame(dst=BROADCAST)
+
+        def attach_late(src, data):
+            if not attached:
+                attached.append(medium.attach("late", late_mac, got_late))
+
+        attached = []
+        a = medium.attach("a", MAC_A)
+        medium.attach("b", MAC_B, attach_late)
+        # One object twice, as a broadcast flood sends it: its routing is
+        # reused, but each copy reaches the owners of its own delivery.
+        a.send((frame,) * 2)
+        medium.run_until_idle()
+        assert got_late.events == [("a", frame)]
+        assert [to for _, _, _, to, _ in logged(medium)] == ["ff:ff:ff:ff:ff:ff"] * 2
+
+    @pytest.mark.parametrize(
+        "medium_class", [Medium, ReferenceMedium], ids=["library", "reference"]
+    )
     def test_a_repeated_frame_is_routed_again_until_its_mac_is_owned(self, medium_class):
         medium = medium_class()
         mac_c = MacAddress.parse("02:00:00:00:00:0c")

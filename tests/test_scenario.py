@@ -651,15 +651,18 @@ class TestOutcomeAccounting:
         assert large[1] - small[1] <= 1, "collections during execute"
 
     @staticmethod
-    def traced_execute(name, frame_count):
+    def traced_execute(name, frame_count, target=None):
         """Run bundled ``name`` with its attacker scaled to ``frame_count``.
 
+        ``target``, when given, replaces the attacker's target MAC.
         Returns the bytes the run keeps once done and the peak bytes
         during ``execute()``, both per frame sent and counted from before
         the run was built (tracemalloc).
         """
         base = load_bundled_scenario(name)
         attacker = replace(base.attackers[0], frame_count=frame_count)
+        if target is not None:
+            attacker = replace(attacker, target=MacAddress.parse(target))
         cfg = replace(base, attackers=[attacker])
         gc.collect()
         tracemalloc.start()
@@ -690,6 +693,14 @@ class TestOutcomeAccounting:
         # top of one frame reference and one label per frame.
         kept, _ = self.traced_execute("lossy_protected_flood", 100_000)
         assert kept <= 20.0, f"{kept:.1f} B kept per frame"
+
+    def test_a_broadcast_flood_keeps_no_label_per_frame(self):
+        # Every copy of one broadcast frame shares its label, so a broadcast
+        # flood keeps what a unicast one does: one frame reference and one
+        # label reference per frame.  A fresh 66-byte label per copy would
+        # keep 82 B per frame.
+        kept, _ = self.traced_execute("protected_forged_deauth", 100_000, "ff:ff:ff:ff:ff:ff")
+        assert kept <= 17.0, f"{kept:.1f} B kept per frame"
 
     def test_outcome_dict_is_json_shaped(self):
         outcome, _ = run_scenario(load_bundled_scenario("protected_legit_teardown"))

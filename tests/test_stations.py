@@ -5,7 +5,7 @@ from enum import Enum
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from deauthsim.frames import (
     FrameSubtype,
@@ -482,6 +482,80 @@ class TestBearerCredentialRace:
 AID_CAPACITY = 2007
 
 
+# One step of ``lifecycle_walk``; every station handler it calls is
+# public, and frames cross between the two stations as encoded bytes.
+lifecycle_op = st.one_of(
+    st.tuples(st.just("auth")),
+    st.tuples(st.just("join")),
+    st.tuples(st.just("teardown"), st.booleans(), st.sampled_from([3, 4, 5, 8])),
+    st.tuples(
+        st.just("forged"),
+        st.booleans(),
+        st.sampled_from([FrameSubtype.DEAUTHENTICATION, FrameSubtype.DISASSOCIATION]),
+        st.sampled_from([3, 4, 5, 8]),
+        st.one_of(st.none(), st.binary(min_size=16, max_size=16)),
+    ),
+    st.tuples(st.just("replay_assoc"), st.integers(min_value=0, max_value=7)),
+)
+
+
+# A move only ``TestKnownLimitations`` makes: an association request spoofed
+# from the client's MAC, committing to the digest of a fresh token.
+forge_req_op = st.tuples(st.just("forge_req"), st.binary(min_size=16, max_size=16))
+
+
+def lifecycle_walk(protected, ops):
+    """Drive a fresh client and AP through ``ops``, checking after each step.
+
+    Only the real peer may hold a session or an authentication.  In
+    protected mode, while each side holds a session with the other,
+    each stores the other's own commitment (agreement).
+    """
+    client, ap = make_pair(protected=protected)
+    requests = []
+    for op in ops:
+        if op[0] == "auth":
+            auth_success(client, ap)
+        elif op[0] == "join":
+            if client.state_toward(ap.mac) is S1:
+                auth_success(client, ap)
+            if client.state_toward(ap.mac) is not S2:
+                with pytest.raises(WrongState):
+                    client.begin_association(ap.mac)
+                continue
+            request, _ = client.begin_association(ap.mac)
+            requests.append(request)
+            response, _ = ap.handle_assoc_request(request)
+            client.handle_assoc_response(response)
+        elif op[0] == "teardown":
+            _, from_client, reason = op
+            sender, receiver = (client, ap) if from_client else (ap, client)
+            if receiver.mac not in sender.sessions:
+                with pytest.raises(WrongState):
+                    sender.begin_teardown(receiver.mac, reason)
+                continue
+            frame = sender.begin_teardown(receiver.mac, reason)
+            receiver.receive_frame(encode_frame(frame))
+        elif op[0] == "forged":
+            _, at_client, subtype, reason, token = op
+            victim, spoofed = (client, ap) if at_client else (ap, client)
+            forged = ManagementFrame(subtype, spoofed.mac, victim.mac, reason, token=token)
+            victim.receive_frame(encode_frame(forged))
+        elif op[0] == "forge_req":
+            commitment = hash_token(op[1])
+            forged = ManagementFrame(FrameSubtype.ASSOC_REQUEST, client.mac, ap.mac, 0, commitment)
+            ap.receive_frame(encode_frame(forged))
+        elif requests:
+            ap.handle_assoc_request(requests[op[1] % len(requests)])
+        for station, peer in ((client, ap.mac), (ap, client.mac)):
+            assert set(station.sessions) <= {peer}, op
+            assert station.authenticated <= {peer}, op
+        if protected and ap.mac in client.sessions and client.mac in ap.sessions:
+            client_side, ap_side = client.sessions[ap.mac], ap.sessions[client.mac]
+            assert client_side.peer_hash == ap_side.own_hash, op
+            assert ap_side.peer_hash == client_side.own_hash, op
+
+
 class TestKnownLimitations:
     """The association holes that protected mode leaves open today.
 
@@ -549,6 +623,17 @@ class TestKnownLimitations:
                 )
             )
         assert len(ap.sessions) <= AID_CAPACITY
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="association displacement found by the walk: ROADMAP item 2",
+    )
+    @given(ops=st.lists(st.one_of(lifecycle_op, forge_req_op), max_size=25))
+    @example(ops=[("join",), ("forge_req", bytes(range(16)))])
+    @settings(max_examples=100, deadline=None)
+    def test_walk_with_spoofed_requests_keeps_agreement(self, ops):
+        lifecycle_walk(True, ops)
 
 
 class TestLegacyMode:
@@ -686,66 +771,16 @@ class TestSessionRecord:
         assert CLIENT_MAC not in ap.sessions
 
 
-# One step of the lifecycle walk below; every station handler it calls is
-# public, and frames cross between the two stations as encoded bytes.
-lifecycle_op = st.one_of(
-    st.tuples(st.just("auth")),
-    st.tuples(st.just("join")),
-    st.tuples(st.just("teardown"), st.booleans(), st.sampled_from([3, 4, 5, 8])),
-    st.tuples(
-        st.just("forged"),
-        st.booleans(),
-        st.sampled_from([FrameSubtype.DEAUTHENTICATION, FrameSubtype.DISASSOCIATION]),
-        st.sampled_from([3, 4, 5, 8]),
-        st.one_of(st.none(), st.binary(min_size=16, max_size=16)),
-    ),
-    st.tuples(st.just("replay_assoc"), st.integers(min_value=0, max_value=7)),
-)
-
-
 class TestSessionImpliesAssociated:
     """Only the real peer ever gets a session or an authentication.
 
     A record in ``sessions`` is what makes a peer AUTH_ASSOC, so no
     walk of handshakes, teardowns, forgeries and replays may leave one
-    (or an ``authenticated`` entry) for any other MAC.
+    (or an ``authenticated`` entry) for any other MAC.  The walk also
+    checks agreement (``lifecycle_walk``).
     """
 
     @given(protected=st.booleans(), ops=st.lists(lifecycle_op, max_size=25))
     @settings(max_examples=200, deadline=None)
     def test_every_session_peer_is_auth_assoc(self, protected, ops):
-        client, ap = make_pair(protected=protected)
-        requests = []
-        for op in ops:
-            if op[0] == "auth":
-                auth_success(client, ap)
-            elif op[0] == "join":
-                if client.state_toward(ap.mac) is S1:
-                    auth_success(client, ap)
-                if client.state_toward(ap.mac) is not S2:
-                    with pytest.raises(WrongState):
-                        client.begin_association(ap.mac)
-                    continue
-                request, _ = client.begin_association(ap.mac)
-                requests.append(request)
-                response, _ = ap.handle_assoc_request(request)
-                client.handle_assoc_response(response)
-            elif op[0] == "teardown":
-                _, from_client, reason = op
-                sender, receiver = (client, ap) if from_client else (ap, client)
-                if receiver.mac not in sender.sessions:
-                    with pytest.raises(WrongState):
-                        sender.begin_teardown(receiver.mac, reason)
-                    continue
-                frame = sender.begin_teardown(receiver.mac, reason)
-                receiver.receive_frame(encode_frame(frame))
-            elif op[0] == "forged":
-                _, at_client, subtype, reason, token = op
-                victim, spoofed = (client, ap) if at_client else (ap, client)
-                forged = ManagementFrame(subtype, spoofed.mac, victim.mac, reason, token=token)
-                victim.receive_frame(encode_frame(forged))
-            elif requests:
-                ap.handle_assoc_request(requests[op[1] % len(requests)])
-            for station, peer in ((client, ap.mac), (ap, client.mac)):
-                assert set(station.sessions) <= {peer}, op
-                assert station.authenticated <= {peer}, op
+        lifecycle_walk(protected, ops)
