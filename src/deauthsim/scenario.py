@@ -26,19 +26,20 @@ A scenario file is YAML with a versioned schema:
 Each record's dataclass is its schema: one strict builder reads
 ``ScenarioConfig``, ``StationSpec``, ``AttackerConfig`` and the script
 actions from their fields, so the top level allows ``schema`` plus the
-fields of ``ScenarioConfig`` and a new field needs no loader change; a
-file may leave out ``name`` and ``seed``.  Unknown keys, keys repeated
-within one mapping and missing required fields are a ``ConfigError`` (a
-misspelt or repeated ``loss_probability`` must not silently run
-loss-free).  Values are never coerced: a MAC comes only from a string,
-an integer never from a string, float or boolean, and ``name`` must be a
-string.  ``stations``, ``attackers`` and ``script`` must be lists, and
-``frame_count`` is capped at ``adversary.MAX_FRAME_COUNT``, as is the
-sum of the script's attack steps' frame counts.  A file
-longer than ``MAX_SCENARIO_BYTES`` is refused.  Station MACs are unique
-unicast addresses (I/G bit clear); an attacker's ``target`` and
-``spoof_src`` may be group addresses: a broadcast deauth is a real
-attack.
+fields of ``ScenarioConfig``, whose defaults include ``name`` and
+``seed``, and a new field needs no loader change.  Unknown keys, keys
+repeated within one mapping, missing required fields and any value a
+record refuses, an integer too large for a float included, are a
+``ConfigError`` (a misspelt or repeated ``loss_probability`` must not
+silently run loss-free).  Values are never coerced: a MAC comes only
+from a string, an integer never from a string, float or boolean, and
+``name`` must be a string.  ``stations``, ``attackers`` and ``script``
+must be lists, and ``frame_count`` is capped at
+``adversary.MAX_FRAME_COUNT``, as is the sum of the script's attack
+steps' frame counts.  A file longer than ``MAX_SCENARIO_BYTES`` is
+refused.  Station MACs are unique unicast addresses (I/G bit clear); an
+attacker's ``target`` and ``spoof_src`` may be group addresses: a
+broadcast deauth is a real attack.
 
 Each script action's class holds its fields, its refusals (``check``,
 which returns the attack frames the action sends) and its step
@@ -170,10 +171,11 @@ ScriptAction = AssociateAction | DeauthAction | AttackAction
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    name: str
+    # kw_only keeps these defaults in field order, which error messages list.
+    name: str = field(default="unnamed", kw_only=True)
     mode: Mode
-    seed: int
-    stations: tuple[StationSpec, ...]
+    seed: int = field(default=0, kw_only=True)
+    stations: tuple[StationSpec, ...] = ()
     attackers: tuple[AttackerConfig, ...] = ()
     script: tuple[ScriptAction, ...] = ()
     loss_probability: float = 0.0
@@ -256,10 +258,7 @@ def _convert(value, kind: type, key: str, where: str):
     if kind is MacAddress:
         if not isinstance(value, str):
             raise ConfigError(f"{where}: {key} must be a MAC address string, got {value!r}")
-        try:
-            return MacAddress.parse(value)
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from None
+        return MacAddress.parse(value)
     if kind in _PLAIN_TYPES:
         # bool is an int subclass, so it needs its own refusal.
         if not isinstance(value, _PLAIN_TYPES[kind]) or isinstance(value, bool):
@@ -291,10 +290,10 @@ def _record(cls, entry, where: str, read_by_caller: tuple[str, ...] = ()):
     """Build dataclass ``cls`` from a YAML mapping; the dataclass is the schema.
 
     Its fields are the only keys allowed, those without a default are
-    required, each value is converted by its declared type, and the
-    dataclass's own ``ValueError`` checks become ``ConfigError``.  Keys
-    in ``read_by_caller`` were taken out of ``entry`` by the caller; the
-    unknown-key message lists them first.
+    required, each value is converted by its declared type, and any
+    ``ValueError`` or ``OverflowError`` on the way becomes ``ConfigError``.
+    Keys in ``read_by_caller`` were taken out of ``entry`` by the caller;
+    the unknown-key message lists them first.
     """
     if not isinstance(entry, dict):
         raise ConfigError(f"{where}: must be a mapping")
@@ -308,10 +307,9 @@ def _record(cls, entry, where: str, read_by_caller: tuple[str, ...] = ()):
     for key in required:
         if key not in entry:
             raise ConfigError(f"{where}: missing required field {key!r}")
-    values = {key: _convert(value, kinds[key], key, where) for key, value in entry.items()}
     try:
-        return cls(**values)
-    except ValueError as exc:
+        return cls(**{k: _convert(v, kinds[k], k, where) for k, v in entry.items()})
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
 
@@ -322,8 +320,7 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
     """Validate a parsed scenario document into a ScenarioConfig."""
     if not isinstance(doc, dict):
         raise ConfigError("scenario document must be a mapping")
-    # A file may leave out name, seed and stations; a ScenarioConfig may not.
-    values = {"name": "unnamed", "seed": 0, "stations": [], **doc}
+    values = dict(doc)
     schema = _convert(values.pop("schema", SCHEMA_VERSION), int, "schema", "scenario")
     if schema != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema version {schema!r}")

@@ -136,6 +136,17 @@ class TestRun:
         assert result.stderr.startswith("error:")
         assert len(result.stderr.splitlines()) == 1 and "Traceback" not in result.stderr
 
+    def test_huge_loss_probability_exits_2_without_traceback(self, tmp_path):
+        path = tmp_path / "huge.yaml"
+        path.write_text(TICK_BOMB + "loss_probability: " + "9" * 400 + "\n")
+        result = subprocess.run(
+            [sys.executable, "-m", "deauthsim", "run", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == EXIT_CONFIG
+        assert result.stderr == "error: scenario: int too large to convert to float\n"
+
     def test_deeply_nested_scenario_exits_2_without_traceback(self, tmp_path):
         path = tmp_path / "deep.yaml"
         path.write_text("mode: " + "[" * 5000 + "]" * 5000 + "\n")

@@ -1,5 +1,7 @@
 """Scenario configs and end-to-end runs of the bundled scenarios."""
 
+import contextlib
+import copy
 import gc
 import io
 import tracemalloc
@@ -7,6 +9,7 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from deauthsim.frames import FrameSubtype, decode_frame
 from deauthsim.medium import write_event_log
@@ -64,6 +67,21 @@ class TestConfigValidation:
         assert cfg.mode is Mode.PROTECTED
         assert cfg.stations[0].role is Role.AP
         assert isinstance(cfg.script[0], AssociateAction)
+
+    def test_name_and_seed_default_to_the_records_own(self):
+        cfg = config_from_dict({k: v for k, v in BASE_DOC.items() if k not in ("name", "seed")})
+        assert (cfg.name, cfg.seed) == ("unnamed", 0)
+
+    def test_direct_construction_takes_the_same_defaults(self):
+        ap = StationSpec(Role.AP, MacAddress.parse(AP))
+        cfg = ScenarioConfig(mode=Mode.LEGACY, stations=(ap,))
+        assert (cfg.name, cfg.seed) == ("unnamed", 0)
+
+    def test_missing_stations_refused(self):
+        with pytest.raises(ConfigError, match="at least one station"):
+            config_from_dict(
+                {k: v for k, v in BASE_DOC.items() if k not in ("stations", "script")}
+            )
 
     def test_unknown_mode(self):
         with pytest.raises(ConfigError):
@@ -191,6 +209,44 @@ def attacker(**fields):
     return {"kind": "forged_deauth", "spoof_src": AP, "target": CLIENT, **fields}
 
 
+# A valid document that sets every field and uses all three script verbs.
+FULL_DOC = {
+    **BASE_DOC,
+    "loss_probability": 0.5,
+    "max_ticks": 100,
+    "attackers": [attacker(frame_count=2, reason=3, seed=7)],
+    "script": [
+        {"associate": {"client": CLIENT, "ap": AP}},
+        {"attack": {"index": 0}},
+        {"deauth": {"initiator": CLIENT, "reason": 3}},
+    ],
+}
+
+
+def _paths(node, prefix=()):
+    """Every key or index path into ``node``, containers and leaves alike."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+PATH = st.sampled_from(list(_paths(FULL_DOC)))
+KEY = st.sampled_from(["role", "mac", "kind", "index"]) | st.text(max_size=5)
+ANY_VALUE = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**400), max_value=10**400)
+    | st.floats(allow_nan=True)
+    | st.text(max_size=20)
+    | st.binary(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(KEY, children, max_size=3),
+    max_leaves=6,
+)
+
+
 class TestStrictFields:
     """Bad field values and unknown keys are rejected, never coerced or ignored."""
 
@@ -284,11 +340,29 @@ class TestStrictFields:
             # Random(-s) seeds as Random(s) does: the run would repeat seed s's.
             {"seed": -1},
             {"attackers": [attacker(seed=-1337)]},
+            # float() of this int overflows rather than raising ValueError.
+            {"loss_probability": 10**400},
         ],
     )
     def test_hostile_values_are_config_errors(self, overrides):
         with pytest.raises(ConfigError):
             config_from_dict(doc(**overrides))
+
+    @given(edits=st.lists(st.tuples(PATH, ANY_VALUE), min_size=1, max_size=3))
+    @example(edits=[(("loss_probability",), 10**400)])
+    @settings(max_examples=200, deadline=None)
+    def test_mutated_documents_load_or_raise_config_error(self, edits):
+        mutated = copy.deepcopy(FULL_DOC)
+        for path, value in edits:
+            parent = mutated
+            try:
+                for step in path[:-1]:
+                    parent = parent[step]
+                parent[path[-1]] = value
+            except (KeyError, IndexError, TypeError):
+                pass  # an earlier edit replaced a node on this path
+        with contextlib.suppress(ConfigError):
+            assert isinstance(config_from_dict(mutated), ScenarioConfig)
 
     def test_document_must_be_a_mapping_with_a_mode(self):
         with pytest.raises(ConfigError, match="mapping"):
