@@ -68,18 +68,15 @@ def _outcome_human(outcome: ScenarioOutcome) -> str:
 
 
 def _bench_human(report: BenchReport) -> str:
-    def row(label: str, mean: float, pcts: dict[int, float] | None) -> str:
-        cells = f"{label:<16}{mean:>12.9f}"
-        if pcts is not None:
-            cells += "".join(f"{pcts[p]:>12.9f}" for p in sorted(pcts))
-        return cells
+    def row(label: str, mean: float, pcts: dict[int, float]) -> str:
+        return f"{label:<16}{mean:>12.9f}" + "".join(f"{pcts[p]:>12.9f}" for p in sorted(pcts))
 
     lines = [
         f"iterations: {report.iterations}",
         f"{'op':<16}{'mean_s':>12}{'p50_s':>12}{'p90_s':>12}{'p99_s':>12}",
         row("generate-token", report.token_mean_s, report.token_percentiles_s),
         row("sha512-digest", report.hash_mean_s, report.hash_percentiles_s),
-        row("total", report.total_mean_s, None),
+        row("total", report.total_mean_s, {}),
         "",
         "reference hardware (mean seconds):",
     ]

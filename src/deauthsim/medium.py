@@ -20,12 +20,14 @@ replaced, so that routing cannot go stale; a copy is routed again only
 when its destination had no owner and a callback has since attached it.
 
 Processing a frame emits, in order, an ``injected`` event when the
-sender was attached as an injector, one ``sniffed`` event per injector
-(an injector is also a promiscuous tap: it observes every send, lost or
-not, its own included), and then exactly one ``delivered`` or
-``dropped`` event.  That conservation rule and the fixed ordering make
-the event log a total order, identical byte-for-byte across runs with
-the same seed.
+sender is a tap, one ``sniffed`` event per tap, and then exactly one
+``delivered`` or ``dropped`` event.  That conservation rule and the
+fixed ordering make the event log a total order, identical
+byte-for-byte across runs with the same seed.  Only an endpoint
+attached as an injector is a tap, a promiscuous one: it observes every
+send, lost or not, its own included.  Injection is not stored beside
+the taps: an injector is a tap before its first send, so a frame was
+injected exactly when its sender is among the taps logged with it.
 
 Loss is a per-frame Bernoulli draw from ``random.Random(seed)``: one
 ``random()`` call per processed frame, dropped when the draw falls
@@ -44,7 +46,7 @@ returns its own part of it, both as an ``EventLog``: a read-only view
 that has a ``len`` and that ``write_event_log`` writes, one JSON line
 per event ``(tick, kind, from, to, frame)``, kind being its log word.
 No event is stored.  The drain keeps one record per queue entry,
-``(tick, from, injector, tap ids, frames, first)``, where ``first`` is
+``(tick, from, tap ids, frames, first)``, where ``first`` is
 the ordinal of the entry's first frame, one destination label per frame
 in one flat list, and the ordinal of each dropped frame, in increasing
 order, in one ``array('q')``.  So a flood costs two references per
@@ -114,9 +116,9 @@ class TickLimitExceeded(Exception):
     """The tick budget ran out with frames still queued."""
 
 
-# One processed queue entry: (tick, from, injector, tap ids, frames,
-# ordinal of its first frame).
-_Record = tuple[int, str, bool, tuple[str, ...], tuple[bytes, ...], int]
+# One processed queue entry: (tick, from, tap ids, frames, ordinal of
+# its first frame).  The entry was injected when ``from`` is a tap id.
+_Record = tuple[int, str, tuple[str, ...], tuple[bytes, ...], int]
 
 
 class EventLog:
@@ -137,7 +139,7 @@ class EventLog:
         # Indexed, not islice'd: islice steps through every record before
         # the view, and a drain's view starts at the end of the whole log.
         records = map(self._medium._records.__getitem__, range(self._start, self._stop))
-        return sum(len(frames) * (inj + len(taps) + 1) for _, _, inj, taps, frames, _ in records)
+        return sum(len(sent) * ((src in taps) + len(taps) + 1) for _, src, taps, sent, _ in records)
 
 
 def write_event_log(events: EventLog, stream: IO[str]) -> None:
@@ -158,17 +160,18 @@ def write_event_log(events: EventLog, stream: IO[str]) -> None:
     labels, dropped = medium._labels, medium._dropped
     records = medium._records[events._start : events._stop]
     # The dropped ordinals from the view's first frame on.
-    drops = islice(dropped, bisect_left(dropped, records[0][5] if records else 0), None)
+    drops = islice(dropped, bisect_left(dropped, records[0][4] if records else 0), None)
     drop = next(drops, -1)
     quoted: dict[str, str] = {}
-    for tick, src, injector, taps, frames, first in records:
+    for tick, src, taps, frames, first in records:
+        injected = src in taps
         head = f'{{"tick":{tick},"kind":"'
         sent = f'","from":{quoted.get(src) or quoted.setdefault(src, quote(src))},"to":'
         for ordinal, data in enumerate(frames, first):
             dst = labels[ordinal]
             to = quoted.get(dst) or quoted.setdefault(dst, quote(dst))
             tail = f',"frame":"{data.hex()}"}}\n'
-            if injector:
+            if injected:
                 write(f"{head}injected{sent}{to}{tail}")
             for tap in taps:
                 sniffer = quoted.get(tap) or quoted.setdefault(tap, quote(tap))
@@ -186,13 +189,13 @@ class Handle:
 
     Only ``Medium.attach`` builds a ``Handle``.  One built by hand is
     outside the medium's contract: its frames are queued and logged under
-    an id the medium never attached, and nothing routes to it.
+    an id the medium never attached, and nothing routes to it.  The
+    medium's taps say whether it injects.
     """
 
     medium: "Medium"
     endpoint_id: str
     receive: Callable[[str, bytes], None] | None
-    injector: bool
 
     def send(self, frames: tuple[bytes, ...]) -> None:
         """Queue a tuple of raw frames as one entry, for the next tick, in order.
@@ -250,16 +253,16 @@ class Medium:
     ) -> Handle:
         """Register an endpoint and return it; identifiers and MACs must be unused.
 
-        An injector is also a promiscuous tap: ``receive`` sees every
-        frame sent, whatever its destination, and it is logged as
-        ``sniffed``.
+        An injector is a promiscuous tap: ``receive`` sees every frame
+        sent, whatever its destination, and it is logged as ``sniffed``;
+        the frames it sends are logged as ``injected``.
         """
         if endpoint_id in self._endpoints:
             raise DuplicateEndpoint(f"endpoint id {endpoint_id!r} already attached")
         if mac is not None and mac in self._mac_owner:
             owner = self._mac_owner[mac].endpoint_id
             raise DuplicateEndpoint(f"MAC {mac} already owned by {owner!r}")
-        endpoint = Handle(self, endpoint_id, receive, injector)
+        endpoint = Handle(self, endpoint_id, receive)
         self._endpoints.add(endpoint_id)
         if mac is not None:
             self._mac_owner[mac] = endpoint
@@ -298,7 +301,7 @@ class Medium:
             # An iterator, so that a raising callback finds the entries not yet begun.
             entries = iter(batch)
             for sender, frames in entries:
-                src, injector = sender.endpoint_id, sender.injector
+                src = sender.endpoint_id
                 tap_ids, tap_receivers = self._tap_ids, self._tap_receivers
                 first = len(labels)
                 # The last frame object routed below, and its owner.
@@ -335,9 +338,9 @@ class Medium:
                     # rest, and the entries not yet begun, ahead of any later.
                     done = len(labels) - first
                     if done:
-                        keep((tick, src, injector, tap_ids, frames[:done], first))
+                        keep((tick, src, tap_ids, frames[:done], first))
                     rest = [(sender, frames[done:])] if done < len(frames) else []
                     self._pending[:0] = [*rest, *entries]
                     raise
-                keep((tick, src, injector, tap_ids, frames, first))
+                keep((tick, src, tap_ids, frames, first))
         return EventLog(self, start, len(self._records))

@@ -129,9 +129,7 @@ class AssociateAction:
         return 0
 
     def perform(self, run: ScenarioRun) -> None:
-        client = run.stations[self.client]
-        assert isinstance(client, ClientStation)
-        client.start_join(self.ap)
+        run.stations[self.client].start_join(self.ap)
 
 
 @dataclass(frozen=True)
@@ -447,16 +445,14 @@ class ScenarioRun:
         verdicts = outcome.verdicts
         self.unaccepted_teardowns = 0
 
-        master = Random(cfg.seed)
-        medium_seed = master.getrandbits(64)
-        station_seeds = [master.getrandbits(64) for _ in cfg.stations]
-
         self.adversaries = [
             Adversary(acfg, f"attacker:{i}") for i, acfg in enumerate(cfg.attackers)
         ]
         self.adversary_ids = frozenset(adv.endpoint_id for adv in self.adversaries)
 
-        self.medium = Medium(loss_probability=cfg.loss_probability, seed=medium_seed)
+        # The medium's sub-seed first, then one per station as it is built.
+        master = Random(cfg.seed)
+        self.medium = Medium(loss_probability=cfg.loss_probability, seed=master.getrandbits(64))
 
         protected = cfg.mode is Mode.PROTECTED
 
@@ -483,9 +479,9 @@ class ScenarioRun:
             return deliver
 
         self.stations: dict[MacAddress, Station] = {}
-        for spec, seed in zip(cfg.stations, station_seeds):
+        for spec in cfg.stations:
             cls = AccessPoint if spec.role is Role.AP else ClientStation
-            station = cls(spec.mac, protected=protected, rng=Random(seed))
+            station = cls(spec.mac, protected=protected, rng=Random(master.getrandbits(64)))
             self.stations[spec.mac] = station
             handle = self.medium.attach(str(spec.mac), spec.mac, deliverer(station))
             station.bind_transmit(handle.send)

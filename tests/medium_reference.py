@@ -35,7 +35,7 @@ class ReferenceMedium:
 
     def attach(self, endpoint_id, mac=None, receive=None, *, injector=False):
         assert endpoint_id not in self._endpoints and mac not in self._mac_owner
-        endpoint = Handle(self, endpoint_id, receive, injector)
+        endpoint = Handle(self, endpoint_id, receive)
         self._endpoints.add(endpoint_id)
         if mac is not None:
             self._mac_owner[mac] = endpoint
@@ -78,7 +78,7 @@ class ReferenceMedium:
             dst_label = str(MacAddress(dst))
         else:
             dst_label = "?"
-        if sender.injector:
+        if sender in self._taps:
             log((tick, "injected", src, dst_label, data))
         for tap in self._taps:
             log((tick, "sniffed", src, tap.endpoint_id, data))

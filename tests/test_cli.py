@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from deauthsim.bench import BenchReport
-from deauthsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_TICK_LIMIT, main
+from deauthsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_TICK_LIMIT, _bench_human, main
 from deauthsim.scenario import MAX_SCENARIO_BYTES
 
 TICK_BOMB = """
@@ -256,6 +256,17 @@ class TestRun:
         assert "tick limit" in capsys.readouterr().err
 
 
+# Percentiles given out of order: both reports list them sorted.
+FIXED_REPORT = BenchReport(
+    iterations=100,
+    token_mean_s=0.25,
+    hash_mean_s=0.5,
+    total_mean_s=0.75,
+    token_percentiles_s={99: 3.0, 50: 1.0, 90: 2.0},
+    hash_percentiles_s={50: 4.0, 90: 5.0, 99: 6.0},
+)
+
+
 class TestBench:
     def test_json_report_shape(self, capsys):
         assert main(["bench", "--iterations", "200", "--format", "json"]) == EXIT_OK
@@ -271,15 +282,7 @@ class TestBench:
         assert set(data["token_percentiles_s"]) == {"p50", "p90", "p99"}
 
     def test_report_dict_is_pinned(self):
-        report = BenchReport(
-            iterations=100,
-            token_mean_s=0.25,
-            hash_mean_s=0.5,
-            total_mean_s=0.75,
-            token_percentiles_s={99: 3.0, 50: 1.0, 90: 2.0},
-            hash_percentiles_s={50: 4.0, 90: 5.0, 99: 6.0},
-        )
-        assert report.to_dict() == {
+        assert FIXED_REPORT.to_dict() == {
             "iterations": 100,
             "token_mean_s": 0.25,
             "hash_mean_s": 0.5,
@@ -301,6 +304,20 @@ class TestBench:
                 },
             ],
         }
+
+    def test_human_report_is_pinned(self):
+        # The total row has no percentile cells, and no trailing spaces.
+        assert _bench_human(FIXED_REPORT) == (
+            "iterations: 100\n"
+            "op                    mean_s       p50_s       p90_s       p99_s\n"
+            "generate-token   0.250000000 1.000000000 2.000000000 3.000000000\n"
+            "sha512-digest    0.500000000 4.000000000 5.000000000 6.000000000\n"
+            "total            0.750000000\n"
+            "\n"
+            "reference hardware (mean seconds):\n"
+            "  raspberry-pi-3b  token=0.076341 sha512=0.117223 total=0.193564\n"
+            "  esp8266          token=0.058025 sha512=0.123348 total=0.181373"
+        )
 
     def test_human_report_mentions_reference_hardware(self, capsys):
         assert main(["bench", "--iterations", "150"]) == EXIT_OK

@@ -166,7 +166,7 @@ class TestAttach:
         a = medium.attach("a", MAC_A, got)
         tap = medium.attach("tap", None, injector=True)
         assert isinstance(a, Handle)
-        assert (a.medium, a.endpoint_id, a.receive, a.injector) == (medium, "a", got, False)
+        assert (a.medium, a.endpoint_id, a.receive) == (medium, "a", got)
         assert medium._mac_owner[MAC_A] is a
         assert medium._tap_ids == ("tap",)
 
@@ -487,7 +487,7 @@ class TestDrainResult:
         a.send(step)
         a.send(())
         assert len(medium.run_until_idle()) == 3, "an empty step queues nothing"
-        [(tick, _, _, _, frames, _)] = medium._records
+        [(tick, _, _, frames, _)] = medium._records
         assert (tick, frames) == (1, step) and frames is step, "kept as is, not copied"
 
 

@@ -499,9 +499,12 @@ lifecycle_op = st.one_of(
 )
 
 
-# A move only ``TestKnownLimitations`` makes: an association request spoofed
-# from the client's MAC, committing to the digest of a fresh token.
+# Moves only ``TestKnownLimitations`` makes: an association request spoofed
+# from the client's MAC, committing to the digest of a fresh token; and a
+# join in which a success response forged from the AP, committing to such a
+# digest, reaches the client ahead of the AP's own answer.
 forge_req_op = st.tuples(st.just("forge_req"), st.binary(min_size=16, max_size=16))
+forge_resp_op = st.tuples(st.just("forge_resp"), st.binary(min_size=16, max_size=16))
 
 
 def lifecycle_walk(protected, ops):
@@ -516,7 +519,7 @@ def lifecycle_walk(protected, ops):
     for op in ops:
         if op[0] == "auth":
             auth_success(client, ap)
-        elif op[0] == "join":
+        elif op[0] in ("join", "forge_resp"):
             if client.state_toward(ap.mac) is S1:
                 auth_success(client, ap)
             if client.state_toward(ap.mac) is not S2:
@@ -525,6 +528,12 @@ def lifecycle_walk(protected, ops):
                 continue
             request, _ = client.begin_association(ap.mac)
             requests.append(request)
+            if op[0] == "forge_resp":
+                commitment = hash_token(op[1])
+                forged = ManagementFrame(
+                    FrameSubtype.ASSOC_RESPONSE, ap.mac, client.mac, 0, commitment
+                )
+                client.receive_frame(encode_frame(forged))
             response, _ = ap.handle_assoc_request(request)
             client.handle_assoc_response(response)
         elif op[0] == "teardown":
@@ -633,6 +642,17 @@ class TestKnownLimitations:
     @example(ops=[("join",), ("forge_req", bytes(range(16)))])
     @settings(max_examples=100, deadline=None)
     def test_walk_with_spoofed_requests_keeps_agreement(self, ops):
+        lifecycle_walk(True, ops)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="forged association response found by the walk: ROADMAP item 4",
+    )
+    @given(ops=st.lists(st.one_of(lifecycle_op, forge_resp_op), max_size=25))
+    @example(ops=[("forge_resp", bytes(range(16)))])
+    @settings(max_examples=100, deadline=None)
+    def test_walk_with_forged_responses_keeps_agreement(self, ops):
         lifecycle_walk(True, ops)
 
 
