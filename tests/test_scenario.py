@@ -661,6 +661,24 @@ class TestOutcomeAccounting:
                 processed += 1
         assert sum(outcome.verdicts.values()) == processed
 
+    @pytest.mark.parametrize("target", [CLIENT, "ff:ff:ff:ff:ff:ff"])
+    def test_a_legacy_flood_is_accepted_once(self, target):
+        # The first copy disconnects the client.  A station never remembers
+        # an accepted teardown, so every later copy, at each station it
+        # reaches, is judged against the emptied session table.
+        base = load_bundled_scenario("legacy_forged_deauth")
+        attacker = replace(base.attackers[0], frame_count=1_000, target=MacAddress.parse(target))
+        outcome, _ = run_scenario(replace(base, attackers=[attacker]))
+        assert outcome.frames_delivered == 1_004  # and the join's four frames
+        # A broadcast copy reaches the AP too, which has no session with itself.
+        copies = 1_000 if target == CLIENT else 2_000
+        assert outcome.attack_success_count == 1
+        assert outcome.verdicts == {
+            "legacy_assoc": 1,
+            "legacy_no_check": 1,
+            "no_session": copies - 1,
+        }
+
     def test_runs_are_reproducible_byte_for_byte(self):
         cfg = load_bundled_scenario("lossy_protected_flood")
         outcome_a, events_a = run_scenario(cfg)
