@@ -30,22 +30,24 @@ Authentication is modeled as a single opaque request/response pair, so
 the subtype byte uses two synthetic codes (0x10/0x11) that do not clash
 with the association and teardown codes.
 
-``decode_frame`` never raises anything but ``DecodeError``, no matter
-how hostile the input: adversaries inject arbitrary bytes and receivers
-must shrug them off.  Each canonical size is read whole by one
-precompiled ``struct``, and the layout rules come down to three checks,
-made in this order: the size is 15, 34 or 82 bytes, the subtype code is
-known, and the 3-byte element header is the one for that size (none, on
-the bare frame).  Input that fails one raises a plain ``DecodeError``
-whose message names that check.
+``decode_frame`` takes a bytes-like object (``bytes``, ``bytearray`` or
+``memoryview``) and never raises anything but ``DecodeError`` on one, no
+matter how hostile its contents: adversaries inject arbitrary bytes and
+receivers must shrug them off.  Any other argument, such as an integer
+or a list, is refused with an exception and never read as a frame.
+Each canonical size is read whole by one precompiled ``struct``, and the
+layout rules come down to three checks, made in this order: the size is
+15, 34 or 82 bytes, the subtype code is known, and the 3-byte element
+header is the one for that size (none, on the bare frame).  Input that
+fails one raises a plain ``DecodeError`` whose message names that check.
 
-It remembers the one frame it decoded last, with its bytes, because a
-flood repeats one frame: each copy after the first costs an equality
-test.  A distinct frame from the same sender to the same receiver, such
-as the next token guess, reuses that frame's ``src`` and ``dst`` objects
-where the octets are equal.  That is safe because the key is an
-immutable ``bytes`` copy of the input, frames and addresses are
-immutable, errors are never kept, and one pair is all it holds.
+It remembers the two addresses of the frame it decoded last, because
+consecutive frames often share a sender or a receiver, as every token
+guess does: a ``src`` or ``dst`` whose octets equal the last one's is
+that ``MacAddress`` object, not a new one.  That is safe because
+addresses are immutable, errors are never kept, and one pair is all it
+holds; it keeps no bytes of its input.  A repeated frame is recognised
+by the receiving station, not here.
 """
 
 from __future__ import annotations
@@ -193,22 +195,13 @@ def encode_frame(frame: ManagementFrame) -> bytes:
     return header
 
 
-# Last (bytes, frame) decoded, read and replaced as one tuple; see the module
-# docstring.  The placeholder frame only lends its addresses to the first decode.
-_last_decoded: tuple[bytes | None, ManagementFrame] = (
-    None,
-    tuple.__new__(ManagementFrame, (None, BROADCAST, BROADCAST, 0, None, None)),
-)
+# The last frame's (src, dst), lent to the next decode; see the module docstring.
+_last_addresses: tuple[MacAddress, MacAddress] = (BROADCAST, BROADCAST)
 
 
 def decode_frame(data: bytes) -> ManagementFrame:
-    """Parse bytes into a frame, raising ``DecodeError`` on anything malformed."""
-    global _last_decoded
-    if type(data) is not bytes:
-        data = bytes(data)
-    last_data, last_frame = _last_decoded
-    if data == last_data:
-        return last_frame
+    """Parse a bytes-like object into a frame, raising ``DecodeError`` on anything malformed."""
+    global _last_addresses
     size = len(data)
     if size == _TOKEN_FRAME_SIZE:
         code, src_raw, dst_raw, status, element, token = _TOKEN_FRAME.unpack(data)
@@ -233,9 +226,8 @@ def decode_frame(data: bytes) -> ManagementFrame:
     # struct and the checks above fixed every size and range, so the
     # values are built without running their constructors' checks again;
     # an address equal to the last frame's is that frame's object.
-    last_src, last_dst = last_frame[1], last_frame[2]
+    last_src, last_dst = _last_addresses
     src = last_src if src_raw == last_src else bytes.__new__(MacAddress, src_raw)
     dst = last_dst if dst_raw == last_dst else bytes.__new__(MacAddress, dst_raw)
-    frame = tuple.__new__(ManagementFrame, (subtype, src, dst, status, commitment, token))
-    _last_decoded = data, frame
-    return frame
+    _last_addresses = src, dst
+    return tuple.__new__(ManagementFrame, (subtype, src, dst, status, commitment, token))

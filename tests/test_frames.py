@@ -328,13 +328,27 @@ class TestRoundTrip:
         assert (table[frame.src], table[frame.dst]) == ("src", "dst")
 
     def test_mutated_bytearray_decodes_afresh(self):
+        # The same object, changed in place, decodes to what it holds now.
         buffer = bytearray(encode_frame(element_frame()))
-        decode_frame(encode_frame(element_frame(token=bytes(16))))  # so the next one misses
         assert decode_frame(buffer).status_or_reason == 3
         buffer[0] = FrameSubtype.DISASSOCIATION.value
         buffer[13] = 8
         frame = decode_frame(buffer)
         assert (frame.subtype, frame.status_or_reason) == (FrameSubtype.DISASSOCIATION, 8)
+
+    @pytest.mark.parametrize("data", [15, [0] * 15, "x" * 15], ids=["int", "list", "str"])
+    def test_only_a_bytes_like_object_is_read(self, data):
+        # bytes(15) is 15 zero bytes, a well-formed bare frame: an argument
+        # that is not a buffer must be refused, never coerced into one.
+        with pytest.raises(TypeError):
+            decode_frame(data)
+
+    @pytest.mark.parametrize("wrap", [bytearray, memoryview])
+    def test_a_buffer_decodes_as_its_bytes(self, wrap):
+        raw = encode_frame(element_frame(token=bytes(range(16))))
+        frame = decode_frame(wrap(raw))
+        assert frame == decode_frame(raw)
+        assert type(frame.token) is bytes
 
 
 def outcome(data):

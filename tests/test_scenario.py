@@ -11,6 +11,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from deauthsim import stations
 from deauthsim.frames import FrameSubtype, decode_frame
 from deauthsim.medium import write_event_log
 from deauthsim.scenario import (
@@ -678,6 +679,38 @@ class TestOutcomeAccounting:
             "legacy_no_check": 1,
             "no_session": copies - 1,
         }
+
+    @pytest.mark.parametrize("name", ["protected_forged_deauth", "legacy_forged_deauth"])
+    @pytest.mark.parametrize("target", [CLIENT, "ff:ff:ff:ff:ff:ff"])
+    def test_a_flood_is_judged_a_fixed_number_of_times(self, monkeypatch, name, target):
+        # Past the join's four frames, each station decodes and judges the
+        # first two copies that reach it, then answers every later copy
+        # from its teardown memo, so neither count grows with the flood.
+        # A broadcast copy also reaches the AP, which adds two of each.
+        calls = Counter()
+        decode, verify = stations.decode_frame, stations.Station.verify_deauth
+
+        def counted_decode(data):
+            calls["decode"] += 1
+            return decode(data)
+
+        def counted_verify(station, frame):
+            calls["verify"] += 1
+            return verify(station, frame)
+
+        monkeypatch.setattr(stations, "decode_frame", counted_decode)
+        monkeypatch.setattr(stations.Station, "verify_deauth", counted_verify)
+        base = load_bundled_scenario(name)
+        counts = []
+        for frame_count in (1_000, 10_000):
+            attacker = replace(
+                base.attackers[0], frame_count=frame_count, target=MacAddress.parse(target)
+            )
+            calls.clear()
+            run_scenario(replace(base, attackers=[attacker]))
+            counts.append((calls["decode"], calls["verify"]))
+        expected = (6, 2) if target == CLIENT else (8, 4)
+        assert counts == [expected, expected]
 
     def test_runs_are_reproducible_byte_for_byte(self):
         cfg = load_bundled_scenario("lossy_protected_flood")
