@@ -9,15 +9,18 @@ whole attack step, and queues it as one entry, processed in order in
 the same tick; each of its frames counts in the ``TickLimitExceeded``
 message.  The entry, and then the log record, hold the caller's tuple
 object, so a step is never copied between the attacker and the log.
-``run_until_idle`` drains an entry in one loop, reading the sender and
-the taps once per entry and the loss draw once per call; the per-frame
-events and loss draws below keep their order.  Routing is done once for
-each run of one frame object, whatever its destination: an attack step
-repeats one ``bytes`` object, and while the next frame ``is`` the one
-last routed, its label, the owner's ``receive`` and the broadcast test
-are reused, so every copy shares one label string.  Owners are never
-replaced, so that routing cannot go stale; a copy is routed again only
-when its destination had no owner and a callback has since attached it.
+
+Endpoints are fixed once the medium has run: ``attach`` raises
+``RuntimeError`` from the first tick on, so owners and taps never change
+during or after a drain; a callback that attaches gets that error, and
+the drain ends as for any raising callback.  ``run_until_idle`` reads
+the taps and the loss draw once per call and drains an entry in one
+loop, reading its sender once; the per-frame events and loss draws
+below keep their order.  Routing is done once for each run of one frame
+object, whatever its destination: an attack step repeats one ``bytes``
+object, and while the next frame ``is`` the one last routed, its label,
+the owner's ``receive`` and, for a broadcast, its receivers are reused,
+so every copy shares one label string.
 
 Processing a frame emits, in order, an ``injected`` event when the
 sender is a tap, one ``sniffed`` event per tap, and then exactly one
@@ -26,8 +29,9 @@ fixed ordering make the event log a total order, identical
 byte-for-byte across runs with the same seed.  Only an endpoint
 attached as an injector is a tap, a promiscuous one: it observes every
 send, lost or not, its own included.  Injection is not stored beside
-the taps: an injector is a tap before its first send, so a frame was
-injected exactly when its sender is among the taps logged with it.
+the taps: an injector is a tap before its first send, and taps are
+fixed once the medium has run, so a frame was injected exactly when its
+sender is a tap.
 
 Loss is a per-frame Bernoulli draw from ``random.Random(seed)``: one
 ``random()`` call per processed frame, dropped when the draw falls
@@ -38,18 +42,17 @@ Routing uses only the destination MAC, bytes ``frames.DST_OFFSET`` to
 ``frames.DST_END`` (7-13) of the raw frame, looked up as raw bytes; the
 medium never inspects the source, which is what makes spoofing possible
 by construction.  The broadcast MAC ff:ff:ff:ff:ff:ff reaches every
-MAC-owning endpoint except the sender: the owners that existed when
-that frame's delivery began, so a receiver may attach an endpoint.
+MAC-owning endpoint except the sender, in the order they were attached.
 
 ``Medium.events`` is the whole log and each ``run_until_idle`` call
 returns its own part of it, both as an ``EventLog``: a read-only view
 that has a ``len`` and that ``write_event_log`` writes, one JSON line
 per event ``(tick, kind, from, to, frame)``, kind being its log word.
 No event is stored.  The drain keeps one record per queue entry,
-``(tick, from, tap ids, frames, first)``, where ``first`` is
-the ordinal of the entry's first frame, one destination label per frame
-in one flat list, and the ordinal of each dropped frame, in increasing
-order, in one ``array('q')``.  So a flood costs two references per
+``(tick, from, frames, first)``, where ``first`` is the ordinal of the
+entry's first frame, one destination label per frame in one flat list,
+and the ordinal of each dropped frame, in increasing order, in one
+``array('q')``.  So a flood costs two references per
 frame and a dropped frame 8 bytes more, and the records are tuples of
 atomic values that the cyclic GC stops tracking.  ``write_event_log`` is
 the one reader that expands the records into events: it walks the
@@ -63,14 +66,10 @@ always equals delivered plus dropped; ``frames_dropped`` is the length
 of the dropped array; and a view's ``len`` adds up, per record, its
 frames times the events each frame leaves, one step per record.
 
-Four cases are worth knowing when a callback acts during a drain.  The
-first three are where keeping the log per entry differs from storing
-each event as it happens:
+Three cases are worth knowing when a callback acts during a drain.  The
+first two are where keeping the log per entry differs from storing each
+event as it happens:
 
-* the taps that observe a queue entry are those attached when the
-  entry's processing starts, so a tap attached by a callback during a
-  drain observes (and is logged for) the next entry on, not the rest of
-  the current one;
 * when a callback raises, the interrupted entry logs the frames that
   reached their loss draw, each with all its events: a frame whose
   delivery callback raised is logged whole, and one whose tap callback
@@ -116,9 +115,9 @@ class TickLimitExceeded(Exception):
     """The tick budget ran out with frames still queued."""
 
 
-# One processed queue entry: (tick, from, tap ids, frames, ordinal of
-# its first frame).  The entry was injected when ``from`` is a tap id.
-_Record = tuple[int, str, tuple[str, ...], tuple[bytes, ...], int]
+# One processed queue entry: (tick, from, frames, ordinal of its first
+# frame).  The entry was injected when ``from`` is a tap id.
+_Record = tuple[int, str, tuple[bytes, ...], int]
 
 
 class EventLog:
@@ -138,8 +137,9 @@ class EventLog:
     def __len__(self) -> int:
         # Indexed, not islice'd: islice steps through every record before
         # the view, and a drain's view starts at the end of the whole log.
+        taps = self._medium._tap_ids
         records = map(self._medium._records.__getitem__, range(self._start, self._stop))
-        return sum(len(sent) * ((src in taps) + len(taps) + 1) for _, src, taps, sent, _ in records)
+        return sum(len(sent) * ((src in taps) + len(taps) + 1) for _, src, sent, _ in records)
 
 
 def write_event_log(events: EventLog, stream: IO[str]) -> None:
@@ -157,13 +157,14 @@ def write_event_log(events: EventLog, stream: IO[str]) -> None:
 
     write = stream.write
     medium = events._medium
-    labels, dropped = medium._labels, medium._dropped
+    labels, dropped, taps = medium._labels, medium._dropped, medium._tap_ids
     records = medium._records[events._start : events._stop]
     # The dropped ordinals from the view's first frame on.
-    drops = islice(dropped, bisect_left(dropped, records[0][4] if records else 0), None)
+    drops = islice(dropped, bisect_left(dropped, records[0][3] if records else 0), None)
     drop = next(drops, -1)
-    quoted: dict[str, str] = {}
-    for tick, src, taps, frames, first in records:
+    sniffers = tuple(map(quote, taps))
+    quoted = dict(zip(taps, sniffers))
+    for tick, src, frames, first in records:
         injected = src in taps
         head = f'{{"tick":{tick},"kind":"'
         sent = f'","from":{quoted.get(src) or quoted.setdefault(src, quote(src))},"to":'
@@ -173,8 +174,7 @@ def write_event_log(events: EventLog, stream: IO[str]) -> None:
             tail = f',"frame":"{data.hex()}"}}\n'
             if injected:
                 write(f"{head}injected{sent}{to}{tail}")
-            for tap in taps:
-                sniffer = quoted.get(tap) or quoted.setdefault(tap, quote(tap))
+            for sniffer in sniffers:
                 write(f"{head}sniffed{sent}{sniffer}{tail}")
             if ordinal == drop:
                 drop = next(drops, -1)
@@ -220,7 +220,7 @@ class Medium:
         # A MacAddress hashes and compares as its octets, so routing looks
         # a frame's raw destination bytes up here without building one.
         self._mac_owner: dict[bytes, Handle] = {}
-        # Replaced, never mutated, by attach: a drain reads them once per entry.
+        # Fixed once the medium has run: a drain reads them once.
         self._tap_ids: tuple[str, ...] = ()
         self._tap_receivers: tuple[Callable[[str, bytes], None], ...] = ()
         # One entry per send call: the sender and the frames it queued.
@@ -255,8 +255,12 @@ class Medium:
 
         An injector is a promiscuous tap: ``receive`` sees every frame
         sent, whatever its destination, and it is logged as ``sniffed``;
-        the frames it sends are logged as ``injected``.
+        the frames it sends are logged as ``injected``.  Endpoints are
+        fixed once the medium has run: from the first tick on, ``attach``
+        raises ``RuntimeError``.
         """
+        if self._tick:
+            raise RuntimeError(f"cannot attach {endpoint_id!r}: the medium has run")
         if endpoint_id in self._endpoints:
             raise DuplicateEndpoint(f"endpoint id {endpoint_id!r} already attached")
         if mac is not None and mac in self._mac_owner:
@@ -281,15 +285,16 @@ class Medium:
         ``len`` and which ``write_event_log`` writes; ``events`` is the
         whole log.  When a callback raises, the frames that had not
         reached their loss draw stay queued, ahead of any queued later.
-        A run of one frame object is routed once, unless a callback
-        attaches its unowned destination; taps, the label reference, the
-        loss draw and the broadcast receivers are still per frame.
+        The taps are read once per call, and a run of one frame object is
+        routed once, its broadcast receivers included; the tap calls,
+        the label reference, the loss draw and the delivery are per
+        frame.
         """
         labels = self._labels
         start = len(self._records)
         keep, label, drop = self._records.append, labels.append, self._dropped.append
         draw, loss = self._loss_rng.random, self.loss_probability
-        mac_owner = self._mac_owner
+        mac_owner, tap_receivers = self._mac_owner, self._tap_receivers
         budget = max_ticks
         while self._pending:
             if budget <= 0:
@@ -302,24 +307,24 @@ class Medium:
             entries = iter(batch)
             for sender, frames in entries:
                 src = sender.endpoint_id
-                tap_ids, tap_receivers = self._tap_ids, self._tap_receivers
                 first = len(labels)
-                # The last frame object routed below, and its owner.
-                routed = owner = None
+                # The last frame object routed below.
+                routed = None
                 try:
                     for data in frames:
-                        # Owners are never replaced, so a run of one object is
-                        # routed again only once a callback attaches its MAC.
-                        if data is not routed or (owner is None and dst in mac_owner):
+                        if data is not routed:
                             # Short of the destination field when the frame is short.
                             dst = data[DST_OFFSET:DST_END]
-                            broadcast = dst == BROADCAST
                             owner, routed = mac_owner.get(dst), data
                             if owner is not None:
                                 dst_label, deliver = owner.endpoint_id, owner.receive
                             else:
                                 dst_label = str(MacAddress(dst)) if len(dst) == 6 else "?"
                                 deliver = None
+                            broadcast = dst == BROADCAST
+                            if broadcast:
+                                others = [e for e in mac_owner.values() if e.endpoint_id != src]
+                                receivers = [e.receive for e in others if e.receive is not None]
                         for receive in tap_receivers:
                             receive(src, data)
                         label(dst_label)
@@ -327,10 +332,8 @@ class Medium:
                             drop(len(labels) - 1)
                             continue
                         if broadcast:
-                            # A snapshot: a receiver may attach an endpoint.
-                            for endpoint in tuple(mac_owner.values()):
-                                if endpoint.endpoint_id != src and endpoint.receive is not None:
-                                    endpoint.receive(src, data)
+                            for receive in receivers:
+                                receive(src, data)
                         elif deliver is not None:
                             deliver(src, data)
                 except BaseException:
@@ -338,9 +341,9 @@ class Medium:
                     # rest, and the entries not yet begun, ahead of any later.
                     done = len(labels) - first
                     if done:
-                        keep((tick, src, tap_ids, frames[:done], first))
+                        keep((tick, src, frames[:done], first))
                     rest = [(sender, frames[done:])] if done < len(frames) else []
                     self._pending[:0] = [*rest, *entries]
                     raise
-                keep((tick, src, tap_ids, frames, first))
+                keep((tick, src, frames, first))
         return EventLog(self, start, len(self._records))

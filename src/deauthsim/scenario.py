@@ -48,7 +48,8 @@ after each one.
 An ``associate`` step for a client already associated with that AP
 raises ``WrongState``.  The stations are attached first, then the
 attackers in listing order, each attaching itself as an injector, which
-makes it a promiscuous tap too.  A replay attacker keeps the first frame
+makes it a promiscuous tap too; all of them before the first step, since
+endpoints are fixed once the medium has run.  A replay attacker keeps the first frame
 a station sent that it replays, never one an attacker sent; replaying
 with nothing captured raises ``AdversaryError``.
 

@@ -34,6 +34,8 @@ class ReferenceMedium:
         self._loss_rng = Random(seed)
 
     def attach(self, endpoint_id, mac=None, receive=None, *, injector=False):
+        if self._tick:
+            raise RuntimeError(f"cannot attach {endpoint_id!r}: the medium has run")
         assert endpoint_id not in self._endpoints and mac not in self._mac_owner
         endpoint = Handle(self, endpoint_id, receive)
         self._endpoints.add(endpoint_id)

@@ -203,6 +203,33 @@ class TestDeliverySemantics:
             "one send, one delivered event"
         )
 
+    @pytest.mark.parametrize(
+        "medium_class", [Medium, ReferenceMedium], ids=["library", "reference"]
+    )
+    def test_each_broadcast_copy_reaches_every_other_owner_once_in_attach_order(
+        self, medium_class
+    ):
+        medium = medium_class()
+        trace = []
+
+        def endpoint(name):
+            return lambda src, frame: trace.append((name, src))
+
+        a = medium.attach("a", MAC_A, endpoint("a"))
+        medium.attach("c", MacAddress.parse("02:00:00:00:00:0c"), endpoint("c"))
+        medium.attach("silent", MacAddress.parse("02:00:00:00:00:0e"))
+        medium.attach("b", MAC_B, endpoint("b"))
+        tap = medium.attach("tap", None, endpoint("tap"), injector=True)
+        # One object per send, repeated as a flood repeats it.
+        frame = bare_frame(dst=BROADCAST)
+        a.send((frame,) * 2)
+        tap.send((frame,) * 2)
+        medium.run_until_idle()
+        assert trace == [
+            *[("tap", "a"), ("c", "a"), ("b", "a")] * 2,
+            *[("tap", "tap"), ("a", "tap"), ("c", "tap"), ("b", "tap")] * 2,
+        ], "the sender is left out only when it owns a MAC"
+
     def test_unowned_destination_is_logged_but_reaches_nobody(self):
         medium = Medium()
         a = medium.attach("a", MAC_A)
@@ -487,36 +514,13 @@ class TestDrainResult:
         a.send(step)
         a.send(())
         assert len(medium.run_until_idle()) == 3, "an empty step queues nothing"
-        [(tick, _, _, frames, _)] = medium._records
+        [(tick, _, frames, _)] = medium._records
         assert (tick, frames) == (1, step) and frames is step, "kept as is, not copied"
 
 
 class TestCallbacksDuringADrain:
-    """Where the record-per-entry log differs from storing one event at a time."""
-
-    def test_a_tap_attached_mid_entry_observes_from_the_next_entry(self):
-        medium = Medium()
-        late = Collector()
-        a = medium.attach("a", MAC_A)
-
-        def attach_late(src, frame):
-            if not attached:
-                attached.append(medium.attach("late", None, late, injector=True))
-
-        attached = []
-
-        medium.attach("b", MAC_B, attach_late)
-        first, second, third = distinct_frames(3)
-        a.send((first, second))
-        a.send((third,))
-        events = read_events(medium.run_until_idle())
-        assert [(kind, frame) for _, kind, _, _, frame in events] == [
-            ("delivered", first),
-            ("delivered", second),
-            ("sniffed", third),
-            ("delivered", third),
-        ], "the tap misses the rest of the entry it was attached in"
-        assert late.events == [("a", third)], "its callback sees what its log lines show"
+    """Where the record-per-entry log differs from storing one event at a time,
+    and what a callback that attaches an endpoint gets."""
 
     def test_a_delivery_callback_that_raises_keeps_its_frame_whole(self):
         medium = Medium()
@@ -596,71 +600,70 @@ class TestCallbacksDuringADrain:
     @pytest.mark.parametrize(
         "medium_class", [Medium, ReferenceMedium], ids=["library", "reference"]
     )
-    def test_a_broadcast_receiver_may_attach_an_endpoint(self, medium_class):
+    def test_attaching_during_a_drain_is_refused_and_the_rest_stays_queued(self, medium_class):
         medium = medium_class()
-        got_b, got_d, got_late = Collector(), Collector(), Collector()
+        got_b = Collector()
+        f0, f1, f2 = distinct_frames(3)
 
-        def attach_late(src, frame):
+        def attach_c(src, frame):
             got_b(src, frame)
-            medium.attach("late", MacAddress.parse("02:00:00:00:00:0e"), got_late)
+            if frame == f0:
+                medium.attach("c", MacAddress.parse("02:00:00:00:00:0c"))
 
         a = medium.attach("a", MAC_A)
-        medium.attach("b", MAC_B, attach_late)
-        medium.attach("d", MacAddress.parse("02:00:00:00:00:0d"), got_d)
-        a.send((bare_frame(dst=BROADCAST),))
+        medium.attach("b", MAC_B, attach_c)
+        a.send((f0, f1))
+        a.send((f2,))
+        with pytest.raises(RuntimeError, match="cannot attach 'c': the medium has run"):
+            medium.run_until_idle()
+        assert [(kind, frame) for _, kind, _, _, frame in logged(medium)] == [
+            ("delivered", f0)
+        ], "the frame whose receiver attached is logged whole"
+        assert medium.frames_sent == 1
         medium.run_until_idle()
-        assert got_b.events == got_d.events == [("a", bare_frame(dst=BROADCAST))], (
-            "the owners that existed when delivery began each get the frame"
+        assert got_b.events == [("a", f0), ("a", f1), ("a", f2)], (
+            "the frames not reached stay queued and are delivered next, in order"
         )
-        assert got_late.events == [], "the new endpoint hears the next frame on"
 
     @pytest.mark.parametrize(
         "medium_class", [Medium, ReferenceMedium], ids=["library", "reference"]
     )
-    def test_a_repeated_broadcast_reaches_an_endpoint_attached_since(self, medium_class):
-        medium = medium_class()
-        got_late, late_mac = Collector(), MacAddress.parse("02:00:00:00:00:0e")
-        frame = bare_frame(dst=BROADCAST)
-
-        def attach_late(src, data):
-            if not attached:
-                attached.append(medium.attach("late", late_mac, got_late))
-
-        attached = []
-        a = medium.attach("a", MAC_A)
-        medium.attach("b", MAC_B, attach_late)
-        # One object twice, as a broadcast flood sends it: its routing is
-        # reused, but each copy reaches the owners of its own delivery.
-        a.send((frame,) * 2)
-        medium.run_until_idle()
-        assert got_late.events == [("a", frame)]
-        assert [to for _, _, _, to, _ in logged(medium)] == ["ff:ff:ff:ff:ff:ff"] * 2
-
-    @pytest.mark.parametrize(
-        "medium_class", [Medium, ReferenceMedium], ids=["library", "reference"]
-    )
-    def test_a_repeated_frame_is_routed_again_until_its_mac_is_owned(self, medium_class):
+    def test_a_refused_mac_owns_nothing(self, medium_class):
         medium = medium_class()
         mac_c = MacAddress.parse("02:00:00:00:00:0c")
         got_c = Collector()
-        frame = bare_frame(dst=mac_c)
 
-        def attach_c(src, data):
-            if not attached:
-                attached.append(medium.attach("c", mac_c, got_c))
+        def attach_c(src, frame):
+            medium.attach("c", mac_c, got_c)
 
-        attached = []
         a = medium.attach("a", MAC_A)
-        medium.attach("tap", None, attach_c, injector=True)
-        # One object three times, as a flood sends it.
-        a.send((frame,) * 3)
+        medium.attach("b", MAC_B, attach_c)
+        a.send((bare_frame(),))
+        with pytest.raises(RuntimeError, match="cannot attach 'c'"):
+            medium.run_until_idle()
+        a.send((bare_frame(dst=mac_c),))
         medium.run_until_idle()
-        assert [(kind, to) for _, kind, _, to, _ in logged(medium) if kind != "sniffed"] == [
-            ("delivered", "02:00:00:00:00:0c"),
-            ("delivered", "c"),
-            ("delivered", "c"),
-        ], "the first copy was routed before the tap attached its MAC"
-        assert got_c.events == [("a", frame)] * 2
+        assert logged(medium)[-1][1:4] == ("delivered", "a", "02:00:00:00:00:0c"), (
+            "labelled with its MAC text, not the refused id"
+        )
+        assert got_c.events == [], "the refused endpoint reaches nobody"
+
+    @pytest.mark.parametrize(
+        "medium_class", [Medium, ReferenceMedium], ids=["library", "reference"]
+    )
+    def test_attaching_after_a_drain_is_refused_but_not_after_a_send(self, medium_class):
+        medium = medium_class()
+        mac_c = MacAddress.parse("02:00:00:00:00:0c")
+        got_c = Collector()
+        a = medium.attach("a", MAC_A)
+        a.send((bare_frame(dst=mac_c),))
+        medium.attach("c", mac_c, got_c)
+        medium.run_until_idle()
+        assert got_c.events == [("a", bare_frame(dst=mac_c))], "a send is not a tick"
+        with pytest.raises(RuntimeError, match="cannot attach 'd': the medium has run"):
+            medium.attach("d", MacAddress.parse("02:00:00:00:00:0d"))
+        with pytest.raises(RuntimeError, match="cannot attach 'c'"):
+            medium.attach("c", None)
 
 
 class TestReactiveTap:

@@ -15,6 +15,7 @@ from deauthsim.frames import (
     encode_frame,
 )
 from deauthsim.stations import (
+    STATUS_REFUSED,
     Action,
     ClientStation,
     LifecycleState,
@@ -644,6 +645,19 @@ class TestKnownLimitations:
             FrameSubtype.DEAUTHENTICATION, AP_MAC, CLIENT_MAC, 3, token=token
         )
         assert client.verify_deauth(teardown).action is not Action.ACCEPT
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 4")
+    def test_forged_refusal_ahead_of_the_aps_answer_leaves_both_sides_agreeing(self):
+        client, ap = make_pair()
+        auth_success(client, ap)
+        request, _ = client.begin_association(AP_MAC)
+        forged = ManagementFrame(FrameSubtype.ASSOC_RESPONSE, AP_MAC, CLIENT_MAC, STATUS_REFUSED)
+        _, refused = client.receive_frame(encode_frame(forged))
+        response, _ = ap.handle_assoc_request(request)
+        _, answered = client.receive_frame(encode_frame(response))
+        assert (refused.cause, answered.cause) == ("assoc_refused", "no_request")
+        # Today the AP holds a session with the client, and the client none.
+        assert (CLIENT_MAC in ap.sessions) == (AP_MAC in client.sessions)
 
     @pytest.mark.xfail(
         strict=True,
