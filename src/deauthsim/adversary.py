@@ -31,7 +31,8 @@ holds the ``Handle`` it gets, as a station does after
 kind in ``REPLAYS`` is attached with a sniff callback, its bound
 ``on_sniffed(src, data)``, which ignores every frame an attacker sent,
 its own included.  A tap sees every frame, so a flood attacker with a
-callback would pay one Python call per frame.
+callback would pay one Python call per frame, and would make the medium
+hand every station each copy of a flood as a call of its own.
 
 Known limitation, by design: a revealed token is a bearer credential
 until the frame carrying it is accepted.  A replayed copy that races

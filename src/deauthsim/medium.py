@@ -22,6 +22,20 @@ object, and while the next frame ``is`` the one last routed, its label,
 the owner's ``receive`` and, for a broadcast, its receivers are reused,
 so every copy shares one label string.
 
+A receiver is called ``receive(src, frame)`` with the sending endpoint's
+identifier and the frame's bytes, and its return value is a promise: a
+true value says that handling the frame changed nothing and sent
+nothing, so a further copy, with nothing handled in between, would be
+handled the same way.  Once every receiver of a copy has answered it
+true, the rest of its run, the copies of that object that follow it in
+the entry, reaches each receiver in attach order as one call
+``receive(src, frame, copies)``, ``copies`` being how many of them the
+loss draw delivered; there is no call when it delivered none.  Each of
+those copies keeps its label, and its loss draw in order.  A receiver
+that returns ``None`` gets every copy as a call of its own.  So does
+every receiver of a medium with a tap receiver, because a tap must see
+each copy as it is sent.
+
 Processing a frame emits, in order, an ``injected`` event when the
 sender is a tap, one ``sniffed`` event per tap, and then exactly one
 ``delivered`` or ``dropped`` event.  That conservation rule and the
@@ -36,7 +50,9 @@ sender is a tap.
 Loss is a per-frame Bernoulli draw from ``random.Random(seed)``: one
 ``random()`` call per processed frame, dropped when the draw falls
 below ``loss_probability``.  The generator is touched for nothing else,
-so the delivered/dropped pattern can be replayed independently.
+so the delivered/dropped pattern can be replayed independently.  The
+one exception is a loss of 0: the copies a run hands over in one call
+skip their draws there, since none of them could drop a frame.
 
 Routing uses only the destination MAC, bytes ``frames.DST_OFFSET`` to
 ``frames.DST_END`` (7-13) of the raw frame, looked up as raw bytes; the
@@ -72,9 +88,9 @@ event as it happens:
 
 * when a callback raises, the interrupted entry logs the frames that
   reached their loss draw, each with all its events: a frame whose
-  delivery callback raised is logged whole, and one whose tap callback
-  raised is not logged at all, with no ``injected`` or ``sniffed``
-  event;
+  delivery callback raised is logged whole, so is every copy of a run
+  whose ``copies`` call raised, and a frame whose tap callback raised
+  is not logged at all, with no ``injected`` or ``sniffed`` event;
 * the events of an entry join the log when the entry is done, so a
   callback reading ``events`` during a drain does not see the entry it
   is part of;
@@ -89,8 +105,7 @@ An event's ``from`` is the sending endpoint's identifier, not the
 frame's source field: the log is the omniscient observer and always
 knows who really transmitted.  That holds for every ``Handle`` built
 by ``Medium.attach``, the only place one may be built; a hand-built
-``Handle`` is outside this contract.  A receiver is called with that
-identifier and the frame's bytes, ``receive(src, frame)``.
+``Handle`` is outside this contract.
 """
 
 from __future__ import annotations
@@ -98,7 +113,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, repeat
 from random import Random
 from typing import IO, Callable
 
@@ -114,6 +129,10 @@ class DuplicateEndpoint(Exception):
 class TickLimitExceeded(Exception):
     """The tick budget ran out with frames still queued."""
 
+
+# ``receive(src, frame)``, or ``receive(src, frame, copies)`` for the rest
+# of a run once it has answered a copy with a true value.
+Receiver = Callable[..., bool | None]
 
 # One processed queue entry: (tick, from, frames, ordinal of its first
 # frame).  The entry was injected when ``from`` is a tap id.
@@ -195,7 +214,7 @@ class Handle:
 
     medium: "Medium"
     endpoint_id: str
-    receive: Callable[[str, bytes], None] | None
+    receive: Receiver | None
 
     def send(self, frames: tuple[bytes, ...]) -> None:
         """Queue a tuple of raw frames as one entry, for the next tick, in order.
@@ -222,7 +241,7 @@ class Medium:
         self._mac_owner: dict[bytes, Handle] = {}
         # Fixed once the medium has run: a drain reads them once.
         self._tap_ids: tuple[str, ...] = ()
-        self._tap_receivers: tuple[Callable[[str, bytes], None], ...] = ()
+        self._tap_receivers: tuple[Receiver, ...] = ()
         # One entry per send call: the sender and the frames it queued.
         self._pending: list[tuple[Handle, tuple[bytes, ...]]] = []
         self._tick = 0
@@ -247,7 +266,7 @@ class Medium:
         self,
         endpoint_id: str,
         mac: MacAddress | None = None,
-        receive: Callable[[str, bytes], None] | None = None,
+        receive: Receiver | None = None,
         *,
         injector: bool = False,
     ) -> Handle:
@@ -286,13 +305,16 @@ class Medium:
         whole log.  When a callback raises, the frames that had not
         reached their loss draw stay queued, ahead of any queued later.
         The taps are read once per call, and a run of one frame object is
-        routed once, its broadcast receivers included; the tap calls,
-        the label reference, the loss draw and the delivery are per
-        frame.
+        routed once, its broadcast receivers included.  Each copy costs
+        its tap calls, a label reference, a loss draw and one call per
+        receiver, until every receiver answers a copy true.  Unless a tap
+        has a receiver, the rest of that run then costs one label
+        reference per copy, and a loss draw unless the loss is 0, and one
+        ``receive(src, frame, copies)`` per receiver.
         """
-        labels = self._labels
+        labels, dropped = self._labels, self._dropped
         start = len(self._records)
-        keep, label, drop = self._records.append, labels.append, self._dropped.append
+        keep, label, drop = self._records.append, labels.append, dropped.append
         draw, loss = self._loss_rng.random, self.loss_probability
         mac_owner, tap_receivers = self._mac_owner, self._tap_receivers
         budget = max_ticks
@@ -310,8 +332,9 @@ class Medium:
                 first = len(labels)
                 # The last frame object routed below.
                 routed = None
+                rest = iter(frames)
                 try:
-                    for data in frames:
+                    for data in rest:
                         if data is not routed:
                             # Short of the destination field when the frame is short.
                             dst = data[DST_OFFSET:DST_END]
@@ -325,6 +348,30 @@ class Medium:
                             if broadcast:
                                 others = [e for e in mac_owner.values() if e.endpoint_id != src]
                                 receivers = [e.receive for e in others if e.receive is not None]
+                            # Whether every receiver answered the last delivered copy true.
+                            answered = False
+                        elif answered and not tap_receivers:
+                            # Nothing has changed since: this copy and the rest of
+                            # the run reach each receiver as one count.  A tap
+                            # receiver must see each copy, so it turns runs off.
+                            position = end = len(labels) - first
+                            size = len(frames)
+                            while end < size and frames[end] is data:
+                                end += 1
+                            copies = end - position
+                            labels.extend(repeat(dst_label, copies))
+                            # No copy is delivered at loss 1, so no run starts there.
+                            if loss:
+                                drops = len(dropped)
+                                ordinals = range(first + position, first + end)
+                                dropped.extend(ordinal for ordinal in ordinals if draw() < loss)
+                                copies -= len(dropped) - drops
+                            if copies:
+                                for receive in receivers if broadcast else (deliver,):
+                                    receive(src, data, copies)
+                            # A tuple iterator's state is its index: skip the run.
+                            rest.__setstate__(end)
+                            continue
                         for receive in tap_receivers:
                             receive(src, data)
                         label(dst_label)
@@ -332,18 +379,18 @@ class Medium:
                             drop(len(labels) - 1)
                             continue
                         if broadcast:
-                            for receive in receivers:
-                                receive(src, data)
+                            # A list, not a generator: every receiver gets the copy.
+                            answered = all([receive(src, data) for receive in receivers])
                         elif deliver is not None:
-                            deliver(src, data)
+                            answered = deliver(src, data)
                 except BaseException:
                     # Log the frames that reached their loss draw; queue the
                     # rest, and the entries not yet begun, ahead of any later.
                     done = len(labels) - first
                     if done:
                         keep((tick, src, frames[:done], first))
-                    rest = [(sender, frames[done:])] if done < len(frames) else []
-                    self._pending[:0] = [*rest, *entries]
+                    unsent = [(sender, frames[done:])] if done < len(frames) else []
+                    self._pending[:0] = [*unsent, *entries]
                     raise
                 keep((tick, src, frames, first))
         return EventLog(self, start, len(self._records))

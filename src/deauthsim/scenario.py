@@ -68,7 +68,7 @@ lifecycle state it currently holds toward any peer.
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable, Hashable
+from collections.abc import Hashable
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from importlib import resources
@@ -78,7 +78,7 @@ from typing import get_args, get_origin, get_type_hints
 
 from .adversary import MAX_FRAME_COUNT, Adversary, AttackerConfig
 from .frames import TEARDOWN_SUBTYPES, FrameSubtype, MacAddress
-from .medium import DEFAULT_MAX_TICKS, EventLog, Medium
+from .medium import DEFAULT_MAX_TICKS, EventLog, Medium, Receiver
 from .stations import (
     AccessPoint,
     ClientStation,
@@ -430,6 +430,10 @@ class ScenarioRun:
     kept.  ``deliver`` counts straight into ``outcome``, the run's one
     ``ScenarioOutcome``: per-cause counts for the subtypes in
     ``COUNTED_SUBTYPES`` and accepted frames injected by an adversary.
+    It answers the medium true for a teardown its station did not
+    accept, the one verdict safe to repeat (``stations``), and the
+    medium then hands it the rest of that run of copies as one count,
+    which it adds to that verdict's tally without judging them again.
     The run itself counts the teardowns that ``deauth`` steps sent and no
     receiver has accepted yet.  ``execute`` performs each script action
     and then fills in the rest of the outcome: the medium's totals,
@@ -460,10 +464,18 @@ class ScenarioRun:
         # The medium's callback per station: a plain function, not a
         # ``functools.partial`` of a method, so that each delivery is a
         # Python-to-Python call.  Defined here, every callback shares this
-        # frame's cells for ``self``, ``outcome`` and ``verdicts`` and has one
-        # of its own, for its station: each cell costs memory per station.
-        def deliverer(station: Station) -> Callable[[str, bytes], None]:
-            def deliver(src: str, data: bytes) -> None:
+        # frame's cells for ``self``, ``outcome`` and ``verdicts`` and has
+        # two of its own, for its station and its last tallied cause: each
+        # cell costs memory per station.
+        def deliverer(station: Station) -> Receiver:
+            cause = None
+
+            def deliver(src: str, data: bytes, copies: int = 0) -> bool | None:
+                nonlocal cause
+                if copies:
+                    # More copies of the teardown just answered true.
+                    verdicts[cause] += copies
+                    return
                 result = station.receive_frame(data)
                 if result is None:
                     return
@@ -476,6 +488,8 @@ class ScenarioRun:
                         outcome.attack_success_count += 1
                     elif frame.subtype in TEARDOWN_SUBTYPES:
                         self.unaccepted_teardowns -= 1
+                # Safe to repeat: the medium may hand over further copies as one count.
+                return verdict.action is not _ACCEPT and frame.subtype in TEARDOWN_SUBTYPES
 
             return deliver
 

@@ -40,13 +40,13 @@ handler checks the subtype again.  Every frame a handler judges gets a
 verdict; an association response with no request in flight is ignored
 as ``no_request``.
 
-A flood repeats one ``bytes`` object, and ``receive_frame`` judges such
-a teardown once: it remembers the result of the last one it did not
-accept, with the sender's session record at the time, and hands that
-result to later copies of the object.  That is sound because an IGNORE
-or REJECT changes no state and sends nothing, and a teardown verdict
-depends only on the frame, on ``mac`` and ``protected``, and on the
-sender's record, which is never changed in place while in ``sessions``.
+Only a teardown that is not accepted has a verdict safe to repeat: its
+IGNORE or REJECT changes no state and sends nothing, so another copy of
+the same frame, with nothing handled in between, gets the same verdict.
+An ACCEPT deletes a session, and a handshake frame is answered each
+time.  ``receive_frame`` judges every frame it is handed; a flood's
+further copies reach a station as one count only through the medium
+(``scenario.ScenarioRun``).
 """
 
 from __future__ import annotations
@@ -73,9 +73,6 @@ TEARDOWN_REASONS = frozenset({3, 4, 5, 8})
 
 STATUS_SUCCESS = 0
 STATUS_REFUSED = 1
-
-# The memo of a station that remembers no teardown; no frame ``is`` its first item.
-_NO_MEMO = (object(), None, None, None)
 
 
 class WrongState(Exception):
@@ -134,9 +131,7 @@ class SessionRecord:
     peer's commitment once known (``None`` in legacy mode and while a
     request is in flight).  The peer is the record's key in
     ``sessions`` or ``pending``; being a key in ``sessions`` is what
-    makes the peer AUTH_ASSOC.  A record in ``sessions`` is never changed
-    in place: a new session is a new record, so ``receive_frame`` can
-    tell that a peer's session changed by its identity.
+    makes the peer AUTH_ASSOC.
     """
 
     own_token: bytes
@@ -155,10 +150,6 @@ class Station:
         # Peers that authenticated; those with a session are associated too.
         self.authenticated: set[MacAddress] = set()
         self._transmit: Callable[[tuple[bytes, ...]], None] | None = None
-        # The last frame object received, and the remembered teardown:
-        # its bytes, its sender, the sender's record then, and the result.
-        self._last: bytes | None = None
-        self._memo: tuple = _NO_MEMO
 
     # -- wiring ------------------------------------------------------
 
@@ -264,21 +255,7 @@ class Station:
         for frames that decode badly, are not addressed here, carry the
         other role's handshake subtype, or are authentication frames,
         which are answered without a verdict.
-
-        A teardown that arrives as the second copy in a row of one
-        ``bytes`` object, and gets no ACCEPT, is remembered in place of
-        the one remembered before.  A copy of that object which arrives
-        right after another copy of it, while the sender's session
-        record is still the one held then, gets the remembered result
-        without a decode or a verdict.  Every other frame costs one
-        identity test and one store more than it would without the memo.
         """
-        repeat = data is self._last
-        if repeat:
-            last, src, record, result = self._memo
-            if last is data and self.sessions.get(src) is record:
-                return result
-        self._last = data
         try:
             frame = decode_frame(data)
         except DecodeError:
@@ -286,11 +263,7 @@ class Station:
         if frame.dst != self.mac and frame.dst != BROADCAST:
             return None
         if frame.subtype in TEARDOWN_SUBTYPES:
-            result = frame, self.verify_deauth(frame)
-            # A bytearray could change before its next copy arrives.
-            if repeat and result[1].action is not Action.ACCEPT and type(data) is bytes:
-                self._memo = data, frame.src, self.sessions.get(frame.src), result
-            return result
+            return frame, self.verify_deauth(frame)
         return self._dispatch(frame)  # each role answers its own handshake frames
 
 

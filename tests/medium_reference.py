@@ -6,9 +6,12 @@ writer formats one line per stored tuple.  The library's ``Medium``
 stores one record per queue entry and one label per frame, and rebuilds
 the events from them; for the same traffic, both must log the same
 events in the same order, return the same events from each drain, write
-the same bytes and call the same receivers with the same arguments.
-When a callback raises, both leave queued the frames that had not
-reached their loss draw.  It shares ``Handle`` with the library, so
+the same bytes and hand each receiver the same frames in the same order.
+The reference hands over every copy as a call of its own; the library
+may hand a receiver the rest of a run as one ``copies`` call, which
+counts as that many calls, and so may order calls across receivers
+differently.  When a callback raises, both leave queued the frames that
+had not reached their loss draw.  It shares ``Handle`` with the library, so
 that the same endpoint code can send on either, but none of its
 draining or logging code.
 """

@@ -59,23 +59,28 @@ class Collector:
 
 STATION_MACS = [MacAddress(bytes([2, 0, 0, 0, 0x10, i])) for i in range(3)]
 UNOWNED_MAC = MacAddress.parse("02:99:99:99:99:99")
-PING, PONG = 0x10, 0x11
+PING, PONG, TEARDOWN = 0x10, 0x11, 0x0C
 
 
 def build_topology(medium, stations, taps):
     """Attach ``stations`` (reply flags) and ``taps`` (callback flags); return handles and a trace.
 
-    A replying station answers every ``PING`` frame with one ``PONG`` to
-    the frame's claimed source, so drains span several ticks.
+    A replying station (``True`` or ``"runs"``) answers every ``PING``
+    frame with one ``PONG`` to the frame's claimed source, so drains span
+    several ticks.  A ``"runs"`` station also answers every ``TEARDOWN``
+    frame true, which changes nothing for it, and takes the rest of a run
+    as one ``copies`` call; the trace records that call as ``copies``
+    calls.
     """
     seen = []
     handles = []
 
     def station(i, replies):
-        def receive(src, frame):
-            seen.append((i, src, frame))
+        def receive(src, frame, copies=1):
+            seen.extend([(i, src, frame)] * copies)
             if replies and frame[:1] == bytes([PING]):
                 handles[i].send((bytes([PONG]) + STATION_MACS[i] + frame[1:7] + bytes(2),))
+            return replies == "runs" and frame[:1] == bytes([TEARDOWN])
 
         return receive
 
@@ -94,13 +99,15 @@ def build_topology(medium, stations, taps):
 def traffic_strategy(draw):
     """Loss, seed, station reply flags (None: no callback), tap flags, and drains of sends.
 
+    The reply flags are those of ``build_topology``.
+
     A send is a sender index and its frames, some of them one object
     repeated.
     """
     macs = st.sampled_from(STATION_MACS + [BROADCAST, UNOWNED_MAC])
     whole = st.builds(
         lambda code, src, dst, tail: bytes([code]) + src + dst + bytes(2) + tail,
-        st.sampled_from([PING, PONG, 0x0C]),
+        st.sampled_from([PING, PONG, TEARDOWN]),
         macs,
         macs,
         st.binary(max_size=3),
@@ -116,7 +123,7 @@ def traffic_strategy(draw):
     return (
         draw(st.sampled_from([0.0, 0.3, 1.0])),
         draw(st.integers(0, 2**32)),
-        draw(st.lists(st.sampled_from([None, False, True]), min_size=1, max_size=3)),
+        draw(st.lists(st.sampled_from([None, False, True, "runs"]), min_size=1, max_size=3)),
         draw(st.lists(st.booleans(), max_size=2)),
         draw(st.lists(st.lists(send, max_size=4), min_size=1, max_size=4)),
     )
@@ -696,6 +703,89 @@ class TestReactiveTap:
         assert inbox.events == [("tap", forged), ("b", reply)]
 
 
+def calls_by_receiver(seen):
+    """A topology's trace, split by receiver, each part in call order."""
+    calls = {}
+    for call in seen:
+        calls.setdefault(call[0], []).append(call)
+    return calls
+
+
+class TestRuns:
+    """A receiver that answers a copy true gets the rest of its run as one call."""
+
+    @staticmethod
+    def counted(calls, answer=True):
+        def receive(src, frame, *copies):
+            calls.append((frame, *copies))
+            return answer
+
+        return receive
+
+    @pytest.mark.parametrize("tap", [False, True])
+    def test_the_rest_of_a_run_is_one_call_unless_a_tap_has_a_receiver(self, tap):
+        medium = Medium()
+        calls = []
+        f, g = distinct_frames(2)
+        a = medium.attach("a", MAC_A)
+        medium.attach("b", MAC_B, self.counted(calls))
+        if tap:
+            medium.attach("tap", None, Collector(), injector=True)
+        a.send((f, f, f, g, g))
+        assert len(medium.run_until_idle()) == 5 * (1 + tap)
+        if tap:
+            assert calls == [(f,)] * 3 + [(g,)] * 2, "a tap must see every copy"
+        else:
+            assert calls == [(f,), (f, 2), (g,), (g, 1)]
+
+    def test_a_receiver_answering_none_gets_every_copy(self):
+        medium = Medium()
+        calls = []
+        f = bare_frame()
+        a = medium.attach("a", MAC_A)
+        medium.attach("b", MAC_B, self.counted(calls, None))
+        a.send((f,) * 3)
+        medium.run_until_idle()
+        assert calls == [(f,)] * 3
+
+    def test_a_broadcast_run_waits_for_every_receiver_to_answer_true(self):
+        medium = Medium()
+        calls, quiet = [], []
+        f = bare_frame(dst=BROADCAST)
+        a = medium.attach("a", MAC_A)
+        medium.attach("b", MAC_B, self.counted(calls))
+        medium.attach("c", MacAddress.parse("02:00:00:00:00:0c"), self.counted(quiet, False))
+        a.send((f,) * 3)
+        medium.run_until_idle()
+        assert (calls, quiet) == ([(f,)] * 3, [(f,)] * 3)
+
+    def test_a_receiver_that_raises_in_its_copies_call_has_its_run_logged_whole(self):
+        medium = Medium()
+        calls = []
+        f, g = distinct_frames(2)
+
+        def refuse_copies(src, frame, *copies):
+            calls.append((frame, *copies))
+            if copies:
+                raise RuntimeError("receiver failed")
+            return True
+
+        a = medium.attach("a", MAC_A)
+        medium.attach("b", MAC_B, refuse_copies)
+        a.send((f,) * 4 + (g,))
+        a.send((g,))
+        with pytest.raises(RuntimeError, match="receiver failed"):
+            medium.run_until_idle()
+        assert calls == [(f,), (f, 3)]
+        assert [(kind, frame) for _, kind, _, _, frame in read_events(medium.events)] == [
+            ("delivered", f)
+        ] * 4, "every copy of the run reached its loss draw"
+        assert medium.frames_sent == 4
+        medium.run_until_idle()
+        assert calls[2:] == [(g,), (g,)], "the rest of the entry stayed queued, then the next"
+        assert medium.frames_sent == 6
+
+
 class TestAgainstReference:
     """The record-per-entry log against the event-per-tuple drain in medium_reference.py."""
 
@@ -730,7 +820,11 @@ class TestAgainstReference:
             write_event_log(view, stream)
             reference_write_event_log(ref_events, ref_stream)
             assert stream.getvalue() == ref_stream.getvalue()
-        assert seen == ref_seen
+        # A run reaches each receiver in turn, so only the order of calls
+        # across receivers may differ, and only when some receiver takes runs.
+        assert calls_by_receiver(seen) == calls_by_receiver(ref_seen)
+        if "runs" not in stations:
+            assert seen == ref_seen
         assert (medium.frames_sent, medium.frames_dropped) == (
             reference.frames_sent,
             reference.frames_dropped,

@@ -43,6 +43,7 @@ from helpers import read_events
 
 AP = "02:00:00:00:00:01"
 CLIENT = "02:00:00:00:00:02"
+BROADCAST = "ff:ff:ff:ff:ff:ff"
 
 BASE_DOC = {
     "schema": 1,
@@ -680,13 +681,26 @@ class TestOutcomeAccounting:
             "no_session": copies - 1,
         }
 
-    @pytest.mark.parametrize("name", ["protected_forged_deauth", "legacy_forged_deauth"])
-    @pytest.mark.parametrize("target", [CLIENT, "ff:ff:ff:ff:ff:ff"])
-    def test_a_flood_is_judged_a_fixed_number_of_times(self, monkeypatch, name, target):
-        # Past the join's four frames, each station decodes and judges the
-        # first two copies that reach it, then answers every later copy
-        # from its teardown memo, so neither count grows with the flood.
-        # A broadcast copy also reaches the AP, which adds two of each.
+    @pytest.mark.parametrize(
+        "name, expected",
+        [
+            pytest.param(name, expected, id=name)
+            for name, expected in [
+                ("protected_forged_deauth", {CLIENT: (5, 1), BROADCAST: (6, 2)}),
+                ("legacy_forged_deauth", {CLIENT: (6, 2), BROADCAST: (8, 4)}),
+                ("lossy_protected_flood", {CLIENT: (5, 1), BROADCAST: (6, 2)}),
+            ]
+        ],
+    )
+    @pytest.mark.parametrize("target", [CLIENT, BROADCAST])
+    def test_a_flood_is_judged_a_fixed_number_of_times(self, monkeypatch, name, expected, target):
+        # Past the join's four frames, the client decodes and judges each
+        # copy until it answers one true, a teardown it did not accept, and
+        # the medium hands it the rest of the run as one count, so neither
+        # count grows with the flood.  A protected client answers the first
+        # copy true; a legacy one accepts the first and answers the second.
+        # A broadcast copy also reaches the AP, which judges as many copies
+        # as the client: a broadcast run starts once both have answered true.
         calls = Counter()
         decode, verify = stations.decode_frame, stations.Station.verify_deauth
 
@@ -709,8 +723,7 @@ class TestOutcomeAccounting:
             calls.clear()
             run_scenario(replace(base, attackers=[attacker]))
             counts.append((calls["decode"], calls["verify"]))
-        expected = (6, 2) if target == CLIENT else (8, 4)
-        assert counts == [expected, expected]
+        assert counts == [expected[target], expected[target]]
 
     def test_runs_are_reproducible_byte_for_byte(self):
         cfg = load_bundled_scenario("lossy_protected_flood")
@@ -833,6 +846,65 @@ class TestOutcomeAccounting:
         assert data["mode"] == "protected"
         assert set(data["final_states"]) == {AP, CLIENT}
         assert all(isinstance(v, int) for v in data["verdicts"].values())
+
+
+class TestFloodRuns:
+    """A run of one frame object against the same frames as distinct objects.
+
+    An attack step repeats one ``bytes`` object, and once every station it
+    reaches has answered a copy true, the medium hands each the rest of the
+    run as one count.  Copies that are distinct objects, ``bytes(bytearray(f))``,
+    cannot form a run, so each one is judged afresh.  Both must give the
+    same log and the same outcome.
+    """
+
+    @staticmethod
+    def log_and_outcome(cfg, distinct):
+        run = ScenarioRun(cfg)
+        adversary = run.adversaries[0]
+        step = adversary.frames
+
+        def frames():
+            frames = step()
+            if distinct:
+                frames = tuple(bytes(bytearray(frame)) for frame in frames)
+            assert len(set(map(id, frames))) == (len(frames) if distinct else 1)
+            return frames
+
+        adversary.frames = frames
+        outcome, events = run.execute()
+        stream = io.StringIO()
+        write_event_log(events, stream)
+        return stream.getvalue(), outcome.to_dict()
+
+    @pytest.mark.parametrize("mode", ["protected", "legacy"])
+    @pytest.mark.parametrize("target", [CLIENT, BROADCAST, "02:00:00:00:00:99"])
+    @given(
+        loss=st.sampled_from([0.0, 0.25, 1.0]),
+        seed=st.integers(0, 2**32),
+        copies=st.integers(1, 30),
+        reason=st.sampled_from([1, 3, 8]),
+        before_join=st.booleans(),
+    )
+    # A legacy client accepts the first copy after the join and answers the
+    # rest true; at loss 0 both the first copy and the run are delivered.
+    @example(loss=0.0, seed=0, copies=5, reason=3, before_join=True)
+    @settings(max_examples=40, deadline=None)
+    def test_a_run_leaves_the_log_and_outcome_its_copies_one_by_one_do(
+        self, mode, target, loss, seed, copies, reason, before_join
+    ):
+        flood = {"attack": {"index": 0}}
+        cfg = config_from_dict(
+            {
+                **BASE_DOC,
+                "mode": mode,
+                "seed": seed,
+                "loss_probability": loss,
+                "attackers": [attacker(target=target, frame_count=copies, reason=reason)],
+                "script": [flood] * before_join + BASE_DOC["script"] + [flood],
+            }
+        )
+        assert self.log_and_outcome(cfg, False) == self.log_and_outcome(cfg, True)
 
 
 class TestProgrammaticConfig:
