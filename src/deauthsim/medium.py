@@ -16,25 +16,29 @@ during or after a drain; a callback that attaches gets that error, and
 the drain ends as for any raising callback.  ``run_until_idle`` reads
 the taps and the loss draw once per call and drains an entry in one
 loop, reading its sender once; the per-frame events and loss draws
-below keep their order.  Routing is done once for each run of one frame
-object, whatever its destination: an attack step repeats one ``bytes``
-object, and while the next frame ``is`` the one last routed, its label,
-the owner's ``receive`` and, for a broadcast, its receivers are reused,
-so every copy shares one label string.
+below keep their order.  Routing is done once for consecutive frames
+that are one object, whatever its destination: while the next frame
+``is`` the one last routed, its label, the owner's ``receive`` and, for
+a broadcast, its receivers are reused, so every copy shares one label
+string.  An entry whose frames are all equal, as a flood's are, is a
+uniform entry: its frames are copies of its first, which stands for
+each of them, so it is routed once even when its copies are distinct
+objects.
 
 A receiver is called ``receive(src, frame)`` with the sending endpoint's
 identifier and the frame's bytes, and its return value is a promise: a
 true value says that handling the frame changed nothing and sent
 nothing, so a further copy, with nothing handled in between, would be
-handled the same way.  Once every receiver of a copy has answered it
-true, the rest of its run, the copies of that object that follow it in
-the entry, reaches each receiver in attach order as one call
+handled the same way.  A run is the rest of a uniform entry: once every
+receiver of one of its copies has answered it true, the copies that
+follow it reach each receiver in attach order as one call
 ``receive(src, frame, copies)``, ``copies`` being how many of them the
 loss draw delivered; there is no call when it delivered none.  Each of
-those copies keeps its label, and its loss draw in order.  A receiver
-that returns ``None`` gets every copy as a call of its own.  So does
-every receiver of a medium with a tap receiver, because a tap must see
-each copy as it is sent.
+those copies keeps its label, and its loss draw in order.  A frame
+repeated among other frames, in a mixed entry, is delivered copy by
+copy.  A receiver that returns ``None`` gets every copy as a call of
+its own.  So does every receiver of a medium with a tap receiver,
+because a tap must see each copy as it is sent.
 
 Processing a frame emits, in order, an ``injected`` event when the
 sender is a tap, one ``sniffed`` event per tap, and then exactly one
@@ -50,9 +54,8 @@ sender is a tap.
 Loss is a per-frame Bernoulli draw from ``random.Random(seed)``: one
 ``random()`` call per processed frame, dropped when the draw falls
 below ``loss_probability``.  The generator is touched for nothing else,
-so the delivered/dropped pattern can be replayed independently.  The
-one exception is a loss of 0: the copies a run hands over in one call
-skip their draws there, since none of them could drop a frame.
+so the delivered/dropped pattern can be replayed independently.  At a
+loss of 0 no frame could drop, so no draw is made.
 
 Routing uses only the destination MAC, bytes ``frames.DST_OFFSET`` to
 ``frames.DST_END`` (7-13) of the raw frame, looked up as raw bytes; the
@@ -130,8 +133,8 @@ class TickLimitExceeded(Exception):
     """The tick budget ran out with frames still queued."""
 
 
-# ``receive(src, frame)``, or ``receive(src, frame, copies)`` for the rest
-# of a run once it has answered a copy with a true value.
+# ``receive(src, frame)``, or ``receive(src, frame, copies)`` for the equal
+# frames left in a uniform entry once it has answered one of them true.
 Receiver = Callable[..., bool | None]
 
 # One processed queue entry: (tick, from, frames, ordinal of its first
@@ -304,12 +307,14 @@ class Medium:
         ``len`` and which ``write_event_log`` writes; ``events`` is the
         whole log.  When a callback raises, the frames that had not
         reached their loss draw stay queued, ahead of any queued later.
-        The taps are read once per call, and a run of one frame object is
-        routed once, its broadcast receivers included.  Each copy costs
-        its tap calls, a label reference, a loss draw and one call per
-        receiver, until every receiver answers a copy true.  Unless a tap
-        has a receiver, the rest of that run then costs one label
-        reference per copy, and a loss draw unless the loss is 0, and one
+        The taps are read once per call.  Consecutive frames that are one
+        object, and a uniform entry, whose frames one ``tuple.count``
+        finds all equal, are routed once, their broadcast receivers
+        included.  Each copy costs its tap calls, a label reference, a
+        loss draw unless the loss is 0, and one call per receiver.  Once
+        every receiver answers a copy of a uniform entry true, and unless
+        a tap has a receiver, the rest of the entry costs one label
+        reference per copy, a loss draw unless the loss is 0, and one
         ``receive(src, frame, copies)`` per receiver.
         """
         labels, dropped = self._labels, self._dropped
@@ -330,11 +335,15 @@ class Medium:
             for sender, frames in entries:
                 src = sender.endpoint_id
                 first = len(labels)
+                size = len(frames)
+                # A uniform entry, all its frames equal, is sent as copies of
+                # its first.  Its ends are compared first, so that an entry of
+                # distinct token guesses is not counted.
+                uniform = size > 1 and frames[-1] == frames[0] and frames.count(frames[0]) == size
                 # The last frame object routed below.
                 routed = None
-                rest = iter(frames)
                 try:
-                    for data in rest:
+                    for data in repeat(frames[0], size) if uniform else frames:
                         if data is not routed:
                             # Short of the destination field when the frame is short.
                             dst = data[DST_OFFSET:DST_END]
@@ -350,32 +359,26 @@ class Medium:
                                 receivers = [e.receive for e in others if e.receive is not None]
                             # Whether every receiver answered the last delivered copy true.
                             answered = False
-                        elif answered and not tap_receivers:
-                            # Nothing has changed since: this copy and the rest of
-                            # the run reach each receiver as one count.  A tap
+                        elif answered and uniform and not tap_receivers:
+                            # Nothing has changed since: the rest of the entry
+                            # reaches each receiver as one count.  A tap
                             # receiver must see each copy, so it turns runs off.
-                            position = end = len(labels) - first
-                            size = len(frames)
-                            while end < size and frames[end] is data:
-                                end += 1
-                            copies = end - position
+                            ordinals = range(len(labels), first + size)
+                            copies = len(ordinals)
                             labels.extend(repeat(dst_label, copies))
                             # No copy is delivered at loss 1, so no run starts there.
                             if loss:
                                 drops = len(dropped)
-                                ordinals = range(first + position, first + end)
                                 dropped.extend(ordinal for ordinal in ordinals if draw() < loss)
                                 copies -= len(dropped) - drops
                             if copies:
                                 for receive in receivers if broadcast else (deliver,):
                                     receive(src, data, copies)
-                            # A tuple iterator's state is its index: skip the run.
-                            rest.__setstate__(end)
-                            continue
+                            break
                         for receive in tap_receivers:
                             receive(src, data)
                         label(dst_label)
-                        if draw() < loss:
+                        if loss and draw() < loss:
                             drop(len(labels) - 1)
                             continue
                         if broadcast:
@@ -389,7 +392,7 @@ class Medium:
                     done = len(labels) - first
                     if done:
                         keep((tick, src, frames[:done], first))
-                    unsent = [(sender, frames[done:])] if done < len(frames) else []
+                    unsent = [(sender, frames[done:])] if done < size else []
                     self._pending[:0] = [*unsent, *entries]
                     raise
                 keep((tick, src, frames, first))

@@ -432,8 +432,9 @@ class ScenarioRun:
     ``COUNTED_SUBTYPES`` and accepted frames injected by an adversary.
     It answers the medium true for a teardown its station did not
     accept, the one verdict safe to repeat (``stations``), and the
-    medium then hands it the rest of that run of copies as one count,
-    which it adds to that verdict's tally without judging them again.
+    medium then hands it the equal frames left in that queue entry as one
+    count, which it adds to that verdict's tally without judging them
+    again.
     The run itself counts the teardowns that ``deauth`` steps sent and no
     receiver has accepted yet.  ``execute`` performs each script action
     and then fills in the rest of the outcome: the medium's totals,

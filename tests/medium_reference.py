@@ -10,10 +10,11 @@ the same bytes and hand each receiver the same frames in the same order.
 The reference hands over every copy as a call of its own; the library
 may hand a receiver the rest of a run as one ``copies`` call, which
 counts as that many calls, and so may order calls across receivers
-differently.  When a callback raises, both leave queued the frames that
-had not reached their loss draw.  It shares ``Handle`` with the library, so
-that the same endpoint code can send on either, but none of its
-draining or logging code.
+differently.  The reference draws a loss for every frame, the library
+none at a loss of 0, where no draw could drop a frame.  When a callback
+raises, both leave queued the frames that had not reached their loss
+draw.  It shares ``Handle`` with the library, so that the same endpoint
+code can send on either, but none of its draining or logging code.
 """
 
 import json

@@ -722,21 +722,79 @@ class TestRuns:
 
         return receive
 
-    @pytest.mark.parametrize("tap", [False, True])
-    def test_the_rest_of_a_run_is_one_call_unless_a_tap_has_a_receiver(self, tap):
+    def test_the_rest_of_a_uniform_entry_is_one_call(self):
+        medium = Medium()
+        calls = []
+        f = bare_frame()
+        a = medium.attach("a", MAC_A)
+        medium.attach("b", MAC_B, self.counted(calls))
+        a.send((f,) * 3)
+        assert len(medium.run_until_idle()) == 3
+        assert calls == [(f,), (f, 2)]
+
+    def test_equal_frames_that_are_distinct_objects_form_a_run(self):
+        medium = Medium()
+        calls = []
+        f = bare_frame()
+        copies = (f, bytes(bytearray(f)), bytes(bytearray(f)))
+        assert len(set(map(id, copies))) == 3
+        a = medium.attach("a", MAC_A)
+        medium.attach("b", MAC_B, self.counted(calls))
+        a.send(copies)
+        medium.run_until_idle()
+        assert calls == [(f,), (f, 2)]
+        assert kinds(read_events(medium.events)) == ["delivered"] * 3
+
+    def test_a_mixed_entry_is_delivered_copy_by_copy(self):
         medium = Medium()
         calls = []
         f, g = distinct_frames(2)
         a = medium.attach("a", MAC_A)
         medium.attach("b", MAC_B, self.counted(calls))
-        if tap:
-            medium.attach("tap", None, Collector(), injector=True)
         a.send((f, f, f, g, g))
-        assert len(medium.run_until_idle()) == 5 * (1 + tap)
-        if tap:
-            assert calls == [(f,)] * 3 + [(g,)] * 2, "a tap must see every copy"
-        else:
-            assert calls == [(f,), (f, 2), (g,), (g, 1)]
+        assert len(medium.run_until_idle()) == 5
+        assert calls == [(f,)] * 3 + [(g,)] * 2
+
+    @pytest.mark.parametrize("dst", [MAC_B, BROADCAST])
+    def test_a_uniform_entry_under_a_tap_receiver_is_routed_once(self, dst):
+        class Routes(dict):
+            """The owner table, counting lookups and broadcast receiver lists."""
+
+            lookups = lists = 0
+
+            def get(self, key, default=None):
+                Routes.lookups += 1
+                return super().get(key, default)
+
+            def values(self):
+                Routes.lists += 1
+                return super().values()
+
+        medium = Medium()
+        calls, tap = [], Collector()
+        f = bare_frame(dst=dst)
+        a = medium.attach("a", MAC_A)
+        medium.attach("b", MAC_B, self.counted(calls))
+        medium.attach("tap", None, tap, injector=True)
+        medium._mac_owner = Routes(medium._mac_owner)
+        a.send((f,) * 2 + (bytes(bytearray(f)),) * 2)
+        assert len(medium.run_until_idle()) == 8
+        assert calls == [(f,)] * 4, "a tap must see every copy, so every copy is a call"
+        assert tap.events == [("a", f)] * 4
+        assert (Routes.lookups, Routes.lists) == (1, dst == BROADCAST)
+
+    def test_no_loss_is_drawn_at_loss_0(self):
+        medium = Medium(seed=7)
+        state = medium._loss_rng.getstate()
+        f, g = distinct_frames(2)
+        a = medium.attach("a", MAC_A)
+        medium.attach("b", MAC_B, self.counted([]))
+        # A mixed entry goes copy by copy, a uniform one as a run.
+        a.send((f, f, g))
+        a.send((f,) * 3)
+        medium.run_until_idle()
+        assert medium.frames_sent == 6
+        assert medium._loss_rng.getstate() == state
 
     def test_a_receiver_answering_none_gets_every_copy(self):
         medium = Medium()
@@ -772,7 +830,7 @@ class TestRuns:
 
         a = medium.attach("a", MAC_A)
         medium.attach("b", MAC_B, refuse_copies)
-        a.send((f,) * 4 + (g,))
+        a.send((f,) * 4)
         a.send((g,))
         with pytest.raises(RuntimeError, match="receiver failed"):
             medium.run_until_idle()
@@ -782,8 +840,8 @@ class TestRuns:
         ] * 4, "every copy of the run reached its loss draw"
         assert medium.frames_sent == 4
         medium.run_until_idle()
-        assert calls[2:] == [(g,), (g,)], "the rest of the entry stayed queued, then the next"
-        assert medium.frames_sent == 6
+        assert calls[2:] == [(g,)], "the next entry stayed queued"
+        assert medium.frames_sent == 5
 
 
 class TestAgainstReference:

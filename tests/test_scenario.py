@@ -849,30 +849,47 @@ class TestOutcomeAccounting:
 
 
 class TestFloodRuns:
-    """A run of one frame object against the same frames as distinct objects.
+    """A flood as one uniform entry against the same copies as one entry each.
 
-    An attack step repeats one ``bytes`` object, and once every station it
-    reaches has answered a copy true, the medium hands each the rest of the
-    run as one count.  Copies that are distinct objects, ``bytes(bytearray(f))``,
+    An attack step repeats one frame, and once every station it reaches
+    has answered a copy true, the medium hands each the rest of the entry
+    as one count.  Copies sent as one-frame entries in the same tick
     cannot form a run, so each one is judged afresh.  Both must give the
     same log and the same outcome.
     """
 
     @staticmethod
-    def log_and_outcome(cfg, distinct):
+    def log_and_outcome(cfg, one_by_one):
         run = ScenarioRun(cfg)
         adversary = run.adversaries[0]
         step = adversary.frames
+        judged = Counter()
+        for mac, station in run.stations.items():
+            judge = station.receive_frame
 
-        def frames():
+            def receive_frame(data, mac=str(mac), judge=judge):
+                judged[mac] += 1
+                return judge(data)
+
+            station.receive_frame = receive_frame
+
+        def attack():
             frames = step()
-            if distinct:
-                frames = tuple(bytes(bytearray(frame)) for frame in frames)
-            assert len(set(map(id, frames))) == (len(frames) if distinct else 1)
-            return frames
+            assert len(set(map(id, frames))) == 1
+            if one_by_one:
+                for frame in frames:
+                    adversary.handle.send((frame,))
+            else:
+                adversary.handle.send(frames)
 
-        adversary.frames = frames
+        adversary.attack = attack
         outcome, events = run.execute()
+        if one_by_one:
+            reached = Counter()
+            for _, kind, src, dst, _ in read_events(events):
+                if kind == "delivered":
+                    reached.update(m for m in judged if dst in (m, BROADCAST) and m != src)
+            assert judged == reached, "every delivered copy is judged by a call of its own"
         stream = io.StringIO()
         write_event_log(events, stream)
         return stream.getvalue(), outcome.to_dict()
