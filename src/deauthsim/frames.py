@@ -47,7 +47,8 @@ guess does: a ``src`` or ``dst`` whose octets equal the last one's is
 that ``MacAddress`` object, not a new one.  That is safe because
 addresses are immutable, errors are never kept, and one pair is all it
 holds; it keeps no bytes of its input.  A repeated frame is recognised
-by the receiving station, not here.
+by the medium, not here: it hands a receiver the rest of a uniform
+entry as one count, and a station judges every frame it is handed.
 """
 
 from __future__ import annotations

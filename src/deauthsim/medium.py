@@ -1,39 +1,47 @@
 """Deterministic broadcast medium.
 
 Single-threaded, tick-based: a frame sent during tick N is processed at
-tick N+1, in submission order.  ``Medium.attach`` returns the endpoint
-itself, a ``Handle``: the one record the drain routes through, and the
-sender, because ``Handle.send`` queues frames on the medium that built
-it.  ``send`` takes one tuple of ``bytes``, a station's one frame or a
-whole attack step, and queues it as one entry, processed in order in
-the same tick; each of its frames counts in the ``TickLimitExceeded``
-message.  The entry, and then the log record, hold the caller's tuple
-object, so a step is never copied between the attacker and the log.
+tick N+1, in submission order.  ``Medium.attach`` returns a ``Handle``,
+the endpoint's sending half: ``Handle.send`` queues frames on the medium
+that built it, and the drain reads the sender's identifier from it.  The
+receiving half is the route ``attach`` fixes for the endpoint's MAC,
+described below.  ``send`` takes one tuple of ``bytes``, a station's one
+frame or a whole attack step, and queues it as one entry, processed in
+order in the same tick; each of its frames counts in the
+``TickLimitExceeded`` message.  The entry, and then the log record, hold
+the caller's tuple object, so a step is never copied between the
+attacker and the log.
 
 Endpoints are fixed once the medium has run: ``attach`` raises
 ``RuntimeError`` from the first tick on, so owners and taps never change
 during or after a drain; a callback that attaches gets that error, and
-the drain ends as for any raising callback.  ``run_until_idle`` reads
-the taps and the loss draw once per call and drains an entry in one
-loop, reading its sender once; the per-frame events and loss draws
-below keep their order.  Routing is done once for consecutive frames
+the drain ends as for any raising callback.  So ``attach`` builds each
+owned MAC's route once: the owner's identifier, which labels the frames
+sent to it, and a tuple of its receiver, empty when it has none.  The
+medium keeps a receiver there or among its tap receivers, nowhere else.
+``run_until_idle`` reads the taps and the loss draw once per call and
+drains an entry in one loop, reading its sender once; the per-frame
+events and loss draws below keep their order.  Every copy reaches its
+receivers through one sequence: its route's tuple, empty for a MAC
+nobody owns, or, for a broadcast, a list of the receivers of every
+route but the sender's.  Routing is done once for consecutive frames
 that are one object, whatever its destination: while the next frame
-``is`` the one last routed, its label, the owner's ``receive`` and, for
-a broadcast, its receivers are reused, so every copy shares one label
-string.  An entry whose frames are all equal, as a flood's are, is a
-uniform entry: its frames are copies of its first, which stands for
-each of them, so it is routed once even when its copies are distinct
-objects.
+``is`` the one last routed, its label and receivers are reused, so
+every copy shares one label string.  An entry whose frames are all
+equal, as a flood's are, is a uniform entry: its frames are copies of
+its first, which stands for each of them, so it is routed once even
+when its copies are distinct objects.
 
 A receiver is called ``receive(src, frame)`` with the sending endpoint's
 identifier and the frame's bytes, and its return value is a promise: a
 true value says that handling the frame changed nothing and sent
 nothing, so a further copy, with nothing handled in between, would be
-handled the same way.  A run is the rest of a uniform entry: once every
-receiver of one of its copies has answered it true, the copies that
-follow it reach each receiver in attach order as one call
-``receive(src, frame, copies)``, ``copies`` being how many of them the
-loss draw delivered; there is no call when it delivered none.  Each of
+handled the same way.  A run is the rest of a uniform entry: once one
+of its copies is delivered and every receiver of that copy, if any,
+answered it true, the copies that follow it reach each receiver in
+attach order as one call ``receive(src, frame, copies)``, ``copies``
+being how many of them the loss draw delivered; there is no call when it
+delivered none, nor for a copy that has no receiver.  Each of
 those copies keeps its label, and its loss draw in order.  A frame
 repeated among other frames, in a mixed entry, is delivered copy by
 copy.  A receiver that returns ``None`` gets every copy as a call of
@@ -207,9 +215,11 @@ def write_event_log(events: EventLog, stream: IO[str]) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Handle:
-    """An attached endpoint, as returned by ``Medium.attach``; it sends.
+    """An attached endpoint's sending half, as returned by ``Medium.attach``.
 
-    Only ``Medium.attach`` builds a ``Handle``.  One built by hand is
+    It holds no receiver: the medium keeps one in the route ``attach``
+    fixed for the endpoint's MAC, or among its tap receivers.  Only
+    ``Medium.attach`` builds a ``Handle``.  One built by hand is
     outside the medium's contract: its frames are queued and logged under
     an id the medium never attached, and nothing routes to it.  The
     medium's taps say whether it injects.
@@ -217,7 +227,6 @@ class Handle:
 
     medium: "Medium"
     endpoint_id: str
-    receive: Receiver | None
 
     def send(self, frames: tuple[bytes, ...]) -> None:
         """Queue a tuple of raw frames as one entry, for the next tick, in order.
@@ -239,9 +248,12 @@ class Medium:
         # The ordinal of each dropped frame, in increasing order.
         self._dropped = array("q")
         self._endpoints: set[str] = set()
-        # A MacAddress hashes and compares as its octets, so routing looks
-        # a frame's raw destination bytes up here without building one.
-        self._mac_owner: dict[bytes, Handle] = {}
+        # Each owned MAC's route, fixed by ``attach``: the owner's id, which
+        # labels the frames sent to it, and its receiver as a tuple, empty
+        # when it has none.  A MacAddress hashes and compares as its octets,
+        # so routing looks a frame's raw destination bytes up here without
+        # building one.
+        self._routes: dict[bytes, tuple[str, tuple[Receiver, ...]]] = {}
         # Fixed once the medium has run: a drain reads them once.
         self._tap_ids: tuple[str, ...] = ()
         self._tap_receivers: tuple[Receiver, ...] = ()
@@ -285,18 +297,17 @@ class Medium:
             raise RuntimeError(f"cannot attach {endpoint_id!r}: the medium has run")
         if endpoint_id in self._endpoints:
             raise DuplicateEndpoint(f"endpoint id {endpoint_id!r} already attached")
-        if mac is not None and mac in self._mac_owner:
-            owner = self._mac_owner[mac].endpoint_id
+        if mac is not None and mac in self._routes:
+            owner = self._routes[mac][0]
             raise DuplicateEndpoint(f"MAC {mac} already owned by {owner!r}")
-        endpoint = Handle(self, endpoint_id, receive)
         self._endpoints.add(endpoint_id)
         if mac is not None:
-            self._mac_owner[mac] = endpoint
+            self._routes[mac] = endpoint_id, () if receive is None else (receive,)
         if injector:
             self._tap_ids += (endpoint_id,)
             if receive is not None:
                 self._tap_receivers += (receive,)
-        return endpoint
+        return Handle(self, endpoint_id)
 
     def run_until_idle(self, max_ticks: int = DEFAULT_MAX_TICKS) -> EventLog:
         """Advance ticks until no frames remain queued.
@@ -307,21 +318,23 @@ class Medium:
         ``len`` and which ``write_event_log`` writes; ``events`` is the
         whole log.  When a callback raises, the frames that had not
         reached their loss draw stay queued, ahead of any queued later.
-        The taps are read once per call.  Consecutive frames that are one
-        object, and a uniform entry, whose frames one ``tuple.count``
-        finds all equal, are routed once, their broadcast receivers
-        included.  Each copy costs its tap calls, a label reference, a
-        loss draw unless the loss is 0, and one call per receiver.  Once
-        every receiver answers a copy of a uniform entry true, and unless
-        a tap has a receiver, the rest of the entry costs one label
-        reference per copy, a loss draw unless the loss is 0, and one
-        ``receive(src, frame, copies)`` per receiver.
+        The taps are read once per call.  Routing is one lookup of the
+        routes ``attach`` fixed, which gives a label and a receiver tuple;
+        a broadcast lists the receivers of every route but the sender's.
+        Consecutive frames that are one object, and a uniform entry, whose
+        frames one ``tuple.count`` finds all equal, are routed once.  Each
+        copy costs its tap calls, a label reference, a loss draw unless the
+        loss is 0, and one call per receiver.  Once a copy of a uniform
+        entry is delivered and every receiver it has, if any, answers it
+        true, and unless a tap has a receiver, the rest of the entry costs
+        one label reference per copy, a loss draw unless the loss is 0, and
+        one ``receive(src, frame, copies)`` per receiver.
         """
         labels, dropped = self._labels, self._dropped
         start = len(self._records)
         keep, label, drop = self._records.append, labels.append, dropped.append
         draw, loss = self._loss_rng.random, self.loss_probability
-        mac_owner, tap_receivers = self._mac_owner, self._tap_receivers
+        routes, tap_receivers = self._routes, self._tap_receivers
         budget = max_ticks
         while self._pending:
             if budget <= 0:
@@ -347,16 +360,15 @@ class Medium:
                         if data is not routed:
                             # Short of the destination field when the frame is short.
                             dst = data[DST_OFFSET:DST_END]
-                            owner, routed = mac_owner.get(dst), data
-                            if owner is not None:
-                                dst_label, deliver = owner.endpoint_id, owner.receive
-                            else:
-                                dst_label = str(MacAddress(dst)) if len(dst) == 6 else "?"
-                                deliver = None
-                            broadcast = dst == BROADCAST
-                            if broadcast:
-                                others = [e for e in mac_owner.values() if e.endpoint_id != src]
-                                receivers = [e.receive for e in others if e.receive is not None]
+                            route = routes.get(dst)
+                            if route is None:
+                                route = str(MacAddress(dst)) if len(dst) == 6 else "?", ()
+                            dst_label, receivers = route
+                            if dst == BROADCAST:
+                                receivers = [
+                                    r for owner, own in routes.values() if owner != src for r in own
+                                ]
+                            routed = data
                             # Whether every receiver answered the last delivered copy true.
                             answered = False
                         elif answered and uniform and not tap_receivers:
@@ -372,20 +384,21 @@ class Medium:
                                 dropped.extend(ordinal for ordinal in ordinals if draw() < loss)
                                 copies -= len(dropped) - drops
                             if copies:
-                                for receive in receivers if broadcast else (deliver,):
+                                for receive in receivers:
                                     receive(src, data, copies)
                             break
-                        for receive in tap_receivers:
-                            receive(src, data)
+                        # Tested first: a loop over no taps still builds an iterator.
+                        if tap_receivers:
+                            for receive in tap_receivers:
+                                receive(src, data)
                         label(dst_label)
                         if loss and draw() < loss:
                             drop(len(labels) - 1)
                             continue
-                        if broadcast:
-                            # A list, not a generator: every receiver gets the copy.
-                            answered = all([receive(src, data) for receive in receivers])
-                        elif deliver is not None:
-                            answered = deliver(src, data)
+                        # True only if every receiver answers true; each gets the copy.
+                        answered = True
+                        for receive in receivers:
+                            answered = receive(src, data) and answered
                 except BaseException:
                     # Log the frames that reached their loss draw; queue the
                     # rest, and the entries not yet begun, ahead of any later.

@@ -13,8 +13,10 @@ counts as that many calls, and so may order calls across receivers
 differently.  The reference draws a loss for every frame, the library
 none at a loss of 0, where no draw could drop a frame.  When a callback
 raises, both leave queued the frames that had not reached their loss
-draw.  It shares ``Handle`` with the library, so that the same endpoint
-code can send on either, but none of its draining or logging code.
+draw.  It shares ``Handle``, the sending half of an endpoint, with the
+library, so that the same endpoint code can send on either; it keeps each
+endpoint's receiver in its own map, keyed by the ``Handle``, and shares
+none of the library's routing, draining or logging code.
 """
 
 import json
@@ -32,6 +34,8 @@ class ReferenceMedium:
         self.frames_dropped = 0
         self._endpoints = set()
         self._mac_owner = {}
+        # Each endpoint's receiver, or None, keyed by its Handle.
+        self._receivers = {}
         self._taps = []
         self._pending = []
         self._tick = 0
@@ -41,8 +45,9 @@ class ReferenceMedium:
         if self._tick:
             raise RuntimeError(f"cannot attach {endpoint_id!r}: the medium has run")
         assert endpoint_id not in self._endpoints and mac not in self._mac_owner
-        endpoint = Handle(self, endpoint_id, receive)
+        endpoint = Handle(self, endpoint_id)
         self._endpoints.add(endpoint_id)
+        self._receivers[endpoint] = receive
         if mac is not None:
             self._mac_owner[mac] = endpoint
         if injector:
@@ -88,8 +93,8 @@ class ReferenceMedium:
             log((tick, "injected", src, dst_label, data))
         for tap in self._taps:
             log((tick, "sniffed", src, tap.endpoint_id, data))
-            if tap.receive is not None:
-                tap.receive(src, data)
+            if self._receivers[tap] is not None:
+                self._receivers[tap](src, data)
         self.frames_sent += 1
         if self._loss_rng.random() < self.loss_probability:
             self.frames_dropped += 1
@@ -101,8 +106,8 @@ class ReferenceMedium:
         else:
             receivers = [owner] if owner is not None else []
         for endpoint in receivers:
-            if endpoint.receive is not None:
-                endpoint.receive(src, data)
+            if self._receivers[endpoint] is not None:
+                self._receivers[endpoint](src, data)
 
 
 def reference_write_event_log(events, stream):

@@ -5,7 +5,7 @@ import json
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from deauthsim.frames import (
     BROADCAST,
@@ -60,6 +60,11 @@ class Collector:
 STATION_MACS = [MacAddress(bytes([2, 0, 0, 0, 0x10, i])) for i in range(3)]
 UNOWNED_MAC = MacAddress.parse("02:99:99:99:99:99")
 PING, PONG, TEARDOWN = 0x10, 0x11, 0x0C
+
+
+def teardown(src, dst):
+    """A ``TEARDOWN`` frame of ``build_topology``'s traffic from ``src`` to ``dst``."""
+    return bytes([TEARDOWN]) + src + dst + bytes(2)
 
 
 def build_topology(medium, stations, taps):
@@ -173,9 +178,12 @@ class TestAttach:
         a = medium.attach("a", MAC_A, got)
         tap = medium.attach("tap", None, injector=True)
         assert isinstance(a, Handle)
-        assert (a.medium, a.endpoint_id, a.receive) == (medium, "a", got)
-        assert medium._mac_owner[MAC_A] is a
+        assert (a.medium, a.endpoint_id) == (medium, "a")
         assert medium._tap_ids == ("tap",)
+        tap.send((bare_frame(dst=MAC_A),))
+        events = read_events(medium.run_until_idle())
+        assert got.events == [("tap", bare_frame(dst=MAC_A))]
+        assert [dst for _, kind, _, dst, _ in events if kind == "delivered"] == ["a"]
 
 
 class TestDeliverySemantics:
@@ -378,17 +386,28 @@ class TestConservation:
 
 
 class TestLossModel:
-    def test_delivery_pattern_matches_independent_bernoulli_stream(self):
+    # One-frame entries go copy by copy; a uniform entry to MAC_B, whose
+    # owner has no receiver, or to an unowned MAC runs after its first copy.
+    @pytest.mark.parametrize(
+        "uniform, dst",
+        [(False, MAC_B), (True, MAC_B), (True, UNOWNED_MAC)],
+        ids=["one-frame-entries", "uniform-no-receiver", "uniform-unowned"],
+    )
+    def test_delivery_pattern_matches_independent_bernoulli_stream(self, uniform, dst):
         # One random() draw per processed frame, dropped when the draw
         # falls below the loss probability; replay the stream directly.
         loss, seed, sends = 0.3, 2024, 10_000
         medium = Medium(loss_probability=loss, seed=seed)
         a = medium.attach("a", MAC_A)
         medium.attach("b", MAC_B)
-        frame = bare_frame()
-        for _ in range(sends):
-            a.send((frame,))
+        frame = bare_frame(dst=dst)
+        if uniform:
+            a.send((frame,) * sends)
+        else:
+            for _ in range(sends):
+                a.send((frame,))
         events = read_events(medium.run_until_idle())
+        assert {to for _, _, _, to, _ in events} == {"b" if dst == MAC_B else str(dst)}
         outcomes = kinds(events)
         rng = Random(seed)
         expected = ["dropped" if rng.random() < loss else "delivered" for _ in range(sends)]
@@ -758,7 +777,7 @@ class TestRuns:
     @pytest.mark.parametrize("dst", [MAC_B, BROADCAST])
     def test_a_uniform_entry_under_a_tap_receiver_is_routed_once(self, dst):
         class Routes(dict):
-            """The owner table, counting lookups and broadcast receiver lists."""
+            """The route table, counting lookups and broadcast receiver lists."""
 
             lookups = lists = 0
 
@@ -776,7 +795,7 @@ class TestRuns:
         a = medium.attach("a", MAC_A)
         medium.attach("b", MAC_B, self.counted(calls))
         medium.attach("tap", None, tap, injector=True)
-        medium._mac_owner = Routes(medium._mac_owner)
+        medium._routes = Routes(medium._routes)
         a.send((f,) * 2 + (bytes(bytearray(f)),) * 2)
         assert len(medium.run_until_idle()) == 8
         assert calls == [(f,)] * 4, "a tap must see every copy, so every copy is a call"
@@ -808,14 +827,16 @@ class TestRuns:
 
     def test_a_broadcast_run_waits_for_every_receiver_to_answer_true(self):
         medium = Medium()
-        calls, quiet = [], []
+        calls, quiet, last = [], [], []
         f = bare_frame(dst=BROADCAST)
         a = medium.attach("a", MAC_A)
         medium.attach("b", MAC_B, self.counted(calls))
         medium.attach("c", MacAddress.parse("02:00:00:00:00:0c"), self.counted(quiet, False))
+        # A true answer after a false one does not start a run either.
+        medium.attach("d", MacAddress.parse("02:00:00:00:00:0d"), self.counted(last))
         a.send((f,) * 3)
         medium.run_until_idle()
-        assert (calls, quiet) == ([(f,)] * 3, [(f,)] * 3)
+        assert (calls, quiet, last) == ([(f,)] * 3, [(f,)] * 3, [(f,)] * 3)
 
     def test_a_receiver_that_raises_in_its_copies_call_has_its_run_logged_whole(self):
         medium = Medium()
@@ -848,6 +869,15 @@ class TestAgainstReference:
     """The record-per-entry log against the event-per-tuple drain in medium_reference.py."""
 
     @given(traffic=traffic_strategy())
+    # Uniform entries whose copies after the first form a run: one to an
+    # unowned MAC, with no receiver, and a tap's broadcast teardown, which
+    # runs once both "runs" stations have answered a copy true.
+    @example(traffic=(0.3, 1, ["runs"], [], [[(0, [teardown(STATION_MACS[0], UNOWNED_MAC)] * 6)]]))
+    @example(
+        traffic=(
+            0.3, 1, [None, "runs", "runs"], [False], [[(3, [teardown(UNOWNED_MAC, BROADCAST)] * 6)]]
+        )
+    )
     @settings(max_examples=150, deadline=None)
     def test_same_events_drains_bytes_and_callbacks(self, traffic):
         loss, seed, stations, taps, drains = traffic
