@@ -65,9 +65,9 @@ DEFAULT_REASON = 3
 
 # An attack step is one tuple, built whole before it is sent and kept
 # as is by the log, so the count is capped: a one-line config must not
-# exhaust memory.  At the cap a forged step's log costs 16 MB, unicast
-# or broadcast (a reference to its frame and one to its shared label per
-# frame); a token guess's distinct 34-byte frames add about 70 MB.
+# exhaust memory.  At the cap a forged step's log costs 8 MB, unicast
+# or broadcast (one reference to its frame per frame); a token guess's
+# distinct 34-byte frames add about 70 MB.
 MAX_FRAME_COUNT = 1_000_000
 
 

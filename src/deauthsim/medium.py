@@ -16,8 +16,8 @@ Endpoints are fixed once the medium has run: ``attach`` raises
 ``RuntimeError`` from the first tick on, so owners and taps never change
 during or after a drain; a callback that attaches gets that error, and
 the drain ends as for any raising callback.  So ``attach`` builds each
-owned MAC's route once: the owner's identifier, which labels the frames
-sent to it, and a tuple of its receiver, empty when it has none.  The
+owned MAC's route once: the owner's identifier, the logged ``to`` of the
+frames sent to it, and a tuple of its receiver, empty when it has none.  The
 medium keeps a receiver there or among its tap receivers, nowhere else.
 ``run_until_idle`` reads the taps and the loss draw once per call and
 drains an entry in one loop, reading its sender once; the per-frame
@@ -26,11 +26,10 @@ receivers through one sequence: its route's tuple, empty for a MAC
 nobody owns, or, for a broadcast, a list of the receivers of every
 route but the sender's.  Routing is done once for consecutive frames
 that are one object, whatever its destination: while the next frame
-``is`` the one last routed, its label and receivers are reused, so
-every copy shares one label string.  An entry whose frames are all
-equal, as a flood's are, is a uniform entry: its frames are copies of
-its first, which stands for each of them, so it is routed once even
-when its copies are distinct objects.
+``is`` the one last routed, its receivers are reused.  An entry whose
+frames are all equal, as a flood's are, is a uniform entry: its frames
+are copies of its first, which stands for each of them, so it is routed
+once even when its copies are distinct objects.
 
 A receiver is called ``receive(src, frame)`` with the sending endpoint's
 identifier and the frame's bytes, and its return value is a promise: a
@@ -42,7 +41,7 @@ answered it true, the copies that follow it reach each receiver in
 attach order as one call ``receive(src, frame, copies)``, ``copies``
 being how many of them the loss draw delivered; there is no call when it
 delivered none, nor for a copy that has no receiver.  Each of
-those copies keeps its label, and its loss draw in order.  A frame
+those copies keeps its ordinal, and its loss draw in order.  A frame
 repeated among other frames, in a mixed entry, is delivered copy by
 copy.  A receiver that returns ``None`` gets every copy as a call of
 its own.  So does every receiver of a medium with a tap receiver,
@@ -77,21 +76,27 @@ that has a ``len`` and that ``write_event_log`` writes, one JSON line
 per event ``(tick, kind, from, to, frame)``, kind being its log word.
 No event is stored.  The drain keeps one record per queue entry,
 ``(tick, from, frames, first)``, where ``first`` is the ordinal of the
-entry's first frame, one destination label per frame in one flat list,
-and the ordinal of each dropped frame, in increasing order, in one
-``array('q')``.  So a flood costs two references per
-frame and a dropped frame 8 bytes more, and the records are tuples of
-atomic values that the cyclic GC stops tracking.  ``write_event_log`` is
-the one reader that expands the records into events: it walks the
-dropped ordinals alongside the frames from a ``bisect`` to the view's
-first one and formats each line straight from the records, the same
-bytes as ``json.dumps`` with compact separators.
+entry's first frame, and the ordinal of each dropped frame, in
+increasing order, in one ``array('q')``.  A frame's ``to`` is not
+stored: it follows from the frame's destination bytes and the routes,
+which are fixed once the medium has run.  So a flood costs one
+reference per frame, in the caller's tuple, and a dropped frame 8 bytes
+more, and the records are tuples of atomic values that the cyclic GC
+stops tracking.  ``write_event_log`` is the one reader that expands the
+records into events.  It derives each frame's ``to`` from the routes,
+once per distinct frame object: an owned MAC is written as its owner's
+identifier, any other MAC, broadcast included, as its text, and a frame
+too short for a destination as ``"?"``.  It walks the dropped ordinals
+alongside the frames from a ``bisect`` to the view's first one and
+formats each line straight from the records, the same bytes as
+``json.dumps`` with compact separators.
 
 Totals are read from the log, not counted beside it: ``frames_sent`` is
-the number of labels, one per frame that reached its loss draw, so it
-always equals delivered plus dropped; ``frames_dropped`` is the length
-of the dropped array; and a view's ``len`` adds up, per record, its
-frames times the events each frame leaves, one step per record.
+the ordinal that follows the last record's frames, 0 with no records,
+and ``frames_dropped`` counts the dropped ordinals below it, so
+``frames_sent`` always equals delivered plus dropped; and a view's
+``len`` adds up, per record, its frames times the events each frame
+leaves, one step per record.
 
 Three cases are worth knowing when a callback acts during a drain.  The
 first two are where keeping the log per entry differs from storing each
@@ -103,8 +108,8 @@ event as it happens:
   whose ``copies`` call raised, and a frame whose tap callback raised
   is not logged at all, with no ``injected`` or ``sniffed`` event;
 * the events of an entry join the log when the entry is done, so a
-  callback reading ``events`` during a drain does not see the entry it
-  is part of;
+  callback reading ``events`` or either total during a drain does not
+  see the entry it is part of;
 * when a callback raises, every frame that had not reached its loss draw
   stays queued, in order: the rest of the interrupted entry, then the
   entries of that tick's batch not yet begun, all ahead of the frames
@@ -180,27 +185,44 @@ def write_event_log(events: EventLog, stream: IO[str]) -> None:
     separators.  The tick is an int, the kind a fixed ASCII word and the
     frame hex, so only the two endpoint labels need JSON string quoting.
     The lines are formatted straight from the log's records: one
-    ``hex()`` per frame and one quote per distinct label.
+    ``hex()`` per frame, one route lookup per distinct frame object and
+    one quote per distinct endpoint or destination.
     """
     # Imported here, so that importing the package does not load json.
     from json.encoder import encode_basestring_ascii as quote
 
     write = stream.write
     medium = events._medium
-    labels, dropped, taps = medium._labels, medium._dropped, medium._tap_ids
+    routes, dropped, taps = medium._routes, medium._dropped, medium._tap_ids
     records = medium._records[events._start : events._stop]
     # The dropped ordinals from the view's first frame on.
     drops = islice(dropped, bisect_left(dropped, records[0][3] if records else 0), None)
     drop = next(drops, -1)
     sniffers = tuple(map(quote, taps))
     quoted = dict(zip(taps, sniffers))
+    # The quoted ``to`` of each destination field met so far, taken from
+    # ``quoted``, so that an id is quoted and kept once as sender and owner.
+    destinations: dict[bytes, str] = {}
+    # The last frame object whose ``to`` was found.
+    labelled = None
     for tick, src, frames, first in records:
         injected = src in taps
         head = f'{{"tick":{tick},"kind":"'
         sent = f'","from":{quoted.get(src) or quoted.setdefault(src, quote(src))},"to":'
         for ordinal, data in enumerate(frames, first):
-            dst = labels[ordinal]
-            to = quoted.get(dst) or quoted.setdefault(dst, quote(dst))
+            if data is not labelled:
+                # Short of the destination field when the frame is short.
+                dst = data[DST_OFFSET:DST_END]
+                to = destinations.get(dst)
+                if to is None:
+                    route = routes.get(dst)
+                    if route:
+                        label = route[0]
+                    else:
+                        label = str(MacAddress(dst)) if len(dst) == 6 else "?"
+                    to = quoted.get(label) or quoted.setdefault(label, quote(label))
+                    destinations[dst] = to
+                labelled = data
             tail = f',"frame":"{data.hex()}"}}\n'
             if injected:
                 write(f"{head}injected{sent}{to}{tail}")
@@ -243,14 +265,12 @@ class Medium:
         # Taken as given: ScenarioConfig refuses a probability outside [0, 1].
         self.loss_probability = loss_probability
         self._records: list[_Record] = []
-        # One destination label per logged frame, indexed by its ordinal.
-        self._labels: list[str] = []
         # The ordinal of each dropped frame, in increasing order.
         self._dropped = array("q")
         self._endpoints: set[str] = set()
-        # Each owned MAC's route, fixed by ``attach``: the owner's id, which
-        # labels the frames sent to it, and its receiver as a tuple, empty
-        # when it has none.  A MacAddress hashes and compares as its octets,
+        # Each owned MAC's route, fixed by ``attach``: the owner's id, the
+        # logged ``to`` of the frames sent to it, and its receiver as a
+        # tuple, empty when it has none.  A MacAddress hashes and compares as its octets,
         # so routing looks a frame's raw destination bytes up here without
         # building one.
         self._routes: dict[bytes, tuple[str, tuple[Receiver, ...]]] = {}
@@ -270,12 +290,17 @@ class Medium:
     @property
     def frames_sent(self) -> int:
         """How many frames reached their loss draw: delivered plus dropped."""
-        return len(self._labels)
+        if not self._records:
+            return 0
+        _, _, frames, first = self._records[-1]
+        return first + len(frames)
 
     @property
     def frames_dropped(self) -> int:
         """How many processed frames the loss draw dropped."""
-        return len(self._dropped)
+        # Only the logged ones: a drain appends a dropped ordinal before it
+        # keeps its entry's record.
+        return bisect_left(self._dropped, self.frames_sent)
 
     def attach(
         self,
@@ -319,20 +344,22 @@ class Medium:
         whole log.  When a callback raises, the frames that had not
         reached their loss draw stay queued, ahead of any queued later.
         The taps are read once per call.  Routing is one lookup of the
-        routes ``attach`` fixed, which gives a label and a receiver tuple;
-        a broadcast lists the receivers of every route but the sender's.
-        Consecutive frames that are one object, and a uniform entry, whose
-        frames one ``tuple.count`` finds all equal, are routed once.  Each
-        copy costs its tap calls, a label reference, a loss draw unless the
-        loss is 0, and one call per receiver.  Once a copy of a uniform
-        entry is delivered and every receiver it has, if any, answers it
-        true, and unless a tap has a receiver, the rest of the entry costs
-        one label reference per copy, a loss draw unless the loss is 0, and
-        one ``receive(src, frame, copies)`` per receiver.
+        routes ``attach`` fixed, which gives a receiver tuple; a broadcast
+        lists the receivers of every route but the sender's.  Consecutive
+        frames that are one object, and a uniform entry, whose frames one
+        ``tuple.count`` finds all equal, are routed once.  Each copy costs
+        its tap calls, a loss draw unless the loss is 0, and one call per
+        receiver; the log keeps the entry's tuple, and nothing per copy but
+        a dropped copy's ordinal.  Once a copy of a uniform entry is
+        delivered and every receiver it has, if any, answers it true, and
+        unless a tap has a receiver, the rest of the entry costs a loss
+        draw per copy unless the loss is 0, and one
+        ``receive(src, frame, copies)`` per receiver.
         """
-        labels, dropped = self._labels, self._dropped
+        dropped = self._dropped
         start = len(self._records)
-        keep, label, drop = self._records.append, labels.append, dropped.append
+        first = self.frames_sent
+        keep, drop = self._records.append, dropped.append
         draw, loss = self._loss_rng.random, self.loss_probability
         routes, tap_receivers = self._routes, self._tap_receivers
         budget = max_ticks
@@ -347,23 +374,27 @@ class Medium:
             entries = iter(batch)
             for sender, frames in entries:
                 src = sender.endpoint_id
-                first = len(labels)
                 size = len(frames)
                 # A uniform entry, all its frames equal, is sent as copies of
                 # its first.  Its ends are compared first, so that an entry of
                 # distinct token guesses is not counted.
                 uniform = size > 1 and frames[-1] == frames[0] and frames.count(frames[0]) == size
+                # The frame taken last is followed by
+                # ``rest.__length_hint__()`` frames of the entry, so its
+                # ordinal is ``first + size - 1`` less that.  It is read only
+                # where an ordinal is needed: an int past 256 allocates.
+                rest = iter(repeat(frames[0], size) if uniform else frames)
+                # Whether a run has begun, and whether a copy is at its taps.
+                run = tapping = False
                 # The last frame object routed below.
                 routed = None
                 try:
-                    for data in repeat(frames[0], size) if uniform else frames:
+                    for data in rest:
                         if data is not routed:
                             # Short of the destination field when the frame is short.
                             dst = data[DST_OFFSET:DST_END]
                             route = routes.get(dst)
-                            if route is None:
-                                route = str(MacAddress(dst)) if len(dst) == 6 else "?", ()
-                            dst_label, receivers = route
+                            receivers = route[1] if route else ()
                             if dst == BROADCAST:
                                 receivers = [
                                     r for owner, own in routes.values() if owner != src for r in own
@@ -375,12 +406,12 @@ class Medium:
                             # Nothing has changed since: the rest of the entry
                             # reaches each receiver as one count.  A tap
                             # receiver must see each copy, so it turns runs off.
-                            ordinals = range(len(labels), first + size)
-                            copies = len(ordinals)
-                            labels.extend(repeat(dst_label, copies))
+                            run = True
+                            copies = rest.__length_hint__() + 1
                             # No copy is delivered at loss 1, so no run starts there.
                             if loss:
                                 drops = len(dropped)
+                                ordinals = range(first + size - copies, first + size)
                                 dropped.extend(ordinal for ordinal in ordinals if draw() < loss)
                                 copies -= len(dropped) - drops
                             if copies:
@@ -389,24 +420,28 @@ class Medium:
                             break
                         # Tested first: a loop over no taps still builds an iterator.
                         if tap_receivers:
+                            tapping = True
                             for receive in tap_receivers:
                                 receive(src, data)
-                        label(dst_label)
+                            tapping = False
                         if loss and draw() < loss:
-                            drop(len(labels) - 1)
+                            drop(first + size - 1 - rest.__length_hint__())
                             continue
                         # True only if every receiver answers true; each gets the copy.
                         answered = True
                         for receive in receivers:
                             answered = receive(src, data) and answered
                 except BaseException:
-                    # Log the frames that reached their loss draw; queue the
-                    # rest, and the entries not yet begun, ahead of any later.
-                    done = len(labels) - first
+                    # Log the frames that reached their loss draw: every one
+                    # taken but a copy at its taps, or the whole entry once a
+                    # run has begun.  Queue the rest, and the entries not yet
+                    # begun, ahead of any later.
+                    done = size if run else size - rest.__length_hint__() - tapping
                     if done:
                         keep((tick, src, frames[:done], first))
                     unsent = [(sender, frames[done:])] if done < size else []
                     self._pending[:0] = [*unsent, *entries]
                     raise
                 keep((tick, src, frames, first))
+                first += size
         return EventLog(self, start, len(self._records))

@@ -3,8 +3,9 @@
 This is the straightforward drain: it builds and stores every event as a
 tuple ``(tick, kind, from, to, frame)`` at the moment it happens, and the
 writer formats one line per stored tuple.  The library's ``Medium``
-stores one record per queue entry and one label per frame, and rebuilds
-the events from them; for the same traffic, both must log the same
+stores one record per queue entry and the ordinals of the dropped
+frames, and rebuilds the events from them, each destination from its
+routes; for the same traffic, both must log the same
 events in the same order, return the same events from each drain, write
 the same bytes and hand each receiver the same frames in the same order.
 The reference hands over every copy as a call of its own; the library

@@ -548,6 +548,26 @@ class TestCallbacksDuringADrain:
     """Where the record-per-entry log differs from storing one event at a time,
     and what a callback that attaches an endpoint gets."""
 
+    def test_a_callback_does_not_see_the_entry_it_is_part_of(self):
+        # Seed 0 delivers the first entry's frame and, in the second,
+        # drops the middle two of four.
+        medium = Medium(loss_probability=0.5, seed=0)
+        seen = []
+
+        def read_the_log(src, frame):
+            seen.append((len(medium.events), medium.frames_sent, medium.frames_dropped))
+
+        a = medium.attach("a", MAC_A)
+        medium.attach("b", MAC_B, read_the_log)
+        frames = tuple(distinct_frames(5))
+        a.send(frames[:1])
+        a.send(frames[1:])
+        medium.run_until_idle()
+        # An entry's events, and its frames in both totals, join the log
+        # once the whole entry is done.
+        assert seen == [(0, 0, 0), (1, 1, 0), (1, 1, 0)]
+        assert (len(medium.events), medium.frames_sent, medium.frames_dropped) == (5, 5, 2)
+
     def test_a_delivery_callback_that_raises_keeps_its_frame_whole(self):
         medium = Medium()
         tap = Collector()
