@@ -17,7 +17,10 @@ The information element block is present only on frames that carry a
 hash commitment or a revealed token, so the only legal encoded sizes
 are 15 (bare), 82 (hash) and 34 (token) bytes.  A ``ManagementFrame``
 holds either as plain bytes in its ``commitment`` or ``token`` field;
-this module alone knows the element's id, kind bytes and sizes.
+this module alone knows the element's id, kind bytes and sizes.  It
+names a token frame's size, ``TOKEN_FRAME_SIZE``, and where its token
+starts, ``TOKEN_OFFSET``, for a station that tells two guesses apart by
+their tokens alone.
 
 Both values are immutable and cheap to build, since every frame on the
 air is decoded into one: a ``MacAddress`` is a ``bytes`` subclass, so it
@@ -40,15 +43,6 @@ layout rules come down to three checks, made in this order: the size is
 15, 34 or 82 bytes, the subtype code is known, and the 3-byte element
 header is the one for that size (none, on the bare frame).  Input that
 fails one raises a plain ``DecodeError`` whose message names that check.
-
-It remembers the two addresses of the frame it decoded last, because
-consecutive frames often share a sender or a receiver, as every token
-guess does: a ``src`` or ``dst`` whose octets equal the last one's is
-that ``MacAddress`` object, not a new one.  That is safe because
-addresses are immutable, errors are never kept, and one pair is all it
-holds; it keeps no bytes of its input.  A repeated frame is recognised
-by the medium, not here: it hands a receiver the rest of a uniform
-entry as one count, and a station judges every frame it is handed.
 """
 
 from __future__ import annotations
@@ -77,11 +71,14 @@ _TOKEN_ELEMENT_HEADER = bytes((IE_ELEMENT_ID, TOKEN_SIZE + 1, PAYLOAD_TOKEN))
 # The two element-bearing sizes, each read whole by one struct.
 _TOKEN_FRAME = struct.Struct(f"{HEADER_FORMAT}3s{TOKEN_SIZE}s")
 _HASH_FRAME = struct.Struct(f"{HEADER_FORMAT}3s{DIGEST_SIZE}s")
-_TOKEN_FRAME_SIZE = _TOKEN_FRAME.size
+TOKEN_FRAME_SIZE = _TOKEN_FRAME.size
+# Where a token frame's token starts: all it has before is its header and
+# its element's header.
+TOKEN_OFFSET = TOKEN_FRAME_SIZE - TOKEN_SIZE
 _HASH_FRAME_SIZE = _HASH_FRAME.size
 
 # The only sizes encode_frame can emit: bare, with hash, with token.
-CANONICAL_FRAME_SIZES = frozenset({HEADER_SIZE, _HASH_FRAME_SIZE, _TOKEN_FRAME_SIZE})
+CANONICAL_FRAME_SIZES = frozenset({HEADER_SIZE, _HASH_FRAME_SIZE, TOKEN_FRAME_SIZE})
 
 
 class DecodeError(ValueError):
@@ -196,15 +193,10 @@ def encode_frame(frame: ManagementFrame) -> bytes:
     return header
 
 
-# The last frame's (src, dst), lent to the next decode; see the module docstring.
-_last_addresses: tuple[MacAddress, MacAddress] = (BROADCAST, BROADCAST)
-
-
 def decode_frame(data: bytes) -> ManagementFrame:
     """Parse a bytes-like object into a frame, raising ``DecodeError`` on anything malformed."""
-    global _last_addresses
     size = len(data)
-    if size == _TOKEN_FRAME_SIZE:
+    if size == TOKEN_FRAME_SIZE:
         code, src_raw, dst_raw, status, element, token = _TOKEN_FRAME.unpack(data)
         commitment = None
         valid = element == _TOKEN_ELEMENT_HEADER
@@ -225,10 +217,7 @@ def decode_frame(data: bytes) -> ManagementFrame:
         raise DecodeError(f"element header {element.hex()} is not the one for {size} bytes")
 
     # struct and the checks above fixed every size and range, so the
-    # values are built without running their constructors' checks again;
-    # an address equal to the last frame's is that frame's object.
-    last_src, last_dst = _last_addresses
-    src = last_src if src_raw == last_src else bytes.__new__(MacAddress, src_raw)
-    dst = last_dst if dst_raw == last_dst else bytes.__new__(MacAddress, dst_raw)
-    _last_addresses = src, dst
+    # values are built without running their constructors' checks again.
+    src = bytes.__new__(MacAddress, src_raw)
+    dst = bytes.__new__(MacAddress, dst_raw)
     return tuple.__new__(ManagementFrame, (subtype, src, dst, status, commitment, token))

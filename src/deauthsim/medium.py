@@ -42,10 +42,30 @@ attach order as one call ``receive(src, frame, copies)``, ``copies``
 being how many of them the loss draw delivered; there is no call when it
 delivered none, nor for a copy that has no receiver.  Each of
 those copies keeps its ordinal, and its loss draw in order.  A frame
-repeated among other frames, in a mixed entry, is delivered copy by
-copy.  A receiver that returns ``None`` gets every copy as a call of
-its own.  So does every receiver of a medium with a tap receiver,
-because a tap must see each copy as it is sent.
+repeated among other frames, in a mixed entry, forms no run: it is
+delivered copy by copy, or in a batch as below.  A receiver that
+returns ``None`` gets every copy as a call of its own.  So does every
+receiver of a medium with a tap receiver, because a tap must see each
+copy as it is sent.
+
+A batch is the rest of an entry that is not uniform, for one receiver.
+A receiver opts in by answering ``BATCH``, a true value that promises
+what any true value does; plain truth does not opt in.  Such an entry
+is checked once, at the first of its frames that is delivered and
+answered true.  When that frame went to a unicast route's receiver,
+which answered it ``BATCH``, every frame of the entry has that frame's
+destination bytes, and no tap has a receiver, the medium draws the
+losses of all the frames after it first, in order, recording the
+dropped ordinals, and then hands the receiver the delivered ones as
+``receive(src, frames, start, stop)``, one call per stretch
+``frames[start:stop]`` of frames between two dropped ones, ``frames``
+being the entry's own tuple.  Nothing else can run between two frames
+of such an entry, and the loss stream is the medium's alone, so the
+log, the loss pattern and what the receiver is handed are those of the
+frames delivered one by one.  The opt-in travels in the answer, not in
+``attach``, so that a wrapped receiver keeps it.  An entry that fails
+the check, or has no frame delivered and answered true, is delivered
+copy by copy, and so are the frames up to the one checked.
 
 Processing a frame emits, in order, an ``injected`` event when the
 sender is a tap, one ``sniffed`` event per tap, and then exactly one
@@ -105,14 +125,16 @@ event as it happens:
 * when a callback raises, the interrupted entry logs the frames that
   reached their loss draw, each with all its events: a frame whose
   delivery callback raised is logged whole, so is every copy of a run
-  whose ``copies`` call raised, and a frame whose tap callback raised
-  is not logged at all, with no ``injected`` or ``sniffed`` event;
+  whose ``copies`` call raised, and so is the whole entry of a batch
+  call that raised, since every loss of a batch is drawn before its
+  first call; a frame whose tap callback raised is not logged at all,
+  with no ``injected`` or ``sniffed`` event;
 * the events of an entry join the log when the entry is done, so a
   callback reading ``events`` or either total during a drain does not
   see the entry it is part of;
 * when a callback raises, every frame that had not reached its loss draw
   stays queued, in order: the rest of the interrupted entry, then the
-  entries of that tick's batch not yet begun, all ahead of the frames
+  entries of that tick's queue not yet begun, all ahead of the frames
   that callbacks queued during the tick.  The next ``run_until_idle``
   processes them, so a frame whose tap callback raised is shown again
   to the taps before that one.
@@ -146,9 +168,15 @@ class TickLimitExceeded(Exception):
     """The tick budget ran out with frames still queued."""
 
 
-# ``receive(src, frame)``, or ``receive(src, frame, copies)`` for the equal
-# frames left in a uniform entry once it has answered one of them true.
-Receiver = Callable[..., bool | None]
+# ``receive(src, frame)``; ``receive(src, frame, copies)`` for the equal
+# frames left in a uniform entry once it has answered one of them true; and
+# ``receive(src, frames, start, stop)`` for a stretch ``frames[start:stop]``
+# of the rest of an entry for it alone, once it has answered one ``BATCH``.
+Receiver = Callable[..., object]
+
+# The answer that promises what a true one does and asks for the rest of an
+# entry for this receiver alone as batch calls.  An ``object()`` is true.
+BATCH = object()
 
 # One processed queue entry: (tick, from, frames, ordinal of its first
 # frame).  The entry was injected when ``from`` is a tap id.
@@ -350,11 +378,17 @@ class Medium:
         ``tuple.count`` finds all equal, are routed once.  Each copy costs
         its tap calls, a loss draw unless the loss is 0, and one call per
         receiver; the log keeps the entry's tuple, and nothing per copy but
-        a dropped copy's ordinal.  Once a copy of a uniform entry is
-        delivered and every receiver it has, if any, answers it true, and
-        unless a tap has a receiver, the rest of the entry costs a loss
-        draw per copy unless the loss is 0, and one
-        ``receive(src, frame, copies)`` per receiver.
+        a dropped copy's ordinal.  Unless a tap has a receiver, the rest of
+        an entry costs a loss draw per frame unless the loss is 0, and then
+        one call: once a copy of a uniform entry is delivered and every
+        receiver it has, if any, answers it true, one
+        ``receive(src, frame, copies)`` per receiver; and once the first
+        frame of any other entry that is delivered and answered true went
+        to a unicast route's receiver, which answered it ``BATCH``, and
+        one destination compare per frame finds the whole entry going
+        there, one ``receive(src, frames, start, stop)`` per stretch of
+        delivered frames.  Every loss of the rest is drawn before the
+        first call, and an entry is checked for a batch only once.
         """
         dropped = self._dropped
         start = len(self._records)
@@ -369,9 +403,9 @@ class Medium:
                 raise TickLimitExceeded(f"{queued} frames still queued after {max_ticks} ticks")
             budget -= 1
             self._tick = tick = self._tick + 1
-            batch, self._pending = self._pending, []
+            queue, self._pending = self._pending, []
             # An iterator, so that a raising callback finds the entries not yet begun.
-            entries = iter(batch)
+            entries = iter(queue)
             for sender, frames in entries:
                 src = sender.endpoint_id
                 size = len(frames)
@@ -384,12 +418,46 @@ class Medium:
                 # ordinal is ``first + size - 1`` less that.  It is read only
                 # where an ordinal is needed: an int past 256 allocates.
                 rest = iter(repeat(frames[0], size) if uniform else frames)
-                # Whether a run has begun, and whether a copy is at its taps.
+                # Whether the rest of the entry has been handed over, and
+                # whether a copy is at its taps.
                 run = tapping = False
-                # The last frame object routed below.
-                routed = None
+                # The last frame object routed below; whether every receiver
+                # answered the last delivered copy true, with one receiver its
+                # own answer; and whether the rest may still be handed over,
+                # which a tap receiver, seeing each copy, rules out.
+                routed, answered, whole = None, None, not tap_receivers
                 try:
                     for data in rest:
+                        if answered and whole:
+                            # Nothing has changed since that copy, so the rest of a
+                            # uniform entry reaches each receiver as one count.  The
+                            # rest of any other entry reaches that copy's receiver
+                            # in batches if it is a unicast route's one receiver,
+                            # answered ``BATCH``, and every frame has that copy's
+                            # destination.  That is checked once, here, per entry.
+                            taken = size - 1 - rest.__length_hint__()
+                            one = answered is BATCH and dst != BROADCAST
+                            if uniform or one and all(m[DST_OFFSET:DST_END] == dst for m in frames):
+                                run = True
+                                # Every loss of the rest is drawn before any call.
+                                drops = len(dropped)
+                                if loss:
+                                    ordinals = range(first + taken, first + size)
+                                    dropped.extend(ordinal for ordinal in ordinals if draw() < loss)
+                                if uniform:
+                                    copies = size - taken - (len(dropped) - drops)
+                                    if copies:
+                                        for receive in receivers:
+                                            receive(src, data, copies)
+                                else:
+                                    # One call to ``receive``, the route's receiver,
+                                    # per stretch of frames between two dropped ones.
+                                    for stop in (*dropped[drops:], first + size):
+                                        if first + taken < stop:
+                                            receive(src, frames, taken, stop - first)
+                                        taken = stop + 1 - first
+                                break
+                            whole = False
                         if data is not routed:
                             # Short of the destination field when the frame is short.
                             dst = data[DST_OFFSET:DST_END]
@@ -400,24 +468,6 @@ class Medium:
                                     r for owner, own in routes.values() if owner != src for r in own
                                 ]
                             routed = data
-                            # Whether every receiver answered the last delivered copy true.
-                            answered = False
-                        elif answered and uniform and not tap_receivers:
-                            # Nothing has changed since: the rest of the entry
-                            # reaches each receiver as one count.  A tap
-                            # receiver must see each copy, so it turns runs off.
-                            run = True
-                            copies = rest.__length_hint__() + 1
-                            # No copy is delivered at loss 1, so no run starts there.
-                            if loss:
-                                drops = len(dropped)
-                                ordinals = range(first + size - copies, first + size)
-                                dropped.extend(ordinal for ordinal in ordinals if draw() < loss)
-                                copies -= len(dropped) - drops
-                            if copies:
-                                for receive in receivers:
-                                    receive(src, data, copies)
-                            break
                         # Tested first: a loop over no taps still builds an iterator.
                         if tap_receivers:
                             tapping = True
@@ -427,10 +477,11 @@ class Medium:
                         if loss and draw() < loss:
                             drop(first + size - 1 - rest.__length_hint__())
                             continue
-                        # True only if every receiver answers true; each gets the copy.
+                        # Every receiver gets the copy.
                         answered = True
                         for receive in receivers:
-                            answered = receive(src, data) and answered
+                            answer = receive(src, data)
+                            answered = answered and answer
                 except BaseException:
                     # Log the frames that reached their loss draw: every one
                     # taken but a copy at its taps, or the whole entry once a

@@ -78,7 +78,7 @@ from typing import get_args, get_origin, get_type_hints
 
 from .adversary import MAX_FRAME_COUNT, Adversary, AttackerConfig
 from .frames import TEARDOWN_SUBTYPES, FrameSubtype, MacAddress
-from .medium import DEFAULT_MAX_TICKS, EventLog, Medium, Receiver
+from .medium import BATCH, DEFAULT_MAX_TICKS, EventLog, Medium, Receiver
 from .stations import (
     AccessPoint,
     ClientStation,
@@ -430,11 +430,17 @@ class ScenarioRun:
     kept.  ``deliver`` counts straight into ``outcome``, the run's one
     ``ScenarioOutcome``: per-cause counts for the subtypes in
     ``COUNTED_SUBTYPES`` and accepted frames injected by an adversary.
-    It answers the medium true for a teardown its station did not
-    accept, the one verdict safe to repeat (``stations``), and the
-    medium then hands it the equal frames left in that queue entry as one
-    count, which it adds to that verdict's tally without judging them
-    again.
+    It answers the medium ``BATCH``, a true value, for a teardown its
+    station did not accept, the one verdict safe to repeat
+    (``stations``), and a false value for any other verdict, or for a
+    frame given none.  The medium then
+    hands it the equal frames left in a uniform queue entry as one count,
+    which it adds to that verdict's tally without judging them again, or
+    the rest of any other entry for this station alone as batch calls,
+    whose frames ``Station.receive_frames`` judges in one loop and whose
+    verdicts, each with how many frames in a row got it, are tallied as
+    they come.  Every callback shares one tally function, so a batch adds
+    no closure or cell per station.
     The run itself counts the teardowns that ``deauth`` steps sent and no
     receiver has accepted yet.  ``execute`` performs each script action
     and then fills in the rest of the outcome: the medium's totals,
@@ -462,35 +468,47 @@ class ScenarioRun:
 
         protected = cfg.mode is Mode.PROTECTED
 
+        def tally(src: str, frame, verdict, count: int) -> object:
+            """Count ``count`` frames from ``src`` that got ``verdict`` in a row.
+
+            Answers ``BATCH`` for a teardown not accepted, the one verdict
+            safe to repeat, and a false value for any other.
+            """
+            if frame.subtype in COUNTED_SUBTYPES:
+                verdicts[verdict.cause] = verdicts.get(verdict.cause, 0) + count
+            if verdict.action is not _ACCEPT:
+                return frame.subtype in TEARDOWN_SUBTYPES and BATCH
+            if src in self.adversary_ids:
+                outcome.attack_success_count += 1
+            elif frame.subtype in TEARDOWN_SUBTYPES:
+                self.unaccepted_teardowns -= 1
+
         # The medium's callback per station: a plain function, not a
         # ``functools.partial`` of a method, so that each delivery is a
         # Python-to-Python call.  Defined here, every callback shares this
-        # frame's cells for ``self``, ``outcome`` and ``verdicts`` and has
-        # two of its own, for its station and its last tallied cause: each
-        # cell costs memory per station.
+        # frame's cells for ``tally`` and ``verdicts`` and has two of its
+        # own, for its station and its last tallied cause: each cell costs
+        # memory per station.
         def deliverer(station: Station) -> Receiver:
             cause = None
 
-            def deliver(src: str, data: bytes, copies: int = 0) -> bool | None:
+            def deliver(src: str, data, copies: int = 0, stop: int = 0) -> object:
                 nonlocal cause
-                if copies:
+                if stop:
+                    # A batch: ``data`` is the entry, and ``data[copies:stop]``
+                    # the stretch of it handed over.
+                    for frame, verdict, count in station.receive_frames(data, copies, stop):
+                        tally(src, frame, verdict, count)
+                elif copies:
                     # More copies of the teardown just answered true.
                     verdicts[cause] += copies
-                    return
-                result = station.receive_frame(data)
-                if result is None:
-                    return
-                frame, verdict = result
-                if frame.subtype in COUNTED_SUBTYPES:
-                    cause = verdict.cause
-                    verdicts[cause] = verdicts.get(cause, 0) + 1
-                if verdict.action is _ACCEPT:
-                    if src in self.adversary_ids:
-                        outcome.attack_success_count += 1
-                    elif frame.subtype in TEARDOWN_SUBTYPES:
-                        self.unaccepted_teardowns -= 1
-                # Safe to repeat: the medium may hand over further copies as one count.
-                return verdict.action is not _ACCEPT and frame.subtype in TEARDOWN_SUBTYPES
+                elif result := station.receive_frame(data):
+                    cause = result[1].cause
+                    # ``BATCH`` when safe to repeat: the medium may then hand
+                    # over further copies as one count, or the rest of the
+                    # entry in batches.  Passed one by one: a call with ``*``
+                    # costs about three plain ones.
+                    return tally(src, result[0], result[1], 1)
 
             return deliver
 

@@ -47,6 +47,16 @@ An ACCEPT deletes a session, and a handshake frame is answered each
 time.  ``receive_frame`` judges every frame it is handed; a flood's
 further copies reach a station as one count only through the medium
 (``scenario.ScenarioRun``).
+
+Beside it, ``receive_frames`` judges a stretch of a queue entry handed
+over in one call, in order, with the verdicts ``receive_frame`` would
+give its frames one by one.  A frame with the size and the first
+``frames.TOKEN_OFFSET`` bytes of a frame just judged ``token_mismatch``
+or ``no_session`` differs from that frame only in its token, and
+nothing has changed since.  So it finds no session either, or only its
+token is hashed and compared with the stored commitment.  A match, or
+any other frame, goes through ``receive_frame``: an accepted guess in
+the middle deletes the session, and the guesses after it find none.
 """
 
 from __future__ import annotations
@@ -59,6 +69,8 @@ from typing import Callable
 from .frames import (
     BROADCAST,
     TEARDOWN_SUBTYPES,
+    TOKEN_FRAME_SIZE,
+    TOKEN_OFFSET,
     DecodeError,
     FrameSubtype,
     MacAddress,
@@ -265,6 +277,37 @@ class Station:
         if frame.subtype in TEARDOWN_SUBTYPES:
             return frame, self.verify_deauth(frame)
         return self._dispatch(frame)  # each role answers its own handshake frames
+
+    def receive_frames(self, frames: tuple[bytes, ...], start: int, stop: int) -> list[list]:
+        """Judge ``frames[start:stop]`` in order, as ``receive_frame`` would one by one.
+
+        Returns one ``[frame, verdict, count]`` per frame given a verdict,
+        in order, where ``count`` frames in a row got it: that frame and
+        the ones after it judged without a decode.  After a
+        ``token_mismatch`` or a ``no_session``, a frame of the same size
+        with the same first ``TOKEN_OFFSET`` bytes differs only in its
+        token, so it gets ``no_session`` again, or has only its token
+        hashed and compared with the commitment.  A match, or any other
+        frame, goes through ``receive_frame``.
+        """
+        # The verdicts so far, and the last frame's bytes before its token
+        # with its sender's session, while it got one of those two.
+        judged, prefix, record = [], None, None
+        # Indexed: islice would step through ``frames[:start]`` first, and
+        # ``map(frames.__getitem__, ...)`` costs a call per frame.
+        for index in range(start, stop):
+            data = frames[index]
+            if len(data) == TOKEN_FRAME_SIZE and data[:TOKEN_OFFSET] == prefix:
+                if record is None or hash_token(data[TOKEN_OFFSET:]) != record.peer_hash:
+                    judged[-1][2] += 1
+                    continue
+            result = self.receive_frame(data)
+            prefix = None
+            if result is not None:
+                judged.append([*result, 1])
+                if result[1] is _IGNORE_TOKEN_MISMATCH or result[1] is _IGNORE_NO_SESSION:
+                    prefix, record = data[:TOKEN_OFFSET], self.sessions.get(result[0].src)
+        return judged
 
 
 class ClientStation(Station):

@@ -11,10 +11,16 @@ the same bytes and hand each receiver the same frames in the same order.
 The reference hands over every copy as a call of its own; the library
 may hand a receiver the rest of a run as one ``copies`` call, which
 counts as that many calls, and so may order calls across receivers
-differently.  The reference draws a loss for every frame, the library
-none at a loss of 0, where no draw could drop a frame.  When a callback
-raises, both leave queued the frames that had not reached their loss
-draw.  It shares ``Handle``, the sending half of an endpoint, with the
+differently.  It may also hand one receiver the rest of an entry in one
+call per stretch of delivered frames, which counts as a call per frame,
+once that receiver has answered ``BATCH`` the first frame of the entry
+that was delivered and answered true.  The reference draws a loss for
+every frame, the library none at a loss of 0, where no draw could drop
+a frame.  When a callback raises, both leave queued the frames that had
+not reached their loss draw; the library draws every loss of a batch
+before its first call, so a batch call that raises has the whole entry
+logged, where the reference logs the frames up to the one whose call
+raised.  It shares ``Handle``, the sending half of an endpoint, with the
 library, so that the same endpoint code can send on either; it keeps each
 endpoint's receiver in its own map, keyed by the ``Handle``, and shares
 none of the library's routing, draining or logging code.

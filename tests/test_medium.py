@@ -15,6 +15,7 @@ from deauthsim.frames import (
     encode_frame,
 )
 from deauthsim.medium import (
+    BATCH,
     DuplicateEndpoint,
     Handle,
     Medium,
@@ -36,6 +37,12 @@ def bare_frame(src=None, dst=None, subtype=FrameSubtype.AUTH_REQUEST):
 def distinct_frames(count):
     """``count`` frames to MAC_B that differ in their claimed source."""
     return [bare_frame(src=MacAddress(bytes([2, 0, 0, 0, 0, i]))) for i in range(1, count + 1)]
+
+
+def rand(seed, count):
+    """The first ``count`` draws of a loss stream seeded with ``seed``."""
+    rng = Random(seed)
+    return [rng.random() for _ in range(count)]
 
 
 def kinds(events):
@@ -70,22 +77,32 @@ def teardown(src, dst):
 def build_topology(medium, stations, taps):
     """Attach ``stations`` (reply flags) and ``taps`` (callback flags); return handles and a trace.
 
-    A replying station (``True`` or ``"runs"``) answers every ``PING``
-    frame with one ``PONG`` to the frame's claimed source, so drains span
-    several ticks.  A ``"runs"`` station also answers every ``TEARDOWN``
-    frame true, which changes nothing for it, and takes the rest of a run
-    as one ``copies`` call; the trace records that call as ``copies``
-    calls.
+    A replying station (``True``, ``"runs"`` or ``"batches"``) answers
+    every ``PING`` frame with one ``PONG`` to the frame's claimed source, so
+    drains span several ticks.  A ``"runs"`` station also answers every
+    ``TEARDOWN`` frame true, which changes nothing for it, and takes the
+    rest of a run as one ``copies`` call; the trace records that call as
+    ``copies`` calls.  A ``"batches"`` station answers every ``TEARDOWN``
+    frame ``BATCH`` instead, and takes both a run and a batch call, which
+    it handles frame by frame; the trace records each frame of a batch.
     """
     seen = []
     handles = []
 
     def station(i, replies):
-        def receive(src, frame, copies=1):
+        def take(src, frame, copies=1):
             seen.extend([(i, src, frame)] * copies)
             if replies and frame[:1] == bytes([PING]):
                 handles[i].send((bytes([PONG]) + STATION_MACS[i] + frame[1:7] + bytes(2),))
-            return replies == "runs" and frame[:1] == bytes([TEARDOWN])
+            if frame[:1] != bytes([TEARDOWN]):
+                return False
+            return {"runs": True, "batches": BATCH}.get(replies, False)
+
+        def receive(src, frame, copies=1, stop=0):
+            if not stop:
+                return take(src, frame, copies)
+            for data in frame[copies:stop]:
+                take(src, data)
 
         return receive
 
@@ -128,7 +145,11 @@ def traffic_strategy(draw):
     return (
         draw(st.sampled_from([0.0, 0.3, 1.0])),
         draw(st.integers(0, 2**32)),
-        draw(st.lists(st.sampled_from([None, False, True, "runs"]), min_size=1, max_size=3)),
+        draw(
+            st.lists(
+                st.sampled_from([None, False, True, "runs", "batches"]), min_size=1, max_size=3
+            )
+        ),
         draw(st.lists(st.booleans(), max_size=2)),
         draw(st.lists(st.lists(send, max_size=4), min_size=1, max_size=4)),
     )
@@ -885,6 +906,61 @@ class TestRuns:
         assert medium.frames_sent == 5
 
 
+class TestBatches:
+    """A unicast receiver that answers a frame ``BATCH`` gets the rest of a
+    mixed entry, all for it, in one call per stretch of delivered frames."""
+
+    @staticmethod
+    def answering(calls, answers):
+        """A receiver that records its calls and gives ``answers`` in turn to single frames."""
+        answers = iter(answers)
+
+        def receive(src, frame, *rest):
+            calls.append((frame, *rest))
+            return None if rest else next(answers)
+
+        return receive
+
+    def test_a_batch_begins_after_the_first_frame_answered_batch(self):
+        medium = Medium()
+        calls = []
+        frames = tuple(distinct_frames(5))
+        a = medium.attach("a", MAC_A)
+        # An accepted frame answers false: the frame after it may still open a batch.
+        medium.attach("b", MAC_B, self.answering(calls, [None, BATCH]))
+        a.send(frames)
+        assert len(medium.run_until_idle()) == 5
+        assert calls == [(frames[0],), (frames[1],), (frames, 2, 5)]
+
+    def test_a_batch_begins_after_a_dropped_first_frame(self):
+        # A seed whose loss stream drops the first frame and delivers the second.
+        seed = next(s for s in range(100) if [r < 0.5 for r in rand(s, 2)] == [True, False])
+        dropped = [r < 0.5 for r in rand(seed, 8)]
+        medium = Medium(loss_probability=0.5, seed=seed)
+        calls = []
+        frames = tuple(distinct_frames(8))
+        a = medium.attach("a", MAC_A)
+        medium.attach("b", MAC_B, self.answering(calls, [BATCH]))
+        a.send(frames)
+        medium.run_until_idle()
+        assert calls[0] == (frames[1],)
+        assert all(call[0] is frames and len(call) == 3 for call in calls[1:])
+        handed = [i for _, start, stop in calls[1:] for i in range(start, stop)]
+        assert handed == [i for i in range(2, 8) if not dropped[i]]
+        assert medium.frames_dropped == sum(dropped)
+
+    def test_a_plain_true_answer_closes_the_entry_to_batches(self):
+        medium = Medium()
+        calls = []
+        frames = tuple(distinct_frames(4))
+        a = medium.attach("a", MAC_A)
+        # The entry is checked once, after its first frame answered true.
+        medium.attach("b", MAC_B, self.answering(calls, [True, BATCH, BATCH, BATCH]))
+        a.send(frames)
+        medium.run_until_idle()
+        assert calls == [(frame,) for frame in frames]
+
+
 class TestAgainstReference:
     """The record-per-entry log against the event-per-tuple drain in medium_reference.py."""
 
@@ -896,6 +972,20 @@ class TestAgainstReference:
     @example(
         traffic=(
             0.3, 1, [None, "runs", "runs"], [False], [[(3, [teardown(UNOWNED_MAC, BROADCAST)] * 6)]]
+        )
+    )
+    # A batch: the station answers the first teardown ``BATCH``, and the
+    # rest of the entry, all for it, is handed over in stretches.
+    @example(
+        traffic=(
+            0.3,
+            5,
+            ["batches", True],
+            [],
+            [[(1, [teardown(STATION_MACS[1], STATION_MACS[0])] + [
+                bytes([code]) + STATION_MACS[1] + STATION_MACS[0] + bytes(2) + bytes([n])
+                for n, code in enumerate([PING, TEARDOWN, PONG, TEARDOWN, PING] * 2)
+            ])]],
         )
     )
     @settings(max_examples=150, deadline=None)
@@ -931,7 +1021,7 @@ class TestAgainstReference:
         # A run reaches each receiver in turn, so only the order of calls
         # across receivers may differ, and only when some receiver takes runs.
         assert calls_by_receiver(seen) == calls_by_receiver(ref_seen)
-        if "runs" not in stations:
+        if "runs" not in stations and "batches" not in stations:
             assert seen == ref_seen
         assert (medium.frames_sent, medium.frames_dropped) == (
             reference.frames_sent,

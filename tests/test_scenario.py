@@ -11,9 +11,9 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from deauthsim import stations
+from deauthsim import scenario, stations
 from deauthsim.frames import FrameSubtype, decode_frame
-from deauthsim.medium import write_event_log
+from deauthsim.medium import Medium, write_event_log
 from deauthsim.scenario import (
     AssociateAction,
     AttackAction,
@@ -38,8 +38,9 @@ from deauthsim.adversary import (
     AttackerConfig,
     AttackKind,
 )
-from deauthsim.frames import MacAddress
-from helpers import read_events
+from deauthsim.frames import TOKEN_OFFSET, MacAddress, ManagementFrame, encode_frame
+from helpers import complete_handshake, make_pair, read_events
+from medium_reference import ReferenceMedium, reference_write_event_log
 
 AP = "02:00:00:00:00:01"
 CLIENT = "02:00:00:00:00:02"
@@ -934,6 +935,241 @@ class TestFloodRuns:
             }
         )
         assert self.log_and_outcome(cfg, False) == self.log_and_outcome(cfg, True)
+
+
+class TestGuessBatches:
+    """Distinct token guesses as one entry against the same guesses as one entry each.
+
+    Once the AP answers ``BATCH`` the first guess of an entry that is
+    delivered and answered true, the medium hands it the rest of the entry
+    in one call per stretch of delivered frames.  The AP hashes a guess
+    that differs from a ``token_mismatch`` only in its token without
+    decoding it, and counts one that differs so from a ``no_session``
+    without either.  Guesses sent as one-frame entries
+    are each judged on their own.  Both must give the same log and the same
+    outcome.
+    """
+
+    @staticmethod
+    def log_and_outcome(cfg, one_by_one, real_at):
+        run = ScenarioRun(cfg)
+        adversary = run.adversaries[0]
+        step = adversary.frames
+        client = run.stations[MacAddress.parse(CLIENT)]
+
+        def attack():
+            frames = list(step())
+            record = client.sessions.get(MacAddress.parse(AP))
+            if record is not None:
+                # The client's own token behind the guesses' first bytes.
+                frames[real_at % len(frames)] = frames[0][:TOKEN_OFFSET] + record.own_token
+            if one_by_one:
+                for frame in frames:
+                    adversary.handle.send((frame,))
+            else:
+                adversary.handle.send(tuple(frames))
+
+        adversary.attack = attack
+        outcome, events = run.execute()
+        stream = io.StringIO()
+        write_event_log(events, stream)
+        return stream.getvalue(), outcome.to_dict()
+
+    @pytest.mark.parametrize("mode", ["protected", "legacy"])
+    @given(
+        loss=st.sampled_from([0.0, 0.25, 1.0]),
+        seed=st.integers(0, 2**32),
+        guesses=st.integers(1, 30),
+        real_at=st.integers(0, 29),
+        reason=st.sampled_from([1, 3, 8]),
+    )
+    # The real token in the middle of a batch at loss 0: the guesses before
+    # it are token_mismatch, the ones after it no_session.
+    @example(loss=0.0, seed=0, guesses=9, real_at=4, reason=3)
+    @settings(max_examples=40, deadline=None)
+    def test_a_batch_leaves_the_log_and_outcome_its_frames_one_by_one_do(
+        self, mode, loss, seed, guesses, real_at, reason
+    ):
+        cfg = config_from_dict(
+            {
+                **BASE_DOC,
+                "mode": mode,
+                "seed": seed,
+                "loss_probability": loss,
+                "attackers": [
+                    {
+                        "kind": "token_guess",
+                        "spoof_src": CLIENT,
+                        "target": AP,
+                        "frame_count": guesses,
+                        "reason": reason,
+                        "seed": seed,
+                    }
+                ],
+                "script": BASE_DOC["script"] + [{"attack": {"index": 0}}],
+            }
+        )
+        batched = self.log_and_outcome(cfg, False, real_at)
+        assert batched == self.log_and_outcome(cfg, True, real_at)
+
+    def test_guesses_after_a_mismatch_are_hashed_but_not_decoded(self, monkeypatch):
+        calls = Counter()
+        for name in ("decode_frame", "hash_token"):
+            original = getattr(stations, name)
+
+            def counted(arg, name=name, original=original):
+                calls[name] += 1
+                return original(arg)
+
+            monkeypatch.setattr(stations, name, counted)
+        guesser = {"kind": "token_guess", "spoof_src": CLIENT, "target": AP, "frame_count": 100}
+        cfg = config_from_dict(
+            doc(attackers=[guesser], script=[*BASE_DOC["script"], {"attack": {"index": 0}}])
+        )
+        outcome, _ = ScenarioRun(cfg).execute()
+        assert outcome.verdicts == {"hash_recorded": 1, "token_mismatch": 100}
+        # Four join frames, then the first guess alone and the second as the
+        # first of the batch: every guess is hashed, two are decoded.
+        assert calls == {"decode_frame": 6, "hash_token": 102}
+
+    def test_guesses_after_no_session_are_neither_decoded_nor_hashed(self, monkeypatch):
+        calls = Counter()
+        for name in ("decode_frame", "hash_token"):
+            original = getattr(stations, name)
+
+            def counted(arg, name=name, original=original):
+                calls[name] += 1
+                return original(arg)
+
+            monkeypatch.setattr(stations, name, counted)
+        guesser = {"kind": "token_guess", "spoof_src": CLIENT, "target": AP, "frame_count": 100}
+        script = [*BASE_DOC["script"], {"attack": {"index": 0}}]
+        cfg = config_from_dict(doc(mode="legacy", attackers=[guesser], script=script))
+        outcome, _ = ScenarioRun(cfg).execute()
+        assert outcome.verdicts == {"legacy_assoc": 1, "legacy_no_check": 1, "no_session": 99}
+        # Four join frames; the first guess is accepted and the second finds
+        # no session, one by one; the batch after them decodes its first
+        # guess only.  Only the join's two tokens are hashed.
+        assert calls == {"decode_frame": 7, "hash_token": 2}
+
+
+class TestHostileBytesInABatch:
+    """Frames that share a token_mismatch guess's first 18 bytes, or most of
+    them, without being a guess of the same shape."""
+
+    @staticmethod
+    def entry(other_dst):
+        """Guesses from the client at the AP, each after one hostile frame."""
+        client, ap = MacAddress.parse(CLIENT), MacAddress.parse(AP)
+        guess = encode_frame(
+            ManagementFrame(FrameSubtype.DEAUTHENTICATION, client, ap, 3, token=bytes(16))
+        )
+        prefix = guess[:18]
+        hostile = [
+            prefix + bytes(15),  # 33 bytes
+            prefix + bytes(17),  # 35 bytes
+            prefix + bytes(64),  # 82 bytes, with a token's element header
+            guess[:15],  # a bare teardown
+            guess[:1] + MacAddress.parse("02:00:00:00:00:99") + guess[7:],  # another source
+            guess[:7] + other_dst + guess[13:],  # another destination
+        ]
+        frames = [guess]
+        for number, frame in enumerate(hostile, 1):
+            frames += [frame, prefix + bytes([number]) * 16]
+        return tuple(frames)
+
+    # Joined, a guess gets token_mismatch; without a session, no_session.
+    # Either verdict lets the frames after it skip their decode.
+    @pytest.mark.parametrize(
+        "joined, expected",
+        [
+            (True, {"token_mismatch": 7, "no_token": 1, "no_session": 1}),
+            (False, {"no_session": 9}),
+        ],
+    )
+    def test_each_frame_gets_the_verdict_or_none_it_gets_alone(self, joined, expected):
+        frames = self.entry(MacAddress.parse(CLIENT2))
+
+        def ap():
+            client, ap = make_pair()
+            if joined:
+                complete_handshake(client, ap)
+            return ap
+
+        alone = ap()
+        results = [alone.receive_frame(frame) for frame in frames]
+        # A batch of the first k frames gets the verdicts the first k get
+        # alone, in order, for every k: so each frame gets its own.
+        for k in range(1, len(frames) + 1):
+            judged = ap().receive_frames(frames, 0, k)
+            verdicts = [verdict for _, verdict, count in judged for _ in range(count)]
+            assert verdicts == [r[1] for r in results[:k] if r is not None], k
+        causes = Counter(r[1].cause for r in results if r is not None)
+        assert causes == expected
+        assert [r is None for r in results[1:6:2]] == [True] * 3, "33, 35 and 82 bytes"
+
+    def test_a_frame_to_another_station_reaches_it_in_order(self):
+        frames = self.entry(MacAddress.parse(CLIENT2))
+        cfg = config_from_dict(
+            doc(
+                stations=[*BASE_DOC["stations"], {"role": "client", "mac": CLIENT2}],
+                attackers=[{"kind": "token_guess", "spoof_src": CLIENT, "target": AP}],
+                script=[*BASE_DOC["script"], {"attack": {"index": 0}}],
+            )
+        )
+        run = ScenarioRun(cfg)
+        seen = []
+        for mac, station in run.stations.items():
+            judge = station.receive_frame
+
+            def receive_frame(data, mac=str(mac), judge=judge):
+                seen.append((mac, data))
+                return judge(data)
+
+            station.receive_frame = receive_frame
+        run.adversaries[0].frames = lambda: frames
+        outcome, _ = run.execute()
+        other = 11  # the frame to CLIENT2
+        assert seen[4:] == [(AP, f) for f in frames[:other]] + [(CLIENT2, frames[other])] + [
+            (AP, f) for f in frames[other + 1 :]
+        ], "an entry for two stations goes copy by copy, in order"
+        assert outcome.verdicts == {
+            "hash_recorded": 1,
+            "token_mismatch": 7,
+            "no_token": 1,
+            "no_session": 2,
+        }
+
+
+class TestAgainstReferenceMedium:
+    """Whole bundled scenarios on the library's medium and on the plain drain
+    of medium_reference.py, which hands every frame over as a call of its own
+    and knows no run and no batch."""
+
+    @staticmethod
+    def outcome_and_log(cfg, medium_class):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scenario, "Medium", medium_class)
+            try:
+                outcome, events = ScenarioRun(cfg).execute()
+            except Exception as exc:
+                return type(exc), str(exc)
+        stream = io.StringIO()
+        write = write_event_log if medium_class is Medium else reference_write_event_log
+        write(events, stream)
+        return outcome.to_dict(), stream.getvalue()
+
+    @pytest.mark.parametrize("target", [None, BROADCAST, "02:99:99:99:99:99"])
+    @pytest.mark.parametrize("name", sorted(TestBundledScenarios.EXPECTED))
+    def test_same_outcome_and_log_as_the_plain_drain(self, name, target):
+        base = load_bundled_scenario(name)
+        if target is not None:
+            mac = MacAddress.parse(target)
+            base = replace(base, attackers=[replace(a, target=mac) for a in base.attackers])
+        for loss in (0.0, 0.25, 1.0):
+            cfg = replace(base, loss_probability=loss)
+            library = self.outcome_and_log(cfg, Medium)
+            assert library == self.outcome_and_log(cfg, ReferenceMedium), loss
 
 
 class TestProgrammaticConfig:
