@@ -27,7 +27,8 @@ air is decoded into one: a ``MacAddress`` is a ``bytes`` subclass, so it
 hashes and compares as its six octets, in C, and a ``ManagementFrame``
 is a tuple.  Their constructors validate; ``decode_frame`` builds both
 without re-checking what ``struct`` and the element header have already
-fixed.
+fixed, and a station builds each frame it sends without re-checking the
+fields it fixed itself (``stations``).
 
 Authentication is modeled as a single opaque request/response pair, so
 the subtype byte uses two synthetic codes (0x10/0x11) that do not clash

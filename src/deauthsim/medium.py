@@ -109,7 +109,12 @@ identifier, any other MAC, broadcast included, as its text, and a frame
 too short for a destination as ``"?"``.  It walks the dropped ordinals
 alongside the frames from a ``bisect`` to the view's first one and
 formats each line straight from the records, the same bytes as
-``json.dumps`` with compact separators.
+``json.dumps`` with compact separators.  A uniform record's lines are
+formatted once, for a delivered copy and for a dropped one, and each
+stretch of delivered copies between two dropped ones is that text
+repeated.  The text goes out in chunks of ``_LINES_PER_WRITE`` lines,
+a stretch cut into pieces of at most that many, so the writer holds a
+bounded part of the log however many copies a record has.
 
 Totals are read from the log, not counted beside it: ``frames_sent`` is
 the ordinal that follows the last record's frames, 0 with no records,
@@ -182,6 +187,9 @@ BATCH = object()
 # frame).  The entry was injected when ``from`` is a tap id.
 _Record = tuple[int, str, tuple[bytes, ...], int]
 
+# ``write_event_log`` writes its text once it holds this many lines.
+_LINES_PER_WRITE = 4096
+
 
 class EventLog:
     """A read-only view of a medium's event log, or of one drain's part of it.
@@ -205,6 +213,16 @@ class EventLog:
         return sum(len(sent) * ((src in taps) + len(taps) + 1) for _, src, sent, _ in records)
 
 
+def _uniform(frames: tuple[bytes, ...]) -> bool:
+    """Whether an entry's frames are all equal, as a flood's are.
+
+    Its ends are compared first, so that an entry of distinct token
+    guesses is not counted.
+    """
+    size = len(frames)
+    return size > 1 and frames[-1] == frames[0] and frames.count(frames[0]) == size
+
+
 def write_event_log(events: EventLog, stream: IO[str]) -> None:
     """Serialize a view's events as JSON Lines, one event per line, in log order.
 
@@ -213,8 +231,13 @@ def write_event_log(events: EventLog, stream: IO[str]) -> None:
     separators.  The tick is an int, the kind a fixed ASCII word and the
     frame hex, so only the two endpoint labels need JSON string quoting.
     The lines are formatted straight from the log's records: one
-    ``hex()`` per frame, one route lookup per distinct frame object and
-    one quote per distinct endpoint or destination.
+    ``hex()`` per frame of a record that is not uniform and one per
+    uniform record, whose lines are formatted once and repeated for each
+    stretch of delivered copies; one route lookup per distinct frame
+    object and one quote per distinct endpoint or destination.  The text
+    is written once it holds ``_LINES_PER_WRITE`` lines, a repeated
+    stretch cut into pieces of at most that many, so that the writer
+    holds a bounded part of the log however long a record is.
     """
     # Imported here, so that importing the package does not load json.
     from json.encoder import encode_basestring_ascii as quote
@@ -233,11 +256,17 @@ def write_event_log(events: EventLog, stream: IO[str]) -> None:
     destinations: dict[bytes, str] = {}
     # The last frame object whose ``to`` was found.
     labelled = None
+    # The text not yet written, and how many lines it holds.
+    chunk: list[str] = []
+    put, held = chunk.append, 0
     for tick, src, frames, first in records:
         injected = src in taps
+        # The lines each frame of the record leaves.
+        lines = injected + len(sniffers) + 1
         head = f'{{"tick":{tick},"kind":"'
         sent = f'","from":{quoted.get(src) or quoted.setdefault(src, quote(src))},"to":'
-        for ordinal, data in enumerate(frames, first):
+        uniform = _uniform(frames)
+        for ordinal, data in enumerate(frames[:1] if uniform else frames, first):
             if data is not labelled:
                 # Short of the destination field when the frame is short.
                 dst = data[DST_OFFSET:DST_END]
@@ -252,15 +281,48 @@ def write_event_log(events: EventLog, stream: IO[str]) -> None:
                     destinations[dst] = to
                 labelled = data
             tail = f',"frame":"{data.hex()}"}}\n'
+            if uniform:
+                # Every line of a copy but its last.
+                seen = f"{head}injected{sent}{to}{tail}" * injected + "".join(
+                    [f"{head}sniffed{sent}{sniffer}{tail}" for sniffer in sniffers]
+                )
+                delivered = f"{seen}{head}delivered{sent}{to}{tail}"
+                end = first + len(frames)
+                while ordinal < end:
+                    # The delivered copies before the next dropped one, in
+                    # pieces of at most a chunk's lines, then that dropped one.
+                    stop = drop if -1 < drop < end else end
+                    copies = stop - ordinal
+                    while copies:
+                        piece = min(copies, max((_LINES_PER_WRITE - held) // lines, 1))
+                        put(delivered * piece)
+                        copies -= piece
+                        held += piece * lines
+                        if held >= _LINES_PER_WRITE:
+                            write("".join(chunk))
+                            chunk.clear()
+                            held = 0
+                    if stop < end:
+                        put(f"{seen}{head}dropped{sent}{to}{tail}")
+                        held += lines
+                        drop = next(drops, -1)
+                    ordinal = stop + 1
+                continue
             if injected:
-                write(f"{head}injected{sent}{to}{tail}")
+                put(f"{head}injected{sent}{to}{tail}")
             for sniffer in sniffers:
-                write(f"{head}sniffed{sent}{sniffer}{tail}")
+                put(f"{head}sniffed{sent}{sniffer}{tail}")
             if ordinal == drop:
                 drop = next(drops, -1)
-                write(f"{head}dropped{sent}{to}{tail}")
+                put(f"{head}dropped{sent}{to}{tail}")
             else:
-                write(f"{head}delivered{sent}{to}{tail}")
+                put(f"{head}delivered{sent}{to}{tail}")
+            held += lines
+            if held >= _LINES_PER_WRITE:
+                write("".join(chunk))
+                chunk.clear()
+                held = 0
+    write("".join(chunk))
 
 
 @dataclass(frozen=True, eq=False)
@@ -390,10 +452,12 @@ class Medium:
         delivered frames.  Every loss of the rest is drawn before the
         first call, and an entry is checked for a batch only once.
         """
-        dropped = self._dropped
-        start = len(self._records)
-        first = self.frames_sent
-        keep, drop = self._records.append, dropped.append
+        dropped, records = self._dropped, self._records
+        start = len(records)
+        # ``frames_sent``, read without the property's call: a drain is made
+        # per script step.
+        first = records[-1][3] + len(records[-1][2]) if records else 0
+        keep, drop = records.append, dropped.append
         draw, loss = self._loss_rng.random, self.loss_probability
         routes, tap_receivers = self._routes, self._tap_receivers
         budget = max_ticks
@@ -409,10 +473,8 @@ class Medium:
             for sender, frames in entries:
                 src = sender.endpoint_id
                 size = len(frames)
-                # A uniform entry, all its frames equal, is sent as copies of
-                # its first.  Its ends are compared first, so that an entry of
-                # distinct token guesses is not counted.
-                uniform = size > 1 and frames[-1] == frames[0] and frames.count(frames[0]) == size
+                # A uniform entry is sent as copies of its first frame.
+                uniform = _uniform(frames)
                 # The frame taken last is followed by
                 # ``rest.__length_hint__()`` frames of the entry, so its
                 # ordinal is ``first + size - 1`` less that.  It is read only
@@ -495,4 +557,4 @@ class Medium:
                     raise
                 keep((tick, src, frames, first))
                 first += size
-        return EventLog(self, start, len(self._records))
+        return EventLog(self, start, len(records))

@@ -57,6 +57,13 @@ nothing has changed since.  So it finds no session either, or only its
 token is hashed and compared with the stored commitment.  A match, or
 any other frame, goes through ``receive_frame``: an accepted guess in
 the middle deletes the session, and the guesses after it find none.
+
+A station builds each frame it sends as ``decode_frame`` builds one,
+with ``tuple.__new__``, skipping ``ManagementFrame``'s checks: it fixes
+every field itself.  The addresses are its own MAC and a peer key, the
+status is a constant or the reason one already checked against
+``TEARDOWN_REASONS``, and the payload a 64-byte ``hash_token`` digest or
+a 16-byte ``generate_token`` token.
 """
 
 from __future__ import annotations
@@ -213,7 +220,7 @@ class Station:
             raise WrongState(f"no established session with {peer}")
         subtype = FrameSubtype.DISASSOCIATION if reason == 8 else FrameSubtype.DEAUTHENTICATION
         token = record.own_token if self.protected else None
-        return ManagementFrame(subtype, self.mac, peer, reason, token=token)
+        return tuple.__new__(ManagementFrame, (subtype, self.mac, peer, reason, None, token))
 
     def begin_teardown(self, peer: MacAddress, reason: int) -> ManagementFrame:
         """Send a teardown to ``peer`` and drop the local session."""
@@ -332,7 +339,10 @@ class ClientStation(Station):
             return
         self._join_targets.add(ap)
         self._send(
-            ManagementFrame(FrameSubtype.AUTH_REQUEST, self.mac, ap, STATUS_SUCCESS)
+            tuple.__new__(
+                ManagementFrame,
+                (FrameSubtype.AUTH_REQUEST, self.mac, ap, STATUS_SUCCESS, None, None),
+            )
         )
 
     def begin_association(
@@ -351,8 +361,9 @@ class ClientStation(Station):
             )
         record, commitment = self._new_session(None)
         self.pending[ap] = record
-        frame = ManagementFrame(
-            FrameSubtype.ASSOC_REQUEST, self.mac, ap, STATUS_SUCCESS, commitment
+        frame = tuple.__new__(
+            ManagementFrame,
+            (FrameSubtype.ASSOC_REQUEST, self.mac, ap, STATUS_SUCCESS, commitment, None),
         )
         return frame, record
 
@@ -426,7 +437,9 @@ class AccessPoint(Station):
             self.authenticated.add(src)
             self.sessions[src], commitment = self._new_session(peer_hash)
             status = STATUS_SUCCESS
-        response = ManagementFrame(FrameSubtype.ASSOC_RESPONSE, self.mac, src, status, commitment)
+        response = tuple.__new__(
+            ManagementFrame, (FrameSubtype.ASSOC_RESPONSE, self.mac, src, status, commitment, None)
+        )
         return response, verdict
 
     def _dispatch(self, frame: ManagementFrame) -> tuple[ManagementFrame, Verdict] | None:
@@ -434,8 +447,9 @@ class AccessPoint(Station):
             # Keeps no state for a spoofable source: handle_assoc_request
             # records the authentication itself.
             self._send(
-                ManagementFrame(
-                    FrameSubtype.AUTH_RESPONSE, self.mac, frame.src, STATUS_SUCCESS
+                tuple.__new__(
+                    ManagementFrame,
+                    (FrameSubtype.AUTH_RESPONSE, self.mac, frame.src, STATUS_SUCCESS, None, None),
                 )
             )
             return None

@@ -988,6 +988,35 @@ class TestAgainstReference:
             ])]],
         )
     )
+    # A tap's uniform entries of 5,000 copies, unicast and broadcast, three
+    # lines each: their stretches of delivered copies and their dropped
+    # copies cross the writer's chunk boundaries.
+    @example(
+        traffic=(
+            0.3,
+            2,
+            ["runs", True],
+            [False],
+            [[
+                (2, [teardown(UNOWNED_MAC, STATION_MACS[0])] * 5_000),
+                (2, [teardown(UNOWNED_MAC, BROADCAST)] * 5_000),
+            ]],
+        )
+    )
+    # The second drain's view starts just after a dropped copy: seed 9 drops
+    # the third and last copy of the first drain, and two of the second's.
+    @example(
+        traffic=(
+            0.3,
+            9,
+            ["runs", True],
+            [],
+            [
+                [(1, [teardown(STATION_MACS[1], STATION_MACS[0])] * 3)],
+                [(1, [teardown(STATION_MACS[1], STATION_MACS[0])] * 5)],
+            ],
+        )
+    )
     @settings(max_examples=150, deadline=None)
     def test_same_events_drains_bytes_and_callbacks(self, traffic):
         loss, seed, stations, taps, drains = traffic

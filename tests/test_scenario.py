@@ -853,6 +853,34 @@ class TestOutcomeAccounting:
         kept, _ = self.traced_execute("protected_forged_deauth", 100_000, target)
         assert kept <= 9.0, f"{kept:.1f} B kept per frame"
 
+    def test_writing_a_flood_log_holds_a_bounded_part_of_it(self):
+        # A uniform record's lines are formatted once, and the text is
+        # written in chunks of a bounded number of lines, a repeated stretch
+        # cut to fit, so the writer never holds a flood's log whole: 300,008
+        # lines of about 100 B here.
+        base = load_bundled_scenario("protected_forged_deauth")
+        attacker = replace(base.attackers[0], frame_count=100_000)
+        _, events = run_scenario(replace(base, attackers=[attacker]))
+
+        class Sink:
+            """Counts the lines written to it and keeps none of the text."""
+
+            lines = 0
+
+            def write(self, text):
+                self.lines += text.count("\n")
+
+        sink = Sink()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            write_event_log(events, sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.lines == 300_008  # three per copy and eight for the join
+        assert peak < 2 * 2**20, f"peak {peak / 2**20:.2f} MiB while writing"
+
     def test_outcome_dict_is_json_shaped(self):
         outcome, _ = run_scenario(load_bundled_scenario("protected_legit_teardown"))
         data = outcome.to_dict()
